@@ -22,29 +22,26 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import __version__
-from .config import LoadedScenario, load_scenario, parse_scenario
+from .config import LoadedScenario, parse_scenario, read_config
 from .errors import (
     ConfigError,
     DegenerateFitError,
     DetectionLimitedError,
-    NoSignalError,
-    SingularPostSelectionError,
     SpectrumFormatError,
     WvaSenseError,
 )
 from .fbg import centroid_shift_model, fit_sensitivity
-from .osa import snr_estimate
+from .osa import best_usable, snr_estimate
 from .scenario import (
+    Scenario,
     apply_scenario_filter,
     scenario_raw_spectrum,
     scenario_trace,
     sweep_beta,
     sweep_temperature,
 )
-from .spectral import total_power, write_spectrum_csv
+from .spectral import inclusive_range, total_power, write_spectrum_csv
 from .wva import amplification_factor
 
 
@@ -66,57 +63,65 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _parse_float_list(text: str, name: str) -> list[float]:
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _angle(text: str) -> float:
+    """argparse type: a finite angle in [-90, 90] degrees."""
+    value = _finite(text)
+    if not -90.0 <= value <= 90.0:
+        raise argparse.ArgumentTypeError(f"angle must lie in [-90, 90] deg, got {text!r}")
+    return value
+
+
+def _parse_float_list(text: str, name: str, parse=_finite) -> list[float]:
     """Accept 'a,b,c' or 'start:stop:step' (inclusive of stop within 1e-9)."""
     try:
         if ":" in text:
-            parts = [float(p) for p in text.split(":")]
+            parts = text.split(":")
             if len(parts) != 3:
                 raise ValueError("range spec needs start:stop:step")
-            start, stop, step = parts
-            if step <= 0 or stop < start:
-                raise ValueError("range spec needs step > 0 and stop >= start")
-            n = int(math.floor((stop - start) / step + 1e-9)) + 1
-            return [start + k * step for k in range(n)]
-        return [float(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError as exc:
+            return inclusive_range(parse(parts[0]), parse(parts[1]), _finite(parts[2]))
+        return [parse(p) for p in text.split(",") if p.strip() != ""]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"--{name}: {exc}") from None
 
 
 def _beta_grid(lo: float, hi: float, step: float) -> list[float]:
-    if step <= 0:
-        raise ConfigError("--step: must be > 0")
     if hi <= lo:
         raise ConfigError("--beta-max must exceed --beta-min")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + k * step for k in range(n)]
+    try:
+        return inclusive_range(lo, hi, step)
+    except ValueError as exc:
+        raise ConfigError(f"--step: {exc}") from None
 
 
-def _apply_seed(config_doc: dict, seed: Optional[int]) -> dict:
-    if seed is None:
-        return config_doc
-    doc = json.loads(json.dumps(config_doc))
-    if "osa" in doc and isinstance(doc["osa"], dict):
+def _load_config(path: str, seed: Optional[int]) -> tuple[dict, LoadedScenario]:
+    """Read a config, apply the --seed override and parse it, once per run."""
+    doc = read_config(path)
+    if seed is not None and isinstance(doc, dict):
+        if not isinstance(doc.get("osa"), dict):
+            raise ConfigError("--seed: the config has no osa section to seed")
         doc["osa"]["seed"] = seed
-    return doc
-
-
-def _load_doc(path: str) -> dict:
-    loaded = load_scenario(path)  # validate early, with field paths
-    del loaded
-    with open(path) as f:
-        return json.load(f)
+    return doc, parse_scenario(doc)
 
 
 # ---------------------------------------------------------------------------
-# Command implementations. Each takes the fully resolved input dict and the
-# output directory, writes its files and returns {filename: sha256}.
+# Command implementations. Each takes the fully resolved input dict, the
+# output directory and the parsed config scenario (None for commands without
+# a config), writes its files and returns {filename: sha256}.
 # ---------------------------------------------------------------------------
 
 
-def run_sweep_beta(resolved: dict, out_dir: Path) -> dict[str, str]:
-    loaded: LoadedScenario = parse_scenario(resolved["config"])
-    sc = loaded.scenario
+def run_sweep_beta(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str]:
     if resolved.get("dt_c") is not None:
         sc = replace(sc, t1_c=sc.t2_c + resolved["dt_c"])
     betas_deg = _beta_grid(
@@ -126,36 +131,21 @@ def run_sweep_beta(resolved: dict, out_dir: Path) -> dict[str, str]:
 
     power_0 = total_power(scenario_raw_spectrum(sc, beta_rad=0.0))
     rows = []
-    for beta_deg, (beta_rad, result) in zip(betas_deg, results):
+    for beta_deg, (_, result) in zip(betas_deg, results):
         if result is None:
             print(f"skipping beta={beta_deg:.4g} deg: no signal at this angle",
                   file=sys.stderr)
             continue
-        power_rel = total_power(scenario_raw_spectrum(sc, beta_rad=beta_rad)) / power_0
-        snr_db = math.inf
-        if sc.osa is not None:
-            snr_db = snr_estimate(result.raw, sc.osa).snr_db
+        snr_db = math.inf if sc.osa is None else snr_estimate(result.raw, sc.osa).snr_db
         rows.append([beta_deg, result.centroid_nm_shift, result.a_effective,
-                     power_rel, snr_db])
+                     result.raw_power / power_0, snr_db])
 
     footer = None
     if resolved["snr_min_db"] is not None:
-        best = None
-        for row in rows:
-            if row[4] < resolved["snr_min_db"]:
-                continue
-            if best is None or abs(row[2]) > abs(best[2]) or (
-                abs(row[2]) == abs(best[2]) and row[2] > best[2]
-            ):
-                best = row
-        if best is None:
-            raise DetectionLimitedError(
-                f"no swept angle reaches {resolved['snr_min_db']} dB SNR"
-            )
-        footer = [
-            f"# max_usable: beta_deg={_fmt(best[0])} a={_fmt(best[2])} "
-            f"snr_db={_fmt(best[4])}"
-        ]
+        beta_deg, a, snr_db = best_usable(
+            ((row[0], row[2], row[4]) for row in rows), resolved["snr_min_db"]
+        )
+        footer = [f"# max_usable: beta_deg={_fmt(beta_deg)} a={_fmt(a)} snr_db={_fmt(snr_db)}"]
 
     outputs: dict[str, str] = {}
     csv_path = out_dir / "sweep_beta.csv"
@@ -179,9 +169,7 @@ def run_sweep_beta(resolved: dict, out_dir: Path) -> dict[str, str]:
     return outputs
 
 
-def run_sweep_temp(resolved: dict, out_dir: Path) -> dict[str, str]:
-    loaded: LoadedScenario = parse_scenario(resolved["config"])
-    sc = loaded.scenario
+def run_sweep_temp(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str]:
     if resolved["beta_deg"] is not None:
         sc = replace(sc, beta_rad=math.radians(resolved["beta_deg"]))
     dt_list = resolved["dt_list_c"]
@@ -208,7 +196,7 @@ def run_sweep_temp(resolved: dict, out_dir: Path) -> dict[str, str]:
     return {csv_path.name: _sha256(csv_path)}
 
 
-def run_amax_curve(resolved: dict, out_dir: Path) -> dict[str, str]:
+def run_amax_curve(resolved: dict, out_dir: Path, sc: Optional[Scenario]) -> dict[str, str]:
     g_list = resolved["g_list"]
     for g in g_list:
         if abs(g) >= 1.0:
@@ -233,7 +221,7 @@ def run_amax_curve(resolved: dict, out_dir: Path) -> dict[str, str]:
     return {csv_path.name: _sha256(csv_path)}
 
 
-def run_theory_lines(resolved: dict, out_dir: Path) -> dict[str, str]:
+def run_theory_lines(resolved: dict, out_dir: Path, sc: Optional[Scenario]) -> dict[str, str]:
     kappa = resolved["kappa_nm_per_c"]
     rows = [
         [dt, a, centroid_shift_model(dt, kappa, a)]
@@ -279,7 +267,7 @@ def parse_calibration_csv(path) -> list[tuple[float, float]]:
     return points
 
 
-def run_calibrate(resolved: dict, out_dir: Path) -> dict[str, str]:
+def run_calibrate(resolved: dict, out_dir: Path, sc: Optional[Scenario]) -> dict[str, str]:
     points = [(float(dt), float(s)) for dt, s in resolved["points"]]
     fit = fit_sensitivity(points)
     doc = {
@@ -298,9 +286,7 @@ def run_calibrate(resolved: dict, out_dir: Path) -> dict[str, str]:
     return {json_path.name: _sha256(json_path)}
 
 
-def run_dump_spectrum(resolved: dict, out_dir: Path) -> dict[str, str]:
-    loaded: LoadedScenario = parse_scenario(resolved["config"])
-    sc = loaded.scenario
+def run_dump_spectrum(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str]:
     if resolved["beta_deg"] is not None:
         sc = replace(sc, beta_rad=math.radians(resolved["beta_deg"]))
     if resolved["dt_c"] is not None:
@@ -318,7 +304,7 @@ def run_dump_spectrum(resolved: dict, out_dir: Path) -> dict[str, str]:
     return {csv_path.name: _sha256(csv_path)}
 
 
-_RUNNERS: dict[str, Callable[[dict, Path], dict[str, str]]] = {
+_RUNNERS: dict[str, Callable[[dict, Path, Optional[Scenario]], dict[str, str]]] = {
     "sweep-beta": run_sweep_beta,
     "sweep-temp": run_sweep_temp,
     "amax-curve": run_amax_curve,
@@ -328,9 +314,10 @@ _RUNNERS: dict[str, Callable[[dict, Path], dict[str, str]]] = {
 }
 
 
-def _execute(command: str, resolved: dict, out_dir: Path, seed: Optional[int]) -> None:
+def _execute(command: str, resolved: dict, out_dir: Path, seed: Optional[int],
+             sc: Optional[Scenario]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = _RUNNERS[command](resolved, out_dir)
+    outputs = _RUNNERS[command](resolved, out_dir, sc)
     manifest = {
         "tool": "wva-sense",
         "version": __version__,
@@ -354,7 +341,9 @@ def replay_manifest(manifest_path, out_dir) -> dict:
     command = manifest["command"]
     if command not in _RUNNERS:
         raise ConfigError(f"{manifest_path}: unknown command {command!r}")
-    _execute(command, manifest["resolved"], Path(out_dir), manifest.get("seed"))
+    resolved = manifest["resolved"]
+    sc = parse_scenario(resolved["config"]).scenario if "config" in resolved else None
+    _execute(command, resolved, Path(out_dir), manifest.get("seed"), sc)
     return manifest
 
 
@@ -381,15 +370,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep-beta", help="centroid shift vs post-selection angle")
     common(sp)
-    sp.add_argument("--beta-min", type=float, default=None, help="degrees")
-    sp.add_argument("--beta-max", type=float, default=None, help="degrees")
-    sp.add_argument("--step", type=float, default=None, help="degrees")
-    sp.add_argument("--dt", type=float, default=None,
+    sp.add_argument("--beta-min", type=_angle, default=None, help="degrees")
+    sp.add_argument("--beta-max", type=_angle, default=None, help="degrees")
+    sp.add_argument("--step", type=_finite, default=None, help="degrees")
+    sp.add_argument("--dt", type=_finite, default=None,
                     help="t1 - t2 override for the whole sweep (degC)")
     sp.add_argument("--dump-spectra", default="",
                     help="comma list of angles (deg) whose filtered spectra to write "
                     "(use --dump-spectra=-40,-25 for negative angles)")
-    sp.add_argument("--snr-min", type=float, default=None,
+    sp.add_argument("--snr-min", type=_finite, default=None,
                     help="annotate the largest |A| point with SNR above this floor "
                     "(dB); exits 4 when no angle qualifies")
 
@@ -398,21 +387,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dt", default=None,
                     help="dt values, 'a,b,c' or 'start:stop:step' (degC); "
                     "defaults to the config temperature plan")
-    sp.add_argument("--beta", type=float, default=None,
+    sp.add_argument("--beta", type=_angle, default=None,
                     help="post-selection angle override (deg)")
 
     sp = sub.add_parser("amax-curve", help="amplification factor vs angle for each g")
     common(sp, config_required=False)
     sp.add_argument("--g", required=True, help="comma list of gamma*cos(delta) values")
-    sp.add_argument("--beta-min", type=float, default=-90.0, help="degrees")
-    sp.add_argument("--beta-max", type=float, default=0.0, help="degrees")
-    sp.add_argument("--step", type=float, default=0.01, help="degrees")
+    sp.add_argument("--beta-min", type=_angle, default=-90.0, help="degrees")
+    sp.add_argument("--beta-max", type=_angle, default=0.0, help="degrees")
+    sp.add_argument("--step", type=_finite, default=0.01, help="degrees")
 
     sp = sub.add_parser("theory-lines", help="first-order shift lines for fixed A")
     common(sp, config_required=False)
     sp.add_argument("--a", required=True, help="comma list of amplification factors")
     sp.add_argument("--dt", default="0:12:1", help="'a,b,c' or 'start:stop:step' (degC)")
-    sp.add_argument("--kappa", type=float, required=True, help="nm per degC")
+    sp.add_argument("--kappa", type=_finite, required=True, help="nm per degC")
 
     sp = sub.add_parser("calibrate", help="least-squares fit of a measured CSV")
     common(sp, config_required=False)
@@ -420,17 +409,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dump-spectrum", help="write one simulated spectrum")
     common(sp)
-    sp.add_argument("--beta", type=float, default=None, help="angle override (deg)")
-    sp.add_argument("--dt", type=float, default=None, help="t1 - t2 override (degC)")
+    sp.add_argument("--beta", type=_angle, default=None, help="angle override (deg)")
+    sp.add_argument("--dt", type=_finite, default=None, help="t1 - t2 override (degC)")
     sp.add_argument("--stage", choices=["raw", "osa", "filtered"], default="filtered")
 
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> dict:
+def _resolve(args: argparse.Namespace) -> tuple[dict, Optional[Scenario]]:
+    """The command's fully resolved inputs and its config scenario, if any."""
+    if args.command == "amax-curve":
+        return {
+            "g_list": _parse_float_list(args.g, "g"),
+            "beta_min_deg": args.beta_min,
+            "beta_max_deg": args.beta_max,
+            "step_deg": args.step,
+        }, None
+    if args.command == "theory-lines":
+        return {
+            "a_list": _parse_float_list(args.a, "a"),
+            "dt_list_c": _parse_float_list(args.dt, "dt"),
+            "kappa_nm_per_c": args.kappa,
+        }, None
+    if args.command == "calibrate":
+        return {"input": args.input, "points": parse_calibration_csv(args.input)}, None
+    doc, loaded = _load_config(args.config, args.seed)
     if args.command == "sweep-beta":
-        doc = _apply_seed(_load_doc(args.config), args.seed)
-        loaded = parse_scenario(doc)
         spec = loaded.beta
         lo = args.beta_min if args.beta_min is not None else spec.sweep_min_deg
         hi = args.beta_max if args.beta_max is not None else spec.sweep_max_deg
@@ -439,68 +443,40 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ConfigError(
                 "sweep-beta needs --beta-min/--beta-max/--step or a config sweep spec"
             )
-        dump = _parse_float_list(args.dump_spectra, "dump-spectra") if args.dump_spectra else []
         return {
             "config": doc,
             "beta_min_deg": lo,
             "beta_max_deg": hi,
             "step_deg": step,
             "dt_c": args.dt,
-            "dump_spectra_deg": dump,
+            "dump_spectra_deg": _parse_float_list(args.dump_spectra, "dump-spectra", _angle),
             "snr_min_db": args.snr_min,
-        }
+        }, loaded.scenario
     if args.command == "sweep-temp":
-        doc = _apply_seed(_load_doc(args.config), args.seed)
-        loaded = parse_scenario(doc)
         dt_list = (
             _parse_float_list(args.dt, "dt") if args.dt is not None else loaded.dt_list_c
         )
-        return {"config": doc, "dt_list_c": dt_list, "beta_deg": args.beta}
-    if args.command == "amax-curve":
-        return {
-            "g_list": _parse_float_list(args.g, "g"),
-            "beta_min_deg": args.beta_min,
-            "beta_max_deg": args.beta_max,
-            "step_deg": args.step,
-        }
-    if args.command == "theory-lines":
-        return {
-            "a_list": _parse_float_list(args.a, "a"),
-            "dt_list_c": _parse_float_list(args.dt, "dt"),
-            "kappa_nm_per_c": args.kappa,
-        }
-    if args.command == "calibrate":
-        return {"input": args.input, "points": parse_calibration_csv(args.input)}
-    if args.command == "dump-spectrum":
-        doc = _apply_seed(_load_doc(args.config), args.seed)
-        parse_scenario(doc)
-        return {
-            "config": doc,
-            "beta_deg": args.beta,
-            "dt_c": args.dt,
-            "stage": args.stage,
-        }
-    raise ConfigError(f"unknown command {args.command!r}")
+        return {"config": doc, "dt_list_c": dt_list, "beta_deg": args.beta}, loaded.scenario
+    return {
+        "config": doc,
+        "beta_deg": args.beta,
+        "dt_c": args.dt,
+        "stage": args.stage,
+    }, loaded.scenario
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        resolved = _resolve(args)
-        _execute(args.command, resolved, Path(args.out), args.seed)
+        resolved, sc = _resolve(args)
+        _execute(args.command, resolved, Path(args.out), args.seed, sc)
         return 0
-    except (ConfigError, SpectrumFormatError) as exc:
+    except WvaSenseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NoSignalError, SingularPostSelectionError, DegenerateFitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DetectionLimitedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except WvaSenseError as exc:  # any remaining domain error counts as numerical
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, (ConfigError, SpectrumFormatError)):
+            return 2
+        # Every other domain error is numerical, detection limits aside.
+        return 4 if isinstance(exc, DetectionLimitedError) else 3
 
 
 if __name__ == "__main__":

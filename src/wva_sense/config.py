@@ -38,15 +38,19 @@ def _section(doc: Mapping[str, Any], name: str, required: bool = True):
     return value
 
 
+def _finite(value: Any, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: must be finite, got {value!r}")
+    return float(value)
+
+
 def _number(section: Mapping[str, Any], key: str, path: str, default=None) -> float:
     value = section.get(key, default)
     if value is None:
         raise ConfigError(f"{path}.{key}: required numeric field missing")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: must be finite, got {value!r}")
-    return float(value)
+    return _finite(value, f"{path}.{key}")
 
 
 def _exactly_one(section: Mapping[str, Any], keys: tuple[str, ...], path: str) -> str:
@@ -236,6 +240,7 @@ class LoadedScenario:
 
 
 def parse_scenario(doc: Mapping[str, Any]) -> LoadedScenario:
+    """Validate a scenario document; raises ConfigError with field paths."""
     if not isinstance(doc, Mapping):
         raise ConfigError("config root: expected an object")
     _check_keys(
@@ -268,11 +273,7 @@ def parse_scenario(doc: Mapping[str, Any]) -> LoadedScenario:
     t1_list = temps.get("t1_list_c")
     if not isinstance(t1_list, list) or not t1_list:
         raise ConfigError("temperatures.t1_list_c: expected a non-empty list")
-    t1_values = []
-    for i, value in enumerate(t1_list):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"temperatures.t1_list_c[{i}]: expected a number")
-        t1_values.append(float(value))
+    t1_values = [_finite(v, f"temperatures.t1_list_c[{i}]") for i, v in enumerate(t1_list)]
 
     scenario = Scenario(
         source=source,
@@ -296,18 +297,17 @@ def parse_scenario(doc: Mapping[str, Any]) -> LoadedScenario:
     )
 
 
-def load_scenario(path) -> LoadedScenario:
-    """Parse a scenario config file; raises ConfigError with field paths."""
+def read_config(path) -> Any:
+    """The JSON document of a scenario config file, not yet validated."""
     try:
         with open(path) as f:
-            doc = json.load(f)
+            return json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    try:
-        return parse_scenario(doc)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+
+
+def load_scenario(path) -> LoadedScenario:
+    """Parse a scenario config file; raises ConfigError with field paths."""
+    return parse_scenario(read_config(path))

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateFitError
-from .spectral import FrequencyGrid, Spectrum, UnitContext
+from .spectral import SPEED_OF_LIGHT_NM_THZ, FrequencyGrid, Spectrum, UnitContext
 
 # 2*sqrt(ln 2): ratio between a Gaussian power FWHM and its 1/e half-width.
 _FWHM_PER_B = 2.0 * math.sqrt(math.log(2.0))
@@ -77,8 +77,6 @@ def bandwidth_b_from_fwhm_nm(fwhm_nm: float, center_nm: float) -> float:
     """Power 1/e half-width (THz) of a lobe with the given FWHM in nm."""
     if fwhm_nm <= 0 or center_nm <= 0:
         raise ValueError("fwhm_nm and center_nm must be > 0")
-    from .spectral import SPEED_OF_LIGHT_NM_THZ
-
     fwhm_thz = SPEED_OF_LIGHT_NM_THZ * fwhm_nm / center_nm**2
     return fwhm_thz / _FWHM_PER_B
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .errors import DetectionLimitedError
-from .spectral import Spectrum, UnitContext
+from .errors import DetectionLimitedError, SingularPostSelectionError
+from .spectral import Spectrum, UnitContext, inclusive_range
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -121,6 +121,32 @@ class UsableAmplification:
     snr_db: float
 
 
+def best_usable(
+    points: Iterable[tuple[float, float, float]], snr_min_db: float
+) -> tuple[float, float, float]:
+    """The largest-|A| (beta, a, snr_db) point with snr_db >= snr_min_db.
+
+    The two sweep branches carry equal |A| at their optima up to float
+    jitter, so |A| values within 1e-9 relative tie and resolve toward the
+    larger signed A (the branch closer to beta = 0); the earlier point wins
+    exact ties. Raises DetectionLimitedError when no point clears the floor.
+    """
+    best = None
+    for point in points:
+        _, a, snr = point
+        if snr < snr_min_db:
+            continue
+        if best is not None:
+            best_a = best[1]
+            tie = abs(abs(a) - abs(best_a)) <= 1e-9 * max(abs(a), abs(best_a))
+            if not (a > best_a if tie else abs(a) > abs(best_a)):
+                continue
+        best = point
+    if best is None:
+        raise DetectionLimitedError(f"no post-selection angle reaches {snr_min_db} dB SNR")
+    return best
+
+
 def max_usable_amplification(
     sc: "Scenario",
     snr_min_db: float,
@@ -130,42 +156,27 @@ def max_usable_amplification(
 ) -> UsableAmplification:
     """Sweep beta, keep points with SNR >= snr_min_db, return the largest |A|.
 
-    Deterministic given the scenario's OSA seed (one sub-stream per sweep
-    point). The two sweep branches carry equal |A| at their optima up to
-    float jitter, so |A| values within 1e-9 relative count as ties and
-    resolve toward the larger signed A (the branch closer to beta = 0).
-    Raises DetectionLimitedError when no angle clears the floor.
+    The beta-independent field is built once per sweep and angle i draws OSA
+    noise stream i+1, so the result is deterministic given the scenario's
+    seed. Ties follow best_usable. Raises DetectionLimitedError when no
+    angle clears the floor.
     """
-    from .errors import SingularPostSelectionError
-    from .scenario import scenario_amplification, scenario_trace
+    from .scenario import beta_points, scenario_amplification
 
     if not math.isfinite(snr_min_db):
         raise ValueError("snr_min_db must be finite")
-    if step_deg <= 0 or beta_max_deg <= beta_min_deg:
+    if beta_max_deg <= beta_min_deg:
         raise ValueError("invalid beta sweep range")
+    betas = [math.radians(b) for b in inclusive_range(beta_min_deg, beta_max_deg, step_deg)]
     osa = sc.osa or OsaParams()
 
-    n = int(math.floor((beta_max_deg - beta_min_deg) / step_deg + 1e-9)) + 1
-    betas = beta_min_deg + step_deg * np.arange(n)
-    best: UsableAmplification | None = None
-    for i, beta_deg in enumerate(betas):
-        beta = math.radians(beta_deg)
-        try:
-            a = scenario_amplification(sc, beta)
-        except SingularPostSelectionError:
-            continue
-        trace = scenario_trace(sc, beta_rad=beta, stream=i + 1)
-        snr = snr_estimate(trace, osa).snr_db
-        if snr < snr_min_db:
-            continue
-        if best is None:
-            best = UsableAmplification(beta_rad=beta, a=a, snr_db=snr)
-            continue
-        tie = abs(abs(a) - abs(best.a)) <= 1e-9 * max(abs(a), abs(best.a))
-        if (not tie and abs(a) > abs(best.a)) or (tie and a > best.a):
-            best = UsableAmplification(beta_rad=beta, a=a, snr_db=snr)
-    if best is None:
-        raise DetectionLimitedError(
-            f"no post-selection angle reaches {snr_min_db} dB SNR"
-        )
-    return best
+    def usable() -> Iterator[tuple[float, float, float]]:
+        for point, _, trace in beta_points(sc, betas):
+            try:
+                a = scenario_amplification(point)
+            except SingularPostSelectionError:
+                continue
+            yield point.beta_rad, a, snr_estimate(trace, osa).snr_db
+
+    beta, a, snr = best_usable(usable(), snr_min_db)
+    return UsableAmplification(beta_rad=beta, a=a, snr_db=snr)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
-from .fbg import FbgParams, bragg_center
+from .errors import ConfigError, NoSignalError, SingularPostSelectionError
+from .fbg import FbgParams, bragg_center, reflect
 from .osa import OsaParams, osa_trace
 from .spectral import (
     FrequencyGrid,
@@ -26,8 +26,9 @@ from .spectral import (
     frequency_to_wavelength,
     make_grid,
     super_gaussian_filter,
+    total_power,
 )
-from .wva import PolarizedFieldSpectrum, SetupParams, amplification_factor, overlap_gamma, post_select
+from .wva import PolarizedFieldSpectrum, amplification_factor, overlap_gamma, post_select
 
 REFERENCE_BETA_RAD = -math.pi / 2
 
@@ -129,58 +130,31 @@ def scenario_grid(sc: Scenario) -> FrequencyGrid:
     return make_grid(center, span, sc.grid.n_points)
 
 
-def scenario_centers(sc: Scenario, t1_c: Optional[float] = None) -> tuple[float, float]:
+def scenario_centers(sc: Scenario) -> tuple[float, float]:
     """Bragg centers (THz) of the sensing and reference gratings.
 
     The reference temperature for both is t2_c, so the second grating sits at
     its reference center.
     """
-    t1 = sc.t1_c if t1_c is None else t1_c
-    c1 = bragg_center(sc.fbg1, t1, sc.t2_c, sc.units)
+    c1 = bragg_center(sc.fbg1, sc.t1_c, sc.t2_c, sc.units)
     c2 = bragg_center(sc.fbg2, sc.t2_c, sc.t2_c, sc.units)
     return c1, c2
 
 
-def scenario_setup_params(
-    sc: Scenario, beta_rad: Optional[float] = None, t1_c: Optional[float] = None
-) -> SetupParams:
-    """Equivalent idealized interferometer parameters (side lobes ignored)."""
-    c1, c2 = scenario_centers(sc, t1_c)
-    b_eff = (sc.fbg1.bandwidth_b_thz + sc.fbg2.bandwidth_b_thz) / 2
-    return SetupParams(
-        nu0=sc.source.nu0_thz,
-        b_width=b_eff,
-        tau_ps=sc.tau_ps,
-        phi_rad=sc.phi_rad,
-        gamma_lcvr_rad=sc.gamma_lcvr_rad,
-        beta_rad=sc.beta_rad if beta_rad is None else beta_rad,
-        nu1=c1 - sc.source.nu0_thz,
-        nu2=c2 - sc.source.nu0_thz,
-        amplitude=sc.source.amplitude,
-    )
-
-
-def scenario_amplification(
-    sc: Scenario, beta_rad: Optional[float] = None, t1_c: Optional[float] = None
-) -> float:
-    """Amplification factor at the scenario's overlap and residual phase."""
-    c1, c2 = scenario_centers(sc, t1_c)
+def scenario_amplification(sc: Scenario) -> float:
+    """Amplification factor at the scenario's beta, overlap and residual phase."""
+    c1, c2 = scenario_centers(sc)
     b_eff = (sc.fbg1.bandwidth_b_thz + sc.fbg2.bandwidth_b_thz) / 2
     gamma = overlap_gamma((c1 - c2) / 2, b_eff)
-    beta = sc.beta_rad if beta_rad is None else beta_rad
-    return amplification_factor(beta, gamma, sc.delta_rad)
+    return amplification_factor(sc.beta_rad, gamma, sc.delta_rad)
 
 
-def scenario_field(
-    sc: Scenario, t1_c: Optional[float] = None, g: Optional[FrequencyGrid] = None
-) -> PolarizedFieldSpectrum:
+def scenario_field(sc: Scenario) -> PolarizedFieldSpectrum:
     """Recombined field: each arm is the square root of its grating's
     reflected power spectrum (halved by the 45-degree pre-selection), with
     the delay/birefringence phase on the y arm."""
-    from .fbg import reflect
-
-    g = g or scenario_grid(sc)
-    c1, c2 = scenario_centers(sc, t1_c)
+    g = scenario_grid(sc)
+    c1, c2 = scenario_centers(sc)
     s1 = reflect(sc.fbg1, sc.source.b_thz, sc.source.nu0_thz, c1, g)
     s2 = reflect(sc.fbg2, sc.source.b_thz, sc.source.nu0_thz, c2, g)
     scale = sc.source.amplitude**2 / 2.0
@@ -192,29 +166,39 @@ def scenario_field(
     return PolarizedFieldSpectrum(grid=g, ex=ex, ey=ey)
 
 
-def scenario_raw_spectrum(
-    sc: Scenario,
-    beta_rad: Optional[float] = None,
-    t1_c: Optional[float] = None,
-    g: Optional[FrequencyGrid] = None,
-) -> Spectrum:
+def scenario_raw_spectrum(sc: Scenario, beta_rad: Optional[float] = None) -> Spectrum:
     """Ideal post-selected spectrum before any instrument effects."""
     beta = sc.beta_rad if beta_rad is None else beta_rad
-    return post_select(scenario_field(sc, t1_c, g), beta)
+    return post_select(scenario_field(sc), beta)
 
 
-def scenario_trace(
-    sc: Scenario,
-    beta_rad: Optional[float] = None,
-    t1_c: Optional[float] = None,
-    stream: Optional[int] = None,
-    g: Optional[FrequencyGrid] = None,
-) -> Spectrum:
-    """Measured spectrum: the raw spectrum through the OSA model, if any."""
-    raw = scenario_raw_spectrum(sc, beta_rad, t1_c, g)
+def _measure(sc: Scenario, raw: Spectrum, stream: Optional[int]) -> Spectrum:
+    """`raw` through the scenario's OSA model on noise `stream`, if it has one."""
     if sc.osa is None:
         return raw
     return osa_trace(raw, sc.osa, sc.units, stream=stream)
+
+
+def scenario_trace(
+    sc: Scenario, beta_rad: Optional[float] = None, stream: Optional[int] = None
+) -> Spectrum:
+    """Measured spectrum: the raw spectrum through the OSA model, if any."""
+    return _measure(sc, scenario_raw_spectrum(sc, beta_rad), stream)
+
+
+def beta_points(
+    sc: Scenario, beta_rad_list: Sequence[float]
+) -> Iterator[tuple[Scenario, Spectrum, Spectrum]]:
+    """Per-angle scenario, raw spectrum and measured spectrum of a beta sweep.
+
+    The beta-independent two-arm field is built once per sweep; angle i
+    draws OSA noise stream i+1.
+    """
+    f = scenario_field(sc)
+    for i, beta in enumerate(beta_rad_list):
+        point = replace(sc, beta_rad=float(beta))
+        raw = post_select(f, point.beta_rad)
+        yield point, raw, _measure(sc, raw, i + 1)
 
 
 def _refine_peak(nu: np.ndarray, y: np.ndarray, i: int, spacing: float) -> float:
@@ -237,7 +221,7 @@ def _refine_peak(nu: np.ndarray, y: np.ndarray, i: int, spacing: float) -> float
     return float(nu[i] + shift * spacing)
 
 
-def filter_center(sc: Scenario, trace: Spectrum, t1_c: Optional[float] = None) -> float:
+def filter_center(sc: Scenario, trace: Spectrum) -> float:
     """Main-lobe peak of the measured spectrum, for centering the filter.
 
     The argmax search is restricted to a window around the predicted Bragg
@@ -246,7 +230,7 @@ def filter_center(sc: Scenario, trace: Spectrum, t1_c: Optional[float] = None) -
     log-parabolic interpolation to avoid grid-quantization bias in the
     filtered centroid.
     """
-    c1, c2 = scenario_centers(sc, t1_c)
+    c1, c2 = scenario_centers(sc)
     w = max(sc.fbg1.bandwidth_b_thz, sc.fbg2.bandwidth_b_thz)
     lo, hi = min(c1, c2) - w, max(c1, c2) + w
     nu = trace.grid.frequencies()
@@ -258,9 +242,7 @@ def filter_center(sc: Scenario, trace: Spectrum, t1_c: Optional[float] = None) -
     return _refine_peak(nu, trace.samples, int(i), trace.grid.spacing)
 
 
-def apply_scenario_filter(
-    sc: Scenario, trace: Spectrum, t1_c: Optional[float] = None
-) -> Spectrum:
+def apply_scenario_filter(sc: Scenario, trace: Spectrum) -> Spectrum:
     """Super-Gaussian filter with scenario defaults; identity when disabled."""
     if not sc.filter.enabled:
         return trace
@@ -268,15 +250,20 @@ def apply_scenario_filter(
     if half_width is None:
         b = max(sc.fbg1.bandwidth_b_thz, sc.fbg2.bandwidth_b_thz)
         half_width = sc.filter.half_width_factor * b
-    center = filter_center(sc, trace, t1_c)
+    center = filter_center(sc, trace)
     return super_gaussian_filter(trace, center, half_width, sc.filter.order)
 
 
 @dataclass(frozen=True)
 class InterrogationResult:
-    """One measurement: spectra, referenced shift and effective amplification."""
+    """One measurement: spectra, referenced shift and effective amplification.
+
+    `raw` is the measured trace before filtering; `raw_power` is the total
+    power of the ideal post-selected spectrum, before the OSA.
+    """
 
     raw: Spectrum
+    raw_power: float
     filtered: Spectrum
     centroid_thz: float
     centroid_nm_shift: float
@@ -296,6 +283,21 @@ def reference_centroid(sc: Scenario) -> float:
     return centroid(filtered)
 
 
+def _interrogate(sc: Scenario, raw: Spectrum, trace: Spectrum, ref: float) -> InterrogationResult:
+    filtered = apply_scenario_filter(sc, trace)
+    c = centroid(filtered)
+    return InterrogationResult(
+        raw=trace,
+        raw_power=total_power(raw),
+        filtered=filtered,
+        centroid_thz=c,
+        centroid_nm_shift=sc.units.frequency_shift_to_nm(c - ref),
+        reference_thz=ref,
+        reference_nm=frequency_to_wavelength(ref),
+        a_effective=scenario_amplification(sc),
+    )
+
+
 def simulate_interrogation(
     sc: Scenario,
     reference_thz: Optional[float] = None,
@@ -310,18 +312,8 @@ def simulate_interrogation(
     """
     if reference_thz is None:
         reference_thz = reference_centroid(sc)
-    trace = scenario_trace(sc, stream=stream)
-    filtered = apply_scenario_filter(sc, trace)
-    c = centroid(filtered)
-    return InterrogationResult(
-        raw=trace,
-        filtered=filtered,
-        centroid_thz=c,
-        centroid_nm_shift=sc.units.frequency_shift_to_nm(c - reference_thz),
-        reference_thz=reference_thz,
-        reference_nm=frequency_to_wavelength(reference_thz),
-        a_effective=scenario_amplification(sc),
-    )
+    raw = scenario_raw_spectrum(sc)
+    return _interrogate(sc, raw, _measure(sc, raw, stream), reference_thz)
 
 
 def sweep_temperature(
@@ -341,17 +333,16 @@ def sweep_beta(
 ) -> list[tuple[float, Optional[InterrogationResult]]]:
     """Interrogate at each post-selection angle, sharing one reference.
 
-    Dark-port and singular points are recorded as None rather than aborting
-    the sweep.
+    The beta-independent field is built once per sweep and angle i draws OSA
+    noise stream i+1, so entry i equals simulate_interrogation(replace(sc,
+    beta_rad=beta), reference, stream=i + 1). Dark-port and singular points
+    are recorded as None rather than aborting the sweep.
     """
-    from .errors import NoSignalError, SingularPostSelectionError
-
     ref = reference_centroid(sc)
     out: list[tuple[float, Optional[InterrogationResult]]] = []
-    for i, beta in enumerate(beta_rad_list):
-        point = replace(sc, beta_rad=float(beta))
+    for point, raw, trace in beta_points(sc, beta_rad_list):
         try:
-            out.append((float(beta), simulate_interrogation(point, ref, stream=i + 1)))
+            out.append((point.beta_rad, _interrogate(point, raw, trace, ref)))
         except (NoSignalError, SingularPostSelectionError):
-            out.append((float(beta), None))
+            out.append((point.beta_rad, None))
     return out

@@ -9,6 +9,7 @@ second-order accurate otherwise.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,9 @@ SPEED_OF_LIGHT_NM_THZ = 299792.458
 # Ascending frequency columns may carry this much relative spacing jitter
 # (from decimal round-tripping) and still count as uniform.
 _UNIFORM_RTOL = 1e-6
+
+# Most points a range may expand to; checked before anything is allocated.
+MAX_RANGE_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,22 @@ class FrequencyGrid:
 
     def frequencies(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n_points)
+
+
+def inclusive_range(start: float, stop: float, step: float) -> list[float]:
+    """start, start + step, ... up to stop (counted when within 1e-9 steps).
+
+    ValueError unless all are finite, step > 0, stop >= start and the range
+    has at most MAX_RANGE_POINTS points.
+    """
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
+        raise ValueError("range start, stop and step must be finite")
+    if step <= 0 or stop < start:
+        raise ValueError("range needs step > 0 and stop >= start")
+    count = (stop - start) / step + 1e-9
+    if not count < MAX_RANGE_POINTS:
+        raise ValueError(f"range exceeds {MAX_RANGE_POINTS} points")
+    return [start + k * step for k in range(int(count) + 1)]
 
 
 def make_grid(center: float, span: float, n_points: int) -> FrequencyGrid:

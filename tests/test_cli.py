@@ -1,11 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wva_sense.cli import main, parse_calibration_csv, replay_manifest
+from wva_sense.config import load_scenario
 from wva_sense.fbg import fit_sensitivity
+from wva_sense.osa import max_usable_amplification
 
 
 def base_doc(beta_deg=-40.0, osa=None, phi_rad=0.0, t1_list=None):
@@ -214,6 +217,27 @@ class TestSweepBeta:
                      "--out", str(tmp_path / "x")]) == 2
 
 
+    def test_snr_footer_matches_max_usable_amplification(self, tmp_path):
+        # One best-usable rule: the CLI footer and the library search pick the
+        # same angle, A and SNR on the same grid and seed.
+        osa = {"rbw_nm": 0.01, "noise_floor": 1e-4, "rel_noise": 0.0, "seed": 1234}
+        cfg = write_config(tmp_path, base_doc(phi_rad=math.acos(0.99), osa=osa))
+        run = tmp_path / "run"
+        assert main(["sweep-beta", "--config", cfg, "--dt", "11", "--beta-min", "-90",
+                     "--beta-max", "0", "--step", "1", "--snr-min", "20",
+                     "--out", str(run)]) == 0
+        footer = (run / "sweep_beta.csv").read_text().splitlines()[-1]
+        assert footer.startswith("# max_usable: ")
+        fields = dict(kv.split("=") for kv in footer.split()[2:])
+        sc = replace(load_scenario(cfg).scenario, t1_c=31.0)
+        best = max_usable_amplification(sc, 20.0, beta_min_deg=-90, beta_max_deg=0,
+                                        step_deg=1)
+        assert float(fields["beta_deg"]) == pytest.approx(math.degrees(best.beta_rad),
+                                                          abs=1e-9)
+        assert fields["a"] == f"{best.a:.12g}"
+        assert fields["snr_db"] == f"{best.snr_db:.12g}"
+
+
 class TestAmaxCurve:
     def test_peaks(self, tmp_path):
         run = tmp_path / "run"
@@ -312,3 +336,59 @@ class TestConfigErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["sweep-temp", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path)]) == 2
+
+
+def exit_code(argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+SWEEP = ["--beta-min", "-90", "--beta-max", "0", "--step", "5"]
+
+
+class TestBadInputsExit2:
+    @pytest.mark.parametrize("argv,named", [
+        (["dump-spectrum", "--beta", "nan"], "--beta"),
+        (["dump-spectrum", "--beta", "95"], "--beta"),
+        (["dump-spectrum", "--dt", "inf"], "--dt"),
+        (["sweep-temp", "--beta", "-inf"], "--beta"),
+        (["sweep-temp", "--dt", "0:nan:1"], "--dt"),
+        (["sweep-temp", "--dt", "0,nan"], "--dt"),
+        (["sweep-beta", "--beta-min", "-91", "--beta-max", "0", "--step", "5"], "--beta-min"),
+        (["sweep-beta", "--beta-min", "-90", "--beta-max", "nan", "--step", "5"], "--beta-max"),
+        (["sweep-beta", "--beta-min", "-90", "--beta-max", "0", "--step", "inf"], "--step"),
+        (["sweep-beta", "--beta-min", "-90", "--beta-max", "0", "--step", "1e-12"], "--step"),
+        (["sweep-beta", *SWEEP, "--dt", "nan"], "--dt"),
+        (["sweep-beta", *SWEEP, "--snr-min", "nan"], "--snr-min"),
+        (["sweep-beta", *SWEEP, "--dump-spectra=-95"], "--dump-spectra"),
+        (["sweep-beta", *SWEEP, "--dump-spectra=-40,nan"], "--dump-spectra"),
+        (["amax-curve", "--g", "nan"], "--g"),
+        (["amax-curve", "--g", "0.9", "--beta-max", "91"], "--beta-max"),
+        (["amax-curve", "--g", "0.9", "--step", "1e-12"], "--step"),
+        (["theory-lines", "--a", "1", "--kappa", "nan"], "--kappa"),
+        (["theory-lines", "--a", "1,inf", "--kappa", "0.009"], "--a"),
+        (["theory-lines", "--a", "1", "--dt", "0:1:1e-12", "--kappa", "0.009"], "--dt"),
+    ])
+    def test_flag_named(self, tmp_path, capsys, argv, named):
+        if argv[0] in ("dump-spectrum", "sweep-temp", "sweep-beta"):
+            argv = [*argv, "--config", write_config(tmp_path, base_doc())]
+        assert exit_code([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
+    def test_non_finite_temperature_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_doc(t1_list=[20.0, math.nan, 22.0]))
+        assert exit_code(["sweep-temp", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "temperatures.t1_list_c[1]" in capsys.readouterr().err
+
+    def test_seed_without_osa_section(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_doc())
+        out = tmp_path / "out"
+        assert exit_code(["sweep-temp", "--config", cfg, "--seed", "7",
+                          "--out", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()

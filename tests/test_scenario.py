@@ -8,8 +8,8 @@ import wva_sense as w
 from wva_sense.errors import ConfigError, NoSignalError, SingularPostSelectionError
 from wva_sense.fbg import kappa_thz_per_c
 from wva_sense.scenario import (
+    scenario_centers,
     scenario_raw_spectrum,
-    scenario_setup_params,
     sweep_temperature,
 )
 
@@ -41,8 +41,8 @@ class TestSimulateInterrogation:
         dt = dt_for_nu_minus(0.03)
         sc = bench_scenario(beta_deg=0.0, t1_c=20.0 + dt)
         result = w.simulate_interrogation(sc)
-        p = scenario_setup_params(sc)
-        expected_nm = UNITS.frequency_shift_to_nm(p.nu1 - p.nu2)
+        c1, c2 = scenario_centers(sc)
+        expected_nm = UNITS.frequency_shift_to_nm(c1 - c2)
         assert result.centroid_nm_shift == pytest.approx(expected_nm, rel=0.01)
 
     def test_reference_nm_value(self):
@@ -69,6 +69,24 @@ class TestSimulateInterrogation:
         r2 = w.simulate_interrogation(boosted)
         assert r2.centroid_thz == pytest.approx(r1.centroid_thz, abs=1e-9)
         assert r2.centroid_nm_shift == pytest.approx(r1.centroid_nm_shift, abs=1e-6)
+
+
+class TestSweepBeta:
+    def test_entries_equal_single_interrogations(self):
+        # The sweep builds its field once; entry i must still be the single
+        # point pipeline on noise stream i+1, bit for bit.
+        osa = w.OsaParams(rbw_nm=0.01, noise_floor=1e-5, rel_noise=0.01, seed=5)
+        sc = bench_scenario(g_target=0.99, t1_c=31.0, osa=osa)
+        betas = [math.radians(b) for b in (-60.0, -40.0, -25.0, 0.0)]
+        ref = w.reference_centroid(sc)
+        sweep = w.sweep_beta(sc, betas)
+        assert [b for b, _ in sweep] == betas
+        for i, (beta, result) in enumerate(sweep):
+            single = w.simulate_interrogation(replace(sc, beta_rad=beta), ref, stream=i + 1)
+            assert np.array_equal(result.filtered.samples, single.filtered.samples)
+            assert result.centroid_thz == single.centroid_thz
+            assert result.a_effective == single.a_effective
+            assert result.raw_power == single.raw_power
 
 
 class TestPipelineLinearity:
@@ -153,10 +171,10 @@ class TestScenarioValidation:
 
     def test_setup_params_mapping(self):
         sc = bench_scenario(beta_deg=-30.0, t1_c=31.0)
-        p = scenario_setup_params(sc)
-        assert p.nu0 == NU_1549
-        assert p.nu2 == pytest.approx(NU_1551 - NU_1549, rel=1e-12)
-        assert p.nu1 - p.nu2 == pytest.approx(
+        c1, c2 = scenario_centers(sc)
+        assert sc.source.nu0_thz == NU_1549
+        assert c2 - sc.source.nu0_thz == pytest.approx(NU_1551 - NU_1549, rel=1e-12)
+        assert c1 - c2 == pytest.approx(
             kappa_thz_per_c(KAPPA, UNITS) * 11.0, rel=1e-12
         )
-        assert p.beta_rad == pytest.approx(math.radians(-30.0))
+        assert sc.beta_rad == pytest.approx(math.radians(-30.0))

@@ -35,6 +35,28 @@ class TestMakeGrid:
             w.make_grid(193.0, 1.0, 1)
 
 
+class TestInclusiveRange:
+    def test_includes_stop_within_tolerance(self):
+        values = w.spectral.inclusive_range(-1.0, 1.0, 0.1)
+        assert len(values) == 21
+        assert values[0] == -1.0
+        assert values[-1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("step", [1e-12, 5e-324])
+    def test_rejects_oversized_range_before_building(self, step):
+        with pytest.raises(ValueError, match="exceeds"):
+            w.spectral.inclusive_range(-90.0, 0.0, step)
+
+    @pytest.mark.parametrize(
+        "start,stop,step",
+        [(0.0, 1.0, 0.0), (0.0, 1.0, -1.0), (1.0, 0.0, 0.1), (math.nan, 1.0, 0.1),
+         (0.0, math.inf, 0.1), (0.0, 1.0, math.nan)],
+    )
+    def test_rejects_invalid(self, start, stop, step):
+        with pytest.raises(ValueError):
+            w.spectral.inclusive_range(start, stop, step)
+
+
 class TestSpectrumInvariants:
     def test_length_mismatch(self):
         g = w.make_grid(193.0, 1.0, 11)
