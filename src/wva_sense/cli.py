@@ -41,7 +41,7 @@ from .scenario import (
     sweep_beta,
     sweep_temperature,
 )
-from .spectral import inclusive_range, total_power, write_spectrum_csv
+from .spectral import inclusive_range, read_csv_rows, total_power, write_spectrum_csv
 from .wva import amplification_factor
 
 
@@ -235,33 +235,12 @@ def run_theory_lines(resolved: dict, out_dir: Path, sc: Optional[Scenario]) -> d
 
 
 def parse_calibration_csv(path) -> list[tuple[float, float]]:
-    """Read (dt_c, shift_nm) rows; '#' lines are comments. Errors carry line numbers."""
-    points: list[tuple[float, float]] = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if lineno == 1 or (not points and line.replace(",", "").replace("_", "").isalpha()):
-                # header row
-                cols = [c.strip() for c in line.split(",")]
-                if cols != ["dt_c", "centroid_shift_nm"]:
-                    raise SpectrumFormatError(
-                        f"{path}: line {lineno}: expected header "
-                        f"'dt_c,centroid_shift_nm'"
-                    )
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise SpectrumFormatError(
-                    f"{path}: line {lineno}: expected 2 columns, got {len(parts)}"
-                )
-            try:
-                points.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise SpectrumFormatError(
-                    f"{path}: line {lineno}: non-numeric value"
-                ) from None
+    """(dt_c, shift_nm) rows of a calibration CSV with header dt_c,centroid_shift_nm.
+
+    The file rules are those of spectral.read_csv_rows, plus at least one
+    data row; violations raise SpectrumFormatError naming the path and line.
+    """
+    points = [(x, y) for _, x, y in read_csv_rows(path, ("dt_c", "centroid_shift_nm"))]
     if not points:
         raise SpectrumFormatError(f"{path}: no data rows")
     return points

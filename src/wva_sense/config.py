@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping, Optional
 
 from .errors import ConfigError
@@ -138,65 +138,29 @@ def _parse_fbg(section: Mapping[str, Any], path: str) -> FbgParams:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_filter(section: Optional[Mapping[str, Any]]) -> FilterSettings:
-    if section is None:
-        return FilterSettings()
-    _check_keys(
-        section, {"enabled", "order", "half_width_factor", "half_width_thz"}, "filter"
-    )
-    enabled = section.get("enabled", True)
-    if not isinstance(enabled, bool):
-        raise ConfigError("filter.enabled: expected true/false")
-    order = section.get("order", 4)
-    if isinstance(order, bool) or not isinstance(order, int):
-        raise ConfigError("filter.order: expected an integer")
-    kwargs: dict[str, Any] = {"enabled": enabled, "order": order}
-    if "half_width_factor" in section:
-        kwargs["half_width_factor"] = _number(section, "half_width_factor", "filter")
-    if "half_width_thz" in section:
-        kwargs["half_width_thz"] = _number(section, "half_width_thz", "filter")
+def _parse_settings(cls, section: Mapping[str, Any], path: str):
+    """A settings dataclass from its config section, keyed by the field names.
+
+    A field with a bool default takes true/false, one with an int default a
+    non-negative integer, any other a finite number; null keeps the default.
+    """
+    defaults = {f.name: f.default for f in fields(cls)}
+    _check_keys(section, set(defaults), path)
+    kwargs = {key: value for key, value in section.items() if value is not None}
+    for key, value in kwargs.items():
+        default = defaults[key]
+        if isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ConfigError(f"{path}.{key}: expected true/false")
+        elif isinstance(default, int):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ConfigError(f"{path}.{key}: expected a non-negative integer")
+        else:
+            kwargs[key] = _finite(value, f"{path}.{key}")
     try:
-        return FilterSettings(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"filter: {exc}") from None
-
-
-def _parse_grid(section: Optional[Mapping[str, Any]]) -> GridSettings:
-    if section is None:
-        return GridSettings()
-    _check_keys(section, {"n_points", "span_factor", "center_thz", "span_thz"}, "grid")
-    n_points = section.get("n_points", 4001)
-    if isinstance(n_points, bool) or not isinstance(n_points, int):
-        raise ConfigError("grid.n_points: expected an integer")
-    kwargs: dict[str, Any] = {"n_points": n_points}
-    if "span_factor" in section:
-        kwargs["span_factor"] = _number(section, "span_factor", "grid")
-    if "center_thz" in section:
-        kwargs["center_thz"] = _number(section, "center_thz", "grid")
-    if "span_thz" in section:
-        kwargs["span_thz"] = _number(section, "span_thz", "grid")
-    try:
-        return GridSettings(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from None
-
-
-def _parse_osa(section: Optional[Mapping[str, Any]]) -> Optional[OsaParams]:
-    if section is None:
-        return None
-    _check_keys(section, {"rbw_nm", "noise_floor", "rel_noise", "seed"}, "osa")
-    seed = section.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError("osa.seed: expected a non-negative integer")
-    try:
-        return OsaParams(
-            rbw_nm=_number(section, "rbw_nm", "osa", default=0.0),
-            noise_floor=_number(section, "noise_floor", "osa", default=0.0),
-            rel_noise=_number(section, "rel_noise", "osa", default=0.0),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"osa: {exc}") from None
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -275,6 +239,7 @@ def parse_scenario(doc: Mapping[str, Any]) -> LoadedScenario:
         raise ConfigError("temperatures.t1_list_c: expected a non-empty list")
     t1_values = [_finite(v, f"temperatures.t1_list_c[{i}]") for i, v in enumerate(t1_list)]
 
+    osa = _section(doc, "osa", required=False)
     scenario = Scenario(
         source=source,
         fbg1=fbg1,
@@ -285,9 +250,9 @@ def parse_scenario(doc: Mapping[str, Any]) -> LoadedScenario:
         phi_rad=phi,
         gamma_lcvr_rad=lcvr,
         beta_rad=beta.beta_rad,
-        filter=_parse_filter(_section(doc, "filter", required=False)),
-        grid=_parse_grid(_section(doc, "grid", required=False)),
-        osa=_parse_osa(_section(doc, "osa", required=False)),
+        filter=_parse_settings(FilterSettings, _section(doc, "filter", False) or {}, "filter"),
+        grid=_parse_settings(GridSettings, _section(doc, "grid", False) or {}, "grid"),
+        osa=None if osa is None else _parse_settings(OsaParams, osa, "osa"),
         units=units,
     )
     return LoadedScenario(

@@ -145,7 +145,8 @@ def fit_sensitivity(points: Sequence[tuple[float, float]]) -> CalibrationResult:
     """Least-squares slope/intercept of shift (nm) versus dt (degC).
 
     Requires at least two distinct dt values; otherwise the line is
-    unconstrained and DegenerateFitError is raised.
+    unconstrained and DegenerateFitError is raised, as it is when the fit
+    fails or overflows.
     """
     if len(points) < 2:
         raise DegenerateFitError(f"need >= 2 points, got {len(points)}")
@@ -153,9 +154,14 @@ def fit_sensitivity(points: Sequence[tuple[float, float]]) -> CalibrationResult:
     shift = np.asarray([p[1] for p in points], dtype=float)
     if np.ptp(dt) == 0.0:
         raise DegenerateFitError("all dt values identical, slope unconstrained")
-    slope, intercept = np.polyfit(dt, shift, 1)
-    residuals = shift - (slope * dt + intercept)
-    rms = float(np.sqrt(np.mean(residuals**2)))
+    with np.errstate(all="ignore"):
+        try:
+            slope, intercept = np.polyfit(dt, shift, 1)
+        except np.linalg.LinAlgError:
+            slope = intercept = math.nan
+        rms = float(np.sqrt(np.mean((shift - (slope * dt + intercept)) ** 2)))
+    if not np.all(np.isfinite([slope, intercept, rms])):
+        raise DegenerateFitError("fit failed or overflowed: result not finite")
     return CalibrationResult(
         slope_nm_per_c=float(slope),
         intercept_nm=float(intercept),

@@ -155,6 +155,12 @@ def scenario_field(sc: Scenario) -> PolarizedFieldSpectrum:
     the delay/birefringence phase on the y arm."""
     g = scenario_grid(sc)
     c1, c2 = scenario_centers(sc)
+    for name, center, t_c in (("fbg1", c1, sc.t1_c), ("fbg2", c2, sc.t2_c)):
+        if not g.lo <= center <= g.hi:
+            raise ConfigError(
+                f"{name} Bragg center at {t_c:g} degC ({center:.9g} THz) lies outside "
+                f"the grid [{g.lo:.9g}, {g.hi:.9g}] THz"
+            )
     s1 = reflect(sc.fbg1, sc.source.b_thz, sc.source.nu0_thz, c1, g)
     s2 = reflect(sc.fbg2, sc.source.b_thz, sc.source.nu0_thz, c2, g)
     scale = sc.source.amplitude**2 / 2.0

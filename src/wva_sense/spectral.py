@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -44,10 +45,11 @@ class FrequencyGrid:
             raise ValueError(f"span must be > 0, got {self.span}")
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
-        if self.center - self.span / 2 <= 0:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"grid must be finite, got [{self.lo}, {self.hi}] THz")
+        if self.lo <= 0:
             raise ValueError(
-                f"grid extends to non-positive frequency: lowest node "
-                f"{self.center - self.span / 2} THz"
+                f"grid extends to non-positive frequency: lowest node {self.lo} THz"
             )
 
     @property
@@ -196,64 +198,78 @@ def write_spectrum_csv(s: Spectrum, path) -> None:
             writer.writerow([f"{x:.12g}", f"{y:.12g}"])
 
 
+def read_csv_rows(path, header: Sequence[str]) -> list[tuple[int, float, float]]:
+    """(line, x, y) for each data row of a two-column CSV file.
+
+    Blank lines and lines starting with '#' are skipped anywhere. The first
+    other line must equal `header` (cells stripped); every later one holds
+    exactly two finite numbers. Violations, and an unreadable file, raise
+    SpectrumFormatError naming the path and the 1-based line.
+    """
+    try:
+        with open(path) as f:
+            lines = f.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpectrumFormatError(f"{path}: cannot read: {exc}") from None
+    expected = f"expected header {','.join(header)!r}"
+    rows: list[tuple[int, float, float]] = []
+    has_header = False
+    isfinite = math.isfinite
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
+        if not has_header:
+            has_header = [c.strip() for c in line.split(",")] == list(header)
+            if not has_header:
+                raise SpectrumFormatError(f"{path}: line {lineno}: {expected}")
+            continue
+        try:
+            a, b = line.split(",")
+            x, y = float(a), float(b)
+        except ValueError:  # not two cells, or not numbers
+            x = y = math.nan
+        if not (isfinite(x) and isfinite(y)):
+            raise SpectrumFormatError(
+                f"{path}: line {lineno}: expected 2 finite numbers, got {line!r}"
+            )
+        rows.append((lineno, x, y))
+    if not has_header:
+        raise SpectrumFormatError(f"{path}: {expected}")
+    return rows
+
+
 def read_spectrum_csv(path) -> Spectrum:
     """Read a spectrum written by write_spectrum_csv.
 
-    Enforces the file contract: exact header, two numeric columns, strictly
-    ascending and uniform frequencies, non-negative power. Violations raise
-    SpectrumFormatError naming the offending line (1-based).
+    Rows come from read_csv_rows; the powers must be non-negative and the
+    frequencies positive, strictly ascending and uniform. Violations raise
+    SpectrumFormatError naming the offending file line (1-based).
     """
-    freqs: list[float] = []
-    powers: list[float] = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SpectrumFormatError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != _CSV_HEADER:
-            raise SpectrumFormatError(
-                f"{path}: line 1: expected header {','.join(_CSV_HEADER)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise SpectrumFormatError(
-                    f"{path}: line {lineno}: expected 2 columns, got {len(row)}"
-                )
-            try:
-                nu = float(row[0])
-                p = float(row[1])
-            except ValueError:
-                raise SpectrumFormatError(
-                    f"{path}: line {lineno}: non-numeric value"
-                ) from None
-            if p < 0:
-                raise SpectrumFormatError(
-                    f"{path}: line {lineno}: negative power {p}"
-                )
-            if freqs and nu <= freqs[-1]:
-                raise SpectrumFormatError(
-                    f"{path}: line {lineno}: frequency column not ascending"
-                )
-            freqs.append(nu)
-            powers.append(p)
-    if len(freqs) < 2:
+    rows = read_csv_rows(path, _CSV_HEADER)
+    if len(rows) < 2:
         raise SpectrumFormatError(f"{path}: fewer than 2 data rows")
-
-    f_arr = np.asarray(freqs)
-    spacings = np.diff(f_arr)
+    lines, freqs, powers = (np.array(col) for col in zip(*rows))
+    spacings = np.diff(freqs)
+    for bad, problem in (
+        (powers < 0, "negative power"),
+        (np.r_[False, spacings <= 0], "frequency column not ascending"),
+    ):
+        if bad.any():
+            raise SpectrumFormatError(f"{path}: line {lines[bad.argmax()]}: {problem}")
     mean_spacing = float(np.mean(spacings))
     worst = int(np.argmax(np.abs(spacings - mean_spacing)))
     if abs(spacings[worst] - mean_spacing) > _UNIFORM_RTOL * mean_spacing:
         raise SpectrumFormatError(
-            f"{path}: line {worst + 3}: non-uniform frequency spacing "
+            f"{path}: line {lines[worst + 1]}: non-uniform frequency spacing "
             f"({spacings[worst]:.12g} vs mean {mean_spacing:.12g})"
         )
-    grid = FrequencyGrid(
-        center=float((f_arr[0] + f_arr[-1]) / 2),
-        span=float(f_arr[-1] - f_arr[0]),
-        n_points=len(f_arr),
-    )
-    return Spectrum(grid=grid, samples=np.asarray(powers))
+    try:
+        grid = FrequencyGrid(
+            center=float((freqs[0] + freqs[-1]) / 2),
+            span=float(freqs[-1] - freqs[0]),
+            n_points=len(freqs),
+        )
+    except ValueError as exc:
+        raise SpectrumFormatError(f"{path}: {exc}") from None
+    return Spectrum(grid=grid, samples=powers)

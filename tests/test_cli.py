@@ -135,6 +135,26 @@ class TestCalibrate:
         path.write_text("dt_c,centroid_shift_nm\n1,0.01\n2,0.02\n# fit_slope=x\n")
         assert parse_calibration_csv(path) == [(1.0, 0.01), (2.0, 0.02)]
 
+    @pytest.mark.parametrize("text,named", [
+        ("dt_c,centroid_shift_nm\n1,0.01\n2,nan\n3,0.03\n", "line 3"),
+        ("dt_c,centroid_shift_nm\n1,0.01\n2,0.02\n3,-inf\n", "line 4"),
+        ("# measured\n1,0.01\n2,0.02\n", "line 2: expected header"),
+    ])
+    def test_bad_rows_exit_2_without_output(self, tmp_path, capsys, text, named):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--input", str(path), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (out / "calibration.json").exists()
+
+    def test_missing_input_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "none.csv"
+        assert main(["calibrate", "--input", str(missing), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err
+        assert "Traceback" not in err
+
 
 class TestSweepBeta:
     def test_schema_and_endpoint(self, tmp_path):
@@ -371,6 +391,10 @@ class TestBadInputsExit2:
         (["theory-lines", "--a", "1", "--kappa", "nan"], "--kappa"),
         (["theory-lines", "--a", "1,inf", "--kappa", "0.009"], "--a"),
         (["theory-lines", "--a", "1", "--dt", "0:1:1e-12", "--kappa", "0.009"], "--dt"),
+        # t2_ref_c = 20, so dt = 3000 puts the sensing grating's Bragg center off the grid.
+        (["sweep-temp", "--dt", "0,3000"], "3020 degC"),
+        (["dump-spectrum", "--dt", "3000"], "3020 degC"),
+        (["sweep-beta", *SWEEP, "--dt", "3000"], "3020 degC"),
     ])
     def test_flag_named(self, tmp_path, capsys, argv, named):
         if argv[0] in ("dump-spectrum", "sweep-temp", "sweep-beta"):

@@ -49,6 +49,19 @@ class TestParsing:
         assert sc.grid.n_points == 4001
         assert sc.units.reference_wavelength_nm == 1551.0
 
+    def test_documented_blocks_with_nulls_are_the_defaults(self):
+        doc = base_doc()
+        # The filter and grid blocks of docs/formats.md, "defaults shown".
+        doc["filter"] = {"enabled": True, "order": 4, "half_width_factor": 1.5,
+                         "half_width_thz": None}
+        doc["grid"] = {"n_points": 4001, "span_factor": 10.0, "center_thz": None,
+                       "span_thz": None}
+        doc["osa"] = {"rbw_nm": None, "noise_floor": None, "rel_noise": None, "seed": None}
+        sc = parse_scenario(doc).scenario
+        assert sc.filter == w.FilterSettings()
+        assert sc.grid == w.GridSettings()
+        assert sc.osa == w.OsaParams()
+
     def test_side_lobe_width_defaults_to_main(self):
         doc = base_doc()
         doc["fbg1"]["side_lobe"] = {"offset_thz": -0.37, "rel_amplitude": 0.2}

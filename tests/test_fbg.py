@@ -142,6 +142,10 @@ class TestFitSensitivity:
         with pytest.raises(DegenerateFitError):
             w.fit_sensitivity([(1.0, 0.01), (1.0, 0.02), (1.0, 0.03)])
 
+    def test_overflowing_fit_rejected(self):
+        with pytest.raises(DegenerateFitError, match="not finite"):
+            w.fit_sensitivity([(0.0, 1e308), (1.0, -1e308)])
+
 
 class TestParamValidation:
     def test_side_lobe_amplitude_range(self):

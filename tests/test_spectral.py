@@ -25,7 +25,10 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="non-positive frequency"):
             w.make_grid(1.0, 4.0, 5)
 
-    @pytest.mark.parametrize("center,span,n", [(193.0, 0.0, 11), (193.0, -1.0, 11)])
+    @pytest.mark.parametrize("center,span,n", [
+        (193.0, 0.0, 11), (193.0, -1.0, 11), (193.0, math.inf, 11),
+        (math.nan, 1.0, 11), (1.7e308, 1e308, 11),
+    ])
     def test_rejects_bad_span(self, center, span, n):
         with pytest.raises(ValueError):
             w.make_grid(center, span, n)
@@ -293,3 +296,43 @@ class TestSpectrumCsv:
         path.write_text("frequency_thz,power\n193.0,1\n193.1,abc\n")
         with pytest.raises(SpectrumFormatError, match="line 3"):
             w.read_spectrum_csv(path)
+
+    @pytest.mark.parametrize("row", ["193.1,nan", "193.1,inf", "nan,1", "inf,1"])
+    def test_non_finite_names_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"frequency_thz,power\n193.0,1\n{row}\n193.2,1\n")
+        with pytest.raises(SpectrumFormatError, match="line 3"):
+            w.read_spectrum_csv(path)
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        g = w.make_grid(193.29, 2.0, 5)
+        s = w.Spectrum(grid=g, samples=np.arange(5.0))
+        path = tmp_path / "s.csv"
+        w.write_spectrum_csv(s, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(["# source: bench", "", lines[0], *lines[1:3], "",
+                                    *lines[3:], "# end"]) + "\n")
+        back = w.read_spectrum_csv(path)
+        assert np.allclose(back.grid.frequencies(), g.frequencies(), rtol=1e-9)
+        assert np.array_equal(back.samples, s.samples)
+
+    def test_errors_name_the_file_line_past_skipped_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# note\nfrequency_thz,power\n\n193.0,1\n193.1,1\n\n"
+                        "193.2,1\n193.3,1\n193.5,1\n")
+        with pytest.raises(SpectrumFormatError, match="line 9: non-uniform"):
+            w.read_spectrum_csv(path)
+
+    @pytest.mark.parametrize("text,named", [
+        ("", "expected header"),
+        ("# a comment\n\n193.0,1\n", "line 3: expected header"),
+    ])
+    def test_missing_header_rejected(self, tmp_path, text, named):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(SpectrumFormatError, match=named):
+            w.read_spectrum_csv(path)
+
+    def test_missing_file_is_format_error(self, tmp_path):
+        with pytest.raises(SpectrumFormatError, match="none.csv"):
+            w.read_spectrum_csv(tmp_path / "none.csv")
