@@ -40,6 +40,8 @@ from .scenario import (
     InterrogationResult,
     Scenario,
     SourceParams,
+    SweepKernel,
+    SweepPoint,
     apply_scenario_filter,
     reference_centroid,
     scenario_amplification,
@@ -49,6 +51,7 @@ from .scenario import (
     simulate_interrogation,
     sweep_beta,
     sweep_temperature,
+    temperature_points,
 )
 from .spectral import (
     SPEED_OF_LIGHT_NM_THZ,

@@ -32,16 +32,16 @@ from .errors import (
     WvaSenseError,
 )
 from .fbg import centroid_shift_model, fit_sensitivity
-from .osa import best_usable, snr_estimate
+from .osa import best_usable, snr_report
 from .scenario import (
     Scenario,
+    SweepKernel,
     apply_scenario_filter,
     scenario_raw_spectrum,
     scenario_trace,
-    sweep_beta,
-    sweep_temperature,
+    temperature_points,
 )
-from .spectral import inclusive_range, read_csv_rows, total_power, write_spectrum_csv
+from .spectral import inclusive_range, read_csv_rows, trapezoid_power, write_spectrum_csv
 from .wva import amplification_factor
 
 
@@ -127,18 +127,21 @@ def run_sweep_beta(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str
     betas_deg = _beta_grid(
         resolved["beta_min_deg"], resolved["beta_max_deg"], resolved["step_deg"]
     )
-    results = sweep_beta(sc, [math.radians(b) for b in betas_deg])
-
-    power_0 = total_power(scenario_raw_spectrum(sc, beta_rad=0.0))
+    # Rows stream from one kernel; no angle's spectra outlive its row.
+    kernel = SweepKernel(sc)
+    ref = kernel.reference()
+    power_0 = trapezoid_power(kernel.raw(0.0), kernel.grid.spacing)
     rows = []
-    for beta_deg, (_, result) in zip(betas_deg, results):
-        if result is None:
+    for beta_deg, (_, point) in zip(
+        betas_deg, kernel.rows([math.radians(b) for b in betas_deg])
+    ):
+        if point is None:
             print(f"skipping beta={beta_deg:.4g} deg: no signal at this angle",
                   file=sys.stderr)
             continue
-        snr_db = math.inf if sc.osa is None else snr_estimate(result.raw, sc.osa).snr_db
-        rows.append([beta_deg, result.centroid_nm_shift, result.a_effective,
-                     result.raw_power / power_0, snr_db])
+        snr_db = math.inf if sc.osa is None else snr_report(point.peak, sc.osa).snr_db
+        shift_nm = sc.units.frequency_shift_to_nm(point.centroid_thz - ref)
+        rows.append([beta_deg, shift_nm, point.a, point.raw_power / power_0, snr_db])
 
     footer = None
     if resolved["snr_min_db"] is not None:
@@ -158,11 +161,9 @@ def run_sweep_beta(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str
     outputs[csv_path.name] = _sha256(csv_path)
 
     for j, beta_deg in enumerate(resolved["dump_spectra_deg"]):
-        trace = scenario_trace(sc, beta_rad=math.radians(beta_deg),
-                               stream=len(betas_deg) + 1 + j)
-        filtered = apply_scenario_filter(sc, trace)
+        trace = kernel.measure(kernel.raw(math.radians(beta_deg)), len(betas_deg) + 1 + j)
         name = f"spectrum_beta_{beta_deg:+.2f}.csv"
-        write_spectrum_csv(filtered, out_dir / name)
+        write_spectrum_csv(kernel.spectrum(kernel.filtered(trace)), out_dir / name)
         outputs[name] = _sha256(out_dir / name)
 
     print(f"sweep-beta: {len(rows)} points -> {csv_path}")
@@ -176,8 +177,7 @@ def run_sweep_temp(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str
     if len(dt_list) < 2 or len(set(dt_list)) < 2:
         raise DegenerateFitError("temperature sweep needs >= 2 distinct dt values")
 
-    results = sweep_temperature(sc, dt_list)
-    rows = [[dt, r.centroid_nm_shift] for dt, r in results]
+    rows = [[dt, r.centroid_nm_shift] for dt, r in temperature_points(sc, dt_list)]
 
     # Fit on the values as written so the footer matches a later `calibrate`
     # run on this file exactly.

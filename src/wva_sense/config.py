@@ -41,9 +41,14 @@ def _section(doc: Mapping[str, Any], name: str, required: bool = True):
 def _finite(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{where}: must be finite, got an integer too large "
+                          "for a float") from None
+    if not math.isfinite(number):
         raise ConfigError(f"{where}: must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _number(section: Mapping[str, Any], key: str, path: str, default=None) -> float:
@@ -173,6 +178,14 @@ class BetaSpec:
     sweep_step_deg: Optional[float] = None
 
 
+def _angle(section: Mapping[str, Any], key: str, default=None) -> float:
+    """A postselect angle in degrees, within [-90, 90]."""
+    value = _number(section, key, "postselect", default)
+    if not -90.0 <= value <= 90.0:
+        raise ConfigError(f"postselect.{key}: angle must lie in [-90, 90] deg, got {value!r}")
+    return value
+
+
 def _parse_postselect(section: Mapping[str, Any]) -> BetaSpec:
     _check_keys(
         section, {"beta_deg", "beta_min_deg", "beta_max_deg", "step_deg"}, "postselect"
@@ -184,14 +197,14 @@ def _parse_postselect(section: Mapping[str, Any]) -> BetaSpec:
     if "beta_deg" not in section and not has_sweep:
         raise ConfigError("postselect: give beta_deg or a sweep spec")
     if has_sweep:
-        lo = _number(section, "beta_min_deg", "postselect")
-        hi = _number(section, "beta_max_deg", "postselect")
+        lo = _angle(section, "beta_min_deg")
+        hi = _angle(section, "beta_max_deg")
         step = _number(section, "step_deg", "postselect")
         if step <= 0 or hi <= lo:
             raise ConfigError("postselect: sweep needs step_deg > 0 and beta_max_deg > beta_min_deg")
-        beta_deg = _number(section, "beta_deg", "postselect", default=lo)
+        beta_deg = _angle(section, "beta_deg", default=lo)
         return BetaSpec(math.radians(beta_deg), lo, hi, step)
-    return BetaSpec(math.radians(_number(section, "beta_deg", "postselect")))
+    return BetaSpec(math.radians(_angle(section, "beta_deg")))
 
 
 @dataclass(frozen=True)
@@ -269,7 +282,7 @@ def read_config(path) -> Any:
             return json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer with too many digits
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 

@@ -52,6 +52,35 @@ def sub_seed(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence((seed, stream)).generate_state(1, np.uint64)[0])
 
 
+def rbw_kernel(p: OsaParams, units: UnitContext, spacing: float) -> np.ndarray | None:
+    """Normalized Gaussian RBW kernel on a grid of `spacing` THz; None at rbw_nm = 0."""
+    if p.rbw_nm <= 0.0:
+        return None
+    rbw_thz = abs(units.nm_shift_to_frequency(p.rbw_nm))
+    sigma = rbw_thz / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    half = max(1, int(math.ceil(_KERNEL_SIGMAS * sigma / spacing)))
+    offsets = np.arange(-half, half + 1) * spacing
+    kernel = np.exp(-(offsets**2) / (2.0 * sigma**2))
+    kernel /= kernel.sum()
+    return kernel
+
+
+def measure_samples(
+    samples: np.ndarray, kernel: np.ndarray | None, p: OsaParams, stream: int | None
+) -> np.ndarray:
+    """Measured samples: convolution with `kernel` (from rbw_kernel), seeded
+    noise on sub-stream `stream` of p.seed (None: the seed itself), clamp at zero."""
+    if kernel is not None:
+        samples = np.convolve(samples, kernel, mode="same")
+    if p.noise_floor > 0.0 or p.rel_noise > 0.0:
+        seed = p.seed if stream is None else sub_seed(p.seed, stream)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        sigma_per_sample = np.sqrt(p.noise_floor**2 + (p.rel_noise * samples) ** 2)
+        samples = samples + rng.standard_normal(samples.size) * sigma_per_sample
+        samples = np.clip(samples, 0.0, None)
+    return samples
+
+
 def osa_trace(
     s: Spectrum,
     p: OsaParams,
@@ -63,26 +92,8 @@ def osa_trace(
     With rbw_nm = 0 and zero noise this is the identity. `stream` selects a
     sub-stream of the seed for sweep points; None uses the seed directly.
     """
-    units = units or UnitContext()
-    samples = s.samples
-
-    if p.rbw_nm > 0.0:
-        rbw_thz = abs(units.nm_shift_to_frequency(p.rbw_nm))
-        sigma = rbw_thz / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        half = max(1, int(math.ceil(_KERNEL_SIGMAS * sigma / s.grid.spacing)))
-        offsets = np.arange(-half, half + 1) * s.grid.spacing
-        kernel = np.exp(-(offsets**2) / (2.0 * sigma**2))
-        kernel /= kernel.sum()
-        samples = np.convolve(samples, kernel, mode="same")
-
-    if p.noise_floor > 0.0 or p.rel_noise > 0.0:
-        seed = p.seed if stream is None else sub_seed(p.seed, stream)
-        rng = np.random.Generator(np.random.PCG64(seed))
-        sigma_per_sample = np.sqrt(p.noise_floor**2 + (p.rel_noise * samples) ** 2)
-        samples = samples + rng.standard_normal(samples.size) * sigma_per_sample
-        samples = np.clip(samples, 0.0, None)
-
-    return Spectrum(grid=s.grid, samples=samples)
+    kernel = rbw_kernel(p, units or UnitContext(), s.grid.spacing)
+    return Spectrum(grid=s.grid, samples=measure_samples(s.samples, kernel, p, stream))
 
 
 @dataclass(frozen=True)
@@ -92,14 +103,13 @@ class SnrReport:
     snr_db: float
 
 
-def snr_estimate(trace: Spectrum, p: OsaParams) -> SnrReport:
-    """Peak-sample SNR against the configured noise model.
+def snr_report(peak: float, p: OsaParams) -> SnrReport:
+    """SNR of a trace whose largest sample is `peak`, against the noise model.
 
     noise_sigma combines the floor with the signal-proportional term in
     quadrature at the peak. Zero noise reports snr_db = +inf as the
     distinguished noise-free value.
     """
-    peak = float(np.max(trace.samples))
     noise_sigma = math.sqrt(p.noise_floor**2 + (p.rel_noise * peak) ** 2)
     if noise_sigma == 0.0:
         return SnrReport(peak_signal=peak, noise_sigma=0.0, snr_db=math.inf)
@@ -110,6 +120,11 @@ def snr_estimate(trace: Spectrum, p: OsaParams) -> SnrReport:
         noise_sigma=noise_sigma,
         snr_db=10.0 * math.log10(peak / noise_sigma),
     )
+
+
+def snr_estimate(trace: Spectrum, p: OsaParams) -> SnrReport:
+    """Peak-sample SNR of a trace (see snr_report)."""
+    return snr_report(float(np.max(trace.samples)), p)
 
 
 @dataclass(frozen=True)
@@ -156,27 +171,28 @@ def max_usable_amplification(
 ) -> UsableAmplification:
     """Sweep beta, keep points with SNR >= snr_min_db, return the largest |A|.
 
-    The beta-independent field is built once per sweep and angle i draws OSA
-    noise stream i+1, so the result is deterministic given the scenario's
-    seed. Ties follow best_usable. Raises DetectionLimitedError when no
-    angle clears the floor.
+    One SweepKernel serves the whole sweep; angle i draws OSA noise stream
+    i+1, so the result is deterministic given the scenario's seed. Only
+    (beta, A, snr_db) is kept per angle. Ties follow best_usable. Raises
+    DetectionLimitedError when no angle clears the floor.
     """
-    from .scenario import beta_points, scenario_amplification
+    from .scenario import SweepKernel
 
     if not math.isfinite(snr_min_db):
         raise ValueError("snr_min_db must be finite")
     if beta_max_deg <= beta_min_deg:
         raise ValueError("invalid beta sweep range")
     betas = [math.radians(b) for b in inclusive_range(beta_min_deg, beta_max_deg, step_deg)]
+    kernel = SweepKernel(sc)
     osa = sc.osa or OsaParams()
 
     def usable() -> Iterator[tuple[float, float, float]]:
-        for point, _, trace in beta_points(sc, betas):
+        for i, beta in enumerate(betas):
             try:
-                a = scenario_amplification(point)
+                a = kernel.amplification(beta)
             except SingularPostSelectionError:
                 continue
-            yield point.beta_rad, a, snr_estimate(trace, osa).snr_db
+            yield beta, a, snr_report(kernel.peak(beta, i + 1), osa).snr_db
 
     beta, a, snr = best_usable(usable(), snr_min_db)
     return UsableAmplification(beta_rad=beta, a=a, snr_db=snr)

@@ -17,18 +17,25 @@ import numpy as np
 
 from .errors import ConfigError, NoSignalError, SingularPostSelectionError
 from .fbg import FbgParams, bragg_center, reflect
-from .osa import OsaParams, osa_trace
+from .osa import OsaParams, measure_samples, osa_trace, rbw_kernel
 from .spectral import (
+    MAX_RANGE_POINTS,
     FrequencyGrid,
     Spectrum,
     UnitContext,
-    centroid,
     frequency_to_wavelength,
     make_grid,
-    super_gaussian_filter,
-    total_power,
+    power_centroid,
+    super_gaussian_gain,
+    trapezoid_power,
 )
-from .wva import PolarizedFieldSpectrum, amplification_factor, overlap_gamma, post_select
+from .wva import (
+    PolarizedFieldSpectrum,
+    amplification_factor,
+    overlap_gamma,
+    post_select,
+    projected_power,
+)
 
 REFERENCE_BETA_RAD = -math.pi / 2
 
@@ -81,8 +88,8 @@ class GridSettings:
     span_thz: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.n_points < 2:
-            raise ValueError("n_points must be >= 2")
+        if not 2 <= self.n_points <= MAX_RANGE_POINTS:
+            raise ValueError(f"n_points must lie in [2, {MAX_RANGE_POINTS}]")
         if self.span_factor <= 0:
             raise ValueError("span_factor must be > 0")
         if self.span_thz is not None and self.span_thz <= 0:
@@ -127,7 +134,10 @@ def scenario_grid(sc: Scenario) -> FrequencyGrid:
     span = sc.grid.span_thz
     if span is None:
         span = sc.grid.span_factor * max(sc.fbg1.fwhm_thz, sc.fbg2.fwhm_thz)
-    return make_grid(center, span, sc.grid.n_points)
+    try:
+        return make_grid(center, span, sc.grid.n_points)
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from None
 
 
 def scenario_centers(sc: Scenario) -> tuple[float, float]:
@@ -141,12 +151,16 @@ def scenario_centers(sc: Scenario) -> tuple[float, float]:
     return c1, c2
 
 
-def scenario_amplification(sc: Scenario) -> float:
-    """Amplification factor at the scenario's beta, overlap and residual phase."""
+def _overlap(sc: Scenario) -> float:
+    """Spectral overlap gamma of the two gratings' lobes at the scenario's t1."""
     c1, c2 = scenario_centers(sc)
     b_eff = (sc.fbg1.bandwidth_b_thz + sc.fbg2.bandwidth_b_thz) / 2
-    gamma = overlap_gamma((c1 - c2) / 2, b_eff)
-    return amplification_factor(sc.beta_rad, gamma, sc.delta_rad)
+    return overlap_gamma((c1 - c2) / 2, b_eff)
+
+
+def scenario_amplification(sc: Scenario) -> float:
+    """Amplification factor at the scenario's beta, overlap and residual phase."""
+    return amplification_factor(sc.beta_rad, _overlap(sc), sc.delta_rad)
 
 
 def scenario_field(sc: Scenario) -> PolarizedFieldSpectrum:
@@ -178,33 +192,13 @@ def scenario_raw_spectrum(sc: Scenario, beta_rad: Optional[float] = None) -> Spe
     return post_select(scenario_field(sc), beta)
 
 
-def _measure(sc: Scenario, raw: Spectrum, stream: Optional[int]) -> Spectrum:
-    """`raw` through the scenario's OSA model on noise `stream`, if it has one."""
-    if sc.osa is None:
-        return raw
-    return osa_trace(raw, sc.osa, sc.units, stream=stream)
-
-
 def scenario_trace(
     sc: Scenario, beta_rad: Optional[float] = None, stream: Optional[int] = None
 ) -> Spectrum:
-    """Measured spectrum: the raw spectrum through the OSA model, if any."""
-    return _measure(sc, scenario_raw_spectrum(sc, beta_rad), stream)
-
-
-def beta_points(
-    sc: Scenario, beta_rad_list: Sequence[float]
-) -> Iterator[tuple[Scenario, Spectrum, Spectrum]]:
-    """Per-angle scenario, raw spectrum and measured spectrum of a beta sweep.
-
-    The beta-independent two-arm field is built once per sweep; angle i
-    draws OSA noise stream i+1.
-    """
-    f = scenario_field(sc)
-    for i, beta in enumerate(beta_rad_list):
-        point = replace(sc, beta_rad=float(beta))
-        raw = post_select(f, point.beta_rad)
-        yield point, raw, _measure(sc, raw, i + 1)
+    """Measured spectrum: the raw spectrum through the OSA model, if any, on
+    noise `stream`."""
+    raw = scenario_raw_spectrum(sc, beta_rad)
+    return raw if sc.osa is None else osa_trace(raw, sc.osa, sc.units, stream=stream)
 
 
 def _refine_peak(nu: np.ndarray, y: np.ndarray, i: int, spacing: float) -> float:
@@ -227,6 +221,43 @@ def _refine_peak(nu: np.ndarray, y: np.ndarray, i: int, spacing: float) -> float
     return float(nu[i] + shift * spacing)
 
 
+@dataclass(frozen=True)
+class _FilterPlan:
+    """The scenario filter on one grid: frequencies, the nodes searched for
+    the main-lobe peak, half-width and order."""
+
+    nu: np.ndarray
+    spacing: float
+    window: slice
+    half_width: float
+    order: int
+
+    def center(self, samples: np.ndarray) -> float:
+        """Window argmax refined by log-parabolic interpolation."""
+        i = self.window.start + int(np.argmax(samples[self.window]))
+        return _refine_peak(self.nu, samples, i, self.spacing)
+
+    def apply(self, samples: np.ndarray) -> np.ndarray:
+        gain = super_gaussian_gain(self.nu, self.center(samples), self.half_width, self.order)
+        return samples * gain
+
+
+def _filter_plan(sc: Scenario, grid: FrequencyGrid) -> _FilterPlan:
+    """Search window: the predicted Bragg centers widened by the wider
+    grating's bandwidth, or the whole grid if no node falls inside.
+    Half-width: half_width_thz, or half_width_factor times that bandwidth."""
+    nu = grid.frequencies()
+    c1, c2 = scenario_centers(sc)
+    w = max(sc.fbg1.bandwidth_b_thz, sc.fbg2.bandwidth_b_thz)
+    # nu ascends, so the nodes inside the window are contiguous.
+    inside = np.flatnonzero((nu >= min(c1, c2) - w) & (nu <= max(c1, c2) + w))
+    window = slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, nu.size)
+    half_width = sc.filter.half_width_thz
+    if half_width is None:
+        half_width = sc.filter.half_width_factor * w
+    return _FilterPlan(nu, grid.spacing, window, half_width, sc.filter.order)
+
+
 def filter_center(sc: Scenario, trace: Spectrum) -> float:
     """Main-lobe peak of the measured spectrum, for centering the filter.
 
@@ -236,28 +267,14 @@ def filter_center(sc: Scenario, trace: Spectrum) -> float:
     log-parabolic interpolation to avoid grid-quantization bias in the
     filtered centroid.
     """
-    c1, c2 = scenario_centers(sc)
-    w = max(sc.fbg1.bandwidth_b_thz, sc.fbg2.bandwidth_b_thz)
-    lo, hi = min(c1, c2) - w, max(c1, c2) + w
-    nu = trace.grid.frequencies()
-    window = (nu >= lo) & (nu <= hi)
-    if not np.any(window):
-        window = np.ones_like(nu, dtype=bool)
-    idx = np.flatnonzero(window)
-    i = idx[int(np.argmax(trace.samples[idx]))]
-    return _refine_peak(nu, trace.samples, int(i), trace.grid.spacing)
+    return _filter_plan(sc, trace.grid).center(trace.samples)
 
 
 def apply_scenario_filter(sc: Scenario, trace: Spectrum) -> Spectrum:
     """Super-Gaussian filter with scenario defaults; identity when disabled."""
     if not sc.filter.enabled:
         return trace
-    half_width = sc.filter.half_width_thz
-    if half_width is None:
-        b = max(sc.fbg1.bandwidth_b_thz, sc.fbg2.bandwidth_b_thz)
-        half_width = sc.filter.half_width_factor * b
-    center = filter_center(sc, trace)
-    return super_gaussian_filter(trace, center, half_width, sc.filter.order)
+    return Spectrum(grid=trace.grid, samples=_filter_plan(sc, trace.grid).apply(trace.samples))
 
 
 @dataclass(frozen=True)
@@ -278,30 +295,121 @@ class InterrogationResult:
     a_effective: float
 
 
+@dataclass(frozen=True)
+class SweepPoint:
+    """One measurement on bare arrays: the measured trace before the filter,
+    the filtered samples, the trace's peak sample, the total power of the
+    ideal post-selected spectrum, the filtered centroid (THz) and A."""
+
+    beta_rad: float
+    trace: np.ndarray = field(repr=False)
+    filtered: np.ndarray = field(repr=False)
+    peak: float
+    raw_power: float
+    centroid_thz: float
+    a: float
+
+
+class SweepKernel:
+    """A scenario's measurement with every beta-independent part built once.
+
+    The two-arm field, grid frequencies, RBW kernel, filter window and
+    half-width and the overlap gamma are computed here; each angle then runs
+    on bare arrays (post-select, OSA, filter, centroid, A) and builds no
+    Spectrum. Angle i of a sweep draws OSA noise stream i+1 and the
+    reference draws stream 0, so every point equals the single-point
+    pipeline on the same stream.
+    """
+
+    def __init__(self, sc: Scenario) -> None:
+        self.sc = sc
+        self.field = scenario_field(sc)
+        self.grid = self.field.grid
+        self.filter = _filter_plan(sc, self.grid)
+        self.rbw = None if sc.osa is None else rbw_kernel(sc.osa, sc.units, self.grid.spacing)
+        self.gamma = _overlap(sc)
+
+    def raw(self, beta_rad: float) -> np.ndarray:
+        """Ideal post-selected power samples at beta_rad."""
+        return projected_power(self.field, beta_rad)
+
+    def measure(self, raw: np.ndarray, stream: int) -> np.ndarray:
+        """`raw` through the scenario's OSA model on noise `stream`, if it has one."""
+        if self.sc.osa is None:
+            return raw
+        return measure_samples(raw, self.rbw, self.sc.osa, stream)
+
+    def filtered(self, trace: np.ndarray) -> np.ndarray:
+        return self.filter.apply(trace) if self.sc.filter.enabled else trace
+
+    def centroid(self, samples: np.ndarray) -> float:
+        return power_centroid(self.filter.nu, samples, self.grid.spacing)
+
+    def amplification(self, beta_rad: float) -> float:
+        return amplification_factor(beta_rad, self.gamma, self.sc.delta_rad)
+
+    def peak(self, beta_rad: float, stream: int) -> float:
+        """Largest sample of the measured trace at beta_rad."""
+        return float(np.max(self.measure(self.raw(beta_rad), stream)))
+
+    def reference(self) -> float:
+        """Filtered centroid (THz) at beta = -90 deg on noise stream 0."""
+        return self.centroid(self.filtered(self.measure(self.raw(REFERENCE_BETA_RAD), 0)))
+
+    def point(self, beta_rad: float, stream: int) -> SweepPoint:
+        """The full measurement at beta_rad; raises NoSignalError or
+        SingularPostSelectionError."""
+        raw = self.raw(beta_rad)
+        trace = self.measure(raw, stream)
+        filtered = self.filtered(trace)
+        return SweepPoint(
+            beta_rad=beta_rad,
+            trace=trace,
+            filtered=filtered,
+            peak=float(np.max(trace)),
+            raw_power=trapezoid_power(raw, self.grid.spacing),
+            centroid_thz=self.centroid(filtered),
+            a=self.amplification(beta_rad),
+        )
+
+    def rows(
+        self, beta_rad_list: Sequence[float]
+    ) -> Iterator[tuple[float, Optional[SweepPoint]]]:
+        """(beta, point) per angle, one at a time, on noise stream i+1; the
+        point is None where the angle has no signal or is singular."""
+        for i, beta in enumerate(beta_rad_list):
+            beta = float(beta)
+            try:
+                point = self.point(beta, i + 1)
+            except (NoSignalError, SingularPostSelectionError):
+                point = None
+            yield beta, point
+
+    def spectrum(self, samples: np.ndarray) -> Spectrum:
+        return Spectrum(grid=self.grid, samples=samples)
+
+    def interrogation(self, point: SweepPoint, reference_thz: float) -> InterrogationResult:
+        return InterrogationResult(
+            raw=self.spectrum(point.trace),
+            raw_power=point.raw_power,
+            filtered=self.spectrum(point.filtered),
+            centroid_thz=point.centroid_thz,
+            centroid_nm_shift=self.sc.units.frequency_shift_to_nm(
+                point.centroid_thz - reference_thz
+            ),
+            reference_thz=reference_thz,
+            reference_nm=frequency_to_wavelength(reference_thz),
+            a_effective=point.a,
+        )
+
+
 def reference_centroid(sc: Scenario) -> float:
     """Centroid (THz) of the beta = -90 deg measurement of this scenario.
 
     Sees only the fixed-temperature grating; computed once per scenario
     (noise sub-stream 0) and shared by all sweep points.
     """
-    trace = scenario_trace(sc, beta_rad=REFERENCE_BETA_RAD, stream=0)
-    filtered = apply_scenario_filter(sc, trace)
-    return centroid(filtered)
-
-
-def _interrogate(sc: Scenario, raw: Spectrum, trace: Spectrum, ref: float) -> InterrogationResult:
-    filtered = apply_scenario_filter(sc, trace)
-    c = centroid(filtered)
-    return InterrogationResult(
-        raw=trace,
-        raw_power=total_power(raw),
-        filtered=filtered,
-        centroid_thz=c,
-        centroid_nm_shift=sc.units.frequency_shift_to_nm(c - ref),
-        reference_thz=ref,
-        reference_nm=frequency_to_wavelength(ref),
-        a_effective=scenario_amplification(sc),
-    )
+    return SweepKernel(sc).reference()
 
 
 def simulate_interrogation(
@@ -316,22 +424,28 @@ def simulate_interrogation(
     against the beta = -90 deg reference centroid (computed here when not
     supplied). Propagates no-signal and singular-post-selection errors.
     """
+    kernel = SweepKernel(sc)
     if reference_thz is None:
-        reference_thz = reference_centroid(sc)
-    raw = scenario_raw_spectrum(sc)
-    return _interrogate(sc, raw, _measure(sc, raw, stream), reference_thz)
+        reference_thz = kernel.reference()
+    return kernel.interrogation(kernel.point(sc.beta_rad, stream), reference_thz)
+
+
+def temperature_points(
+    sc: Scenario, dt_list: Sequence[float]
+) -> Iterator[tuple[float, InterrogationResult]]:
+    """(dt, result) at t1 = t2 + dt for each dt, one at a time, sharing one
+    reference; point i draws OSA noise stream i+1."""
+    ref = reference_centroid(sc)
+    for i, dt in enumerate(dt_list):
+        point = replace(sc, t1_c=sc.t2_c + dt)
+        yield float(dt), simulate_interrogation(point, ref, stream=i + 1)
 
 
 def sweep_temperature(
     sc: Scenario, dt_list: Sequence[float]
 ) -> list[tuple[float, InterrogationResult]]:
     """Interrogate at t1 = t2 + dt for each dt, sharing one reference."""
-    ref = reference_centroid(sc)
-    out = []
-    for i, dt in enumerate(dt_list):
-        point = replace(sc, t1_c=sc.t2_c + dt)
-        out.append((float(dt), simulate_interrogation(point, ref, stream=i + 1)))
-    return out
+    return list(temperature_points(sc, dt_list))
 
 
 def sweep_beta(
@@ -339,16 +453,14 @@ def sweep_beta(
 ) -> list[tuple[float, Optional[InterrogationResult]]]:
     """Interrogate at each post-selection angle, sharing one reference.
 
-    The beta-independent field is built once per sweep and angle i draws OSA
-    noise stream i+1, so entry i equals simulate_interrogation(replace(sc,
-    beta_rad=beta), reference, stream=i + 1). Dark-port and singular points
-    are recorded as None rather than aborting the sweep.
+    One SweepKernel serves the sweep and angle i draws OSA noise stream i+1,
+    so entry i equals simulate_interrogation(replace(sc, beta_rad=beta),
+    reference, stream=i + 1). Dark-port and singular points are recorded as
+    None rather than aborting the sweep.
     """
-    ref = reference_centroid(sc)
-    out: list[tuple[float, Optional[InterrogationResult]]] = []
-    for point, raw, trace in beta_points(sc, beta_rad_list):
-        try:
-            out.append((point.beta_rad, _interrogate(point, raw, trace, ref)))
-        except (NoSignalError, SingularPostSelectionError):
-            out.append((point.beta_rad, None))
-    return out
+    kernel = SweepKernel(sc)
+    ref = kernel.reference()
+    return [
+        (beta, None if point is None else kernel.interrogation(point, ref))
+        for beta, point in kernel.rows(beta_rad_list)
+    ]

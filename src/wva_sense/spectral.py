@@ -148,23 +148,31 @@ def frequency_to_wavelength(nu_thz: float) -> float:
     return SPEED_OF_LIGHT_NM_THZ / nu_thz
 
 
+def trapezoid_power(samples: np.ndarray, spacing: float) -> float:
+    """Trapezoidal integral of samples spaced `spacing` THz apart."""
+    return float(np.trapezoid(samples, dx=spacing))
+
+
 def total_power(s: Spectrum) -> float:
     """Trapezoidal integral of the samples over the grid (arbitrary units)."""
-    return float(np.trapezoid(s.samples, dx=s.grid.spacing))
+    return trapezoid_power(s.samples, s.grid.spacing)
+
+
+def power_centroid(nu: np.ndarray, samples: np.ndarray, spacing: float) -> float:
+    """Power-weighted mean of the frequencies nu, integral(nu S) / integral(S).
+
+    Raises NoSignalError when the samples carry no power, instead of
+    returning NaN.
+    """
+    total = trapezoid_power(samples, spacing)
+    if total <= 0.0:
+        raise NoSignalError("spectrum has zero total power, centroid undefined")
+    return trapezoid_power(nu * samples, spacing) / total
 
 
 def centroid(s: Spectrum) -> float:
-    """Power-weighted mean frequency, integral(nu S) / integral(S), in THz.
-
-    Raises NoSignalError when the spectrum carries no power, instead of
-    returning NaN.
-    """
-    total = total_power(s)
-    if total <= 0.0:
-        raise NoSignalError("spectrum has zero total power, centroid undefined")
-    nu = s.grid.frequencies()
-    first_moment = float(np.trapezoid(nu * s.samples, dx=s.grid.spacing))
-    return first_moment / total
+    """Power-weighted mean frequency of a spectrum, in THz (see power_centroid)."""
+    return power_centroid(s.grid.frequencies(), s.samples, s.grid.spacing)
 
 
 def super_gaussian_filter(
@@ -180,9 +188,15 @@ def super_gaussian_filter(
         raise ValueError(f"half_width must be > 0, got {half_width}")
     if order <= 0 or order % 2 != 0:
         raise ValueError(f"order must be a positive even integer, got {order}")
-    nu = s.grid.frequencies()
-    gain = np.exp(-(((nu - center) / half_width) ** order))
+    gain = super_gaussian_gain(s.grid.frequencies(), center, half_width, order)
     return Spectrum(grid=s.grid, samples=s.samples * gain)
+
+
+def super_gaussian_gain(
+    nu: np.ndarray, center: float, half_width: float, order: int
+) -> np.ndarray:
+    """exp[-((nu - center) / half_width)^order] at the frequencies nu."""
+    return np.exp(-(((nu - center) / half_width) ** order))
 
 
 _CSV_HEADER = ["frequency_thz", "power"]

@@ -124,10 +124,14 @@ def jones_field(p: SetupParams, g: FrequencyGrid) -> PolarizedFieldSpectrum:
     return PolarizedFieldSpectrum(grid=g, ex=ex, ey=ey)
 
 
+def projected_power(f: PolarizedFieldSpectrum, beta_rad: float) -> np.ndarray:
+    """Power samples of the field projected onto cos(beta) x + sin(beta) y."""
+    return np.abs(math.cos(beta_rad) * f.ex + math.sin(beta_rad) * f.ey) ** 2
+
+
 def post_select(f: PolarizedFieldSpectrum, beta_rad: float) -> Spectrum:
     """Project onto cos(beta) x + sin(beta) y and return the power spectrum."""
-    out = math.cos(beta_rad) * f.ex + math.sin(beta_rad) * f.ey
-    return Spectrum(grid=f.grid, samples=np.abs(out) ** 2)
+    return Spectrum(grid=f.grid, samples=projected_power(f, beta_rad))
 
 
 def output_spectrum_analytic(p: SetupParams, g: FrequencyGrid) -> Spectrum:

@@ -404,6 +404,22 @@ class TestBadInputsExit2:
         assert named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("section,key,value,named", [
+        ("grid", "span_thz", 1000.0, "grid: grid extends to non-positive frequency"),
+        ("grid", "n_points", 10**13, "grid: n_points"),
+        ("interferometer", "tau_ps", 10**400, "interferometer.tau_ps"),
+        ("postselect", "beta_deg", 95.0, "postselect.beta_deg"),
+    ])
+    def test_config_value_named(self, tmp_path, capsys, section, key, value, named):
+        doc = base_doc()
+        doc.setdefault(section, {})[key] = value
+        cfg = write_config(tmp_path, doc)
+        assert exit_code(["dump-spectrum", "--config", cfg,
+                          "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
     def test_non_finite_temperature_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_doc(t1_list=[20.0, math.nan, 22.0]))
         assert exit_code(["sweep-temp", "--config", cfg, "--out", str(tmp_path)]) == 2

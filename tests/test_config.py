@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -137,6 +138,59 @@ class TestRejection:
         doc["filter"]["order"] = 3
         with pytest.raises(ConfigError, match="filter"):
             parse_scenario(doc)
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("postselect,named", [
+        ({"beta_deg": 95.0}, "postselect.beta_deg"),
+        ({"beta_deg": -90.5}, "postselect.beta_deg"),
+        ({"beta_min_deg": -91.0, "beta_max_deg": 0.0, "step_deg": 1.0}, "postselect.beta_min_deg"),
+        ({"beta_min_deg": -90.0, "beta_max_deg": 91.0, "step_deg": 1.0}, "postselect.beta_max_deg"),
+        ({"beta_deg": 100.0, "beta_min_deg": -90.0, "beta_max_deg": 0.0, "step_deg": 1.0},
+         "postselect.beta_deg"),
+    ])
+    def test_postselect_angles_within_90(self, postselect, named):
+        doc = base_doc()
+        doc["postselect"] = postselect
+        with pytest.raises(ConfigError, match=named):
+            parse_scenario(doc)
+
+    def test_postselect_angle_limits_accepted(self):
+        doc = base_doc()
+        doc["postselect"] = {"beta_deg": 90, "beta_min_deg": -90, "beta_max_deg": 90,
+                             "step_deg": 1}
+        assert parse_scenario(doc).beta.sweep_max_deg == 90.0
+
+    def test_integer_too_large_for_a_float(self):
+        doc = base_doc()
+        doc["interferometer"]["tau_ps"] = 10**400
+        with pytest.raises(ConfigError, match="interferometer.tau_ps"):
+            parse_scenario(doc)
+
+    def test_integer_with_too_many_digits(self, tmp_path):
+        # Python refuses to parse integers beyond 4300 digits.
+        path = tmp_path / "sc.json"
+        text = json.dumps(base_doc()).replace('"tau_ps": 0.0', '"tau_ps": ' + "9" * 5000)
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_scenario(path)
+
+    def test_grid_points_capped_before_allocating(self):
+        doc = base_doc()
+        doc["grid"] = {"n_points": 10**13}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="grid: n_points"):
+                parse_scenario(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_grid_points_at_cap_accepted(self):
+        doc = base_doc()
+        doc["grid"] = {"n_points": w.spectral.MAX_RANGE_POINTS}
+        assert parse_scenario(doc).scenario.grid.n_points == 10**6
 
 
 class TestLoadScenario:
