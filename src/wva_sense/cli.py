@@ -41,22 +41,12 @@ from .scenario import (
     scenario_trace,
     temperature_points,
 )
-from .spectral import inclusive_range, read_csv_rows, trapezoid_power, write_spectrum_csv
+from .spectral import inclusive_range, read_csv_rows, trapezoid_power, write_rows, write_spectrum_csv
 from .wva import amplification_factor
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _write_rows(path: Path, header: list[str], rows: list[list[float]],
-                footer: Optional[list[str]] = None) -> None:
-    # Plain comma/newline writing keeps the bytes identical across platforms.
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    if footer:
-        lines += footer
-    path.write_text("\n".join(lines) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -127,6 +117,13 @@ def run_sweep_beta(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str
     betas_deg = _beta_grid(
         resolved["beta_min_deg"], resolved["beta_max_deg"], resolved["step_deg"]
     )
+    dumps: dict[str, float] = {}
+    for beta_deg in resolved["dump_spectra_deg"]:
+        name = f"spectrum_beta_{beta_deg:+.2f}.csv"
+        if name in dumps:
+            raise ConfigError(f"--dump-spectra: angles {_fmt(dumps[name])} and "
+                              f"{_fmt(beta_deg)} both write {name}")
+        dumps[name] = beta_deg
     # Rows stream from one kernel; no angle's spectra outlive its row.
     kernel = SweepKernel(sc)
     ref = kernel.reference()
@@ -141,28 +138,22 @@ def run_sweep_beta(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str
             continue
         snr_db = math.inf if sc.osa is None else snr_report(point.peak, sc.osa).snr_db
         shift_nm = sc.units.frequency_shift_to_nm(point.centroid_thz - ref)
-        rows.append([beta_deg, shift_nm, point.a, point.raw_power / power_0, snr_db])
+        rows.append((beta_deg, shift_nm, point.a, point.raw_power / power_0, snr_db))
 
-    footer = None
+    footer = []
     if resolved["snr_min_db"] is not None:
         beta_deg, a, snr_db = best_usable(
             ((row[0], row[2], row[4]) for row in rows), resolved["snr_min_db"]
         )
         footer = [f"# max_usable: beta_deg={_fmt(beta_deg)} a={_fmt(a)} snr_db={_fmt(snr_db)}"]
 
-    outputs: dict[str, str] = {}
     csv_path = out_dir / "sweep_beta.csv"
-    _write_rows(
-        csv_path,
-        ["beta_deg", "centroid_shift_nm", "a_effective", "total_power_rel", "snr_db"],
-        rows,
-        footer,
-    )
-    outputs[csv_path.name] = _sha256(csv_path)
+    header = ["beta_deg", "centroid_shift_nm", "a_effective", "total_power_rel", "snr_db"]
+    write_rows(csv_path, header, rows, footer)
+    outputs = {csv_path.name: _sha256(csv_path)}
 
-    for j, beta_deg in enumerate(resolved["dump_spectra_deg"]):
+    for j, (name, beta_deg) in enumerate(dumps.items()):
         trace = kernel.measure(kernel.raw(math.radians(beta_deg)), len(betas_deg) + 1 + j)
-        name = f"spectrum_beta_{beta_deg:+.2f}.csv"
         write_spectrum_csv(kernel.spectrum(kernel.filtered(trace)), out_dir / name)
         outputs[name] = _sha256(out_dir / name)
 
@@ -177,7 +168,7 @@ def run_sweep_temp(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str
     if len(dt_list) < 2 or len(set(dt_list)) < 2:
         raise DegenerateFitError("temperature sweep needs >= 2 distinct dt values")
 
-    rows = [[dt, r.centroid_nm_shift] for dt, r in temperature_points(sc, dt_list)]
+    rows = [(dt, r.centroid_nm_shift) for dt, r in temperature_points(sc, dt_list)]
 
     # Fit on the values as written so the footer matches a later `calibrate`
     # run on this file exactly.
@@ -190,7 +181,7 @@ def run_sweep_temp(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str
         f"# fit_n_points={fit.n_points}",
     ]
     csv_path = out_dir / "sweep_temp.csv"
-    _write_rows(csv_path, ["dt_c", "centroid_shift_nm"], rows, footer)
+    write_rows(csv_path, ["dt_c", "centroid_shift_nm"], rows, footer)
     print(f"sweep-temp: {len(rows)} points, slope "
           f"{fit.slope_nm_per_c:.6g} nm/degC -> {csv_path}")
     return {csv_path.name: _sha256(csv_path)}
@@ -211,25 +202,22 @@ def run_amax_curve(resolved: dict, out_dir: Path, sc: Optional[Scenario]) -> dic
         for beta_deg in betas_deg:
             # gamma=1, delta=arccos(g) realizes gamma*cos(delta)=g exactly.
             a = amplification_factor(math.radians(beta_deg), 1.0, math.acos(g))
-            rows.append([beta_deg, g, a])
+            rows.append((beta_deg, g, a))
             if a > best_a:
                 best_a, best_beta = a, beta_deg
         peaks.append(f"# peak g={_fmt(g)}: a={_fmt(best_a)} at beta_deg={_fmt(best_beta)}")
     csv_path = out_dir / "amax_curve.csv"
-    _write_rows(csv_path, ["beta_deg", "g", "a"], rows, peaks)
+    write_rows(csv_path, ["beta_deg", "g", "a"], rows, peaks)
     print(f"amax-curve: {len(g_list)} curves x {len(betas_deg)} angles -> {csv_path}")
     return {csv_path.name: _sha256(csv_path)}
 
 
 def run_theory_lines(resolved: dict, out_dir: Path, sc: Optional[Scenario]) -> dict[str, str]:
     kappa = resolved["kappa_nm_per_c"]
-    rows = [
-        [dt, a, centroid_shift_model(dt, kappa, a)]
-        for a in resolved["a_list"]
-        for dt in resolved["dt_list_c"]
-    ]
+    rows = [(dt, a, centroid_shift_model(dt, kappa, a))
+            for a in resolved["a_list"] for dt in resolved["dt_list_c"]]
     csv_path = out_dir / "theory_lines.csv"
-    _write_rows(csv_path, ["dt_c", "a", "shift_nm"], rows)
+    write_rows(csv_path, ["dt_c", "a", "shift_nm"], rows)
     print(f"theory-lines: {len(rows)} rows -> {csv_path}")
     return {csv_path.name: _sha256(csv_path)}
 

@@ -41,8 +41,8 @@ class OsaParams:
     def __post_init__(self) -> None:
         if self.rbw_nm < 0:
             raise ValueError(f"rbw_nm must be >= 0, got {self.rbw_nm}")
-        if self.noise_floor < 0:
-            raise ValueError(f"noise_floor must be >= 0, got {self.noise_floor}")
+        if not (self.noise_floor >= 0 and math.isfinite(self.noise_floor * self.noise_floor)):
+            raise ValueError(f"noise_floor must be >= 0 with finite square, got {self.noise_floor}")
         if not 0.0 <= self.rel_noise < 1.0:
             raise ValueError(f"rel_noise must lie in [0, 1), got {self.rel_noise}")
 

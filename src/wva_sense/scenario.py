@@ -51,6 +51,8 @@ class SourceParams:
     def __post_init__(self) -> None:
         if self.nu0_thz <= 0 or self.b_thz <= 0:
             raise ValueError("source nu0_thz and b_thz must be > 0")
+        if not math.isfinite(self.amplitude * self.amplitude):
+            raise ValueError(f"amplitude squared overflows a float, got {self.amplitude!r}")
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ second-order accurate otherwise.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -202,14 +202,23 @@ def super_gaussian_gain(
 _CSV_HEADER = ["frequency_thz", "power"]
 
 
-def write_spectrum_csv(s: Spectrum, path) -> None:
-    """Write `frequency_thz,power` rows at 12 significant digits."""
-    nu = s.grid.frequencies()
+def write_rows(path, header: Sequence[str], rows, footer: Sequence[str] = (),
+               newline: str = "\n") -> None:
+    """Write a CSV: header, row tuples with every value as "%.12g", footer; each
+    line ends in `newline` on every platform. Rows are written 4096 at a time."""
+    line = ",".join(["%.12g"] * len(header)) + newline
+    lines = map(line.__mod__, rows)
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(_CSV_HEADER)
-        for x, y in zip(nu, s.samples):
-            writer.writerow([f"{x:.12g}", f"{y:.12g}"])
+        f.write(",".join(header) + newline)
+        while chunk := "".join(islice(lines, 4096)):
+            f.write(chunk)
+        f.writelines(text + newline for text in footer)
+
+
+def write_spectrum_csv(s: Spectrum, path) -> None:
+    """Write `frequency_thz,power` rows at 12 significant digits, CRLF-ended."""
+    nu = s.grid.frequencies()
+    write_rows(path, _CSV_HEADER, zip(nu.tolist(), s.samples.tolist()), newline="\r\n")
 
 
 def read_csv_rows(path, header: Sequence[str]) -> list[tuple[int, float, float]]:

@@ -395,6 +395,9 @@ class TestBadInputsExit2:
         (["sweep-temp", "--dt", "0,3000"], "3020 degC"),
         (["dump-spectrum", "--dt", "3000"], "3020 degC"),
         (["sweep-beta", *SWEEP, "--dt", "3000"], "3020 degC"),
+        # Both angles round to spectrum_beta_-40.00.csv.
+        (["sweep-beta", *SWEEP, "--dump-spectra=-40,-40.001"],
+         "--dump-spectra: angles -40 and -40.001 both write spectrum_beta_-40.00.csv"),
     ])
     def test_flag_named(self, tmp_path, capsys, argv, named):
         if argv[0] in ("dump-spectrum", "sweep-temp", "sweep-beta"):
@@ -409,6 +412,9 @@ class TestBadInputsExit2:
         ("grid", "n_points", 10**13, "grid: n_points"),
         ("interferometer", "tau_ps", 10**400, "interferometer.tau_ps"),
         ("postselect", "beta_deg", 95.0, "postselect.beta_deg"),
+        # Finite, but the power and noise models square them.
+        ("source", "amplitude", 1e160, "source: amplitude squared overflows"),
+        ("osa", "noise_floor", 1e200, "osa: noise_floor must be >= 0 with finite square"),
     ])
     def test_config_value_named(self, tmp_path, capsys, section, key, value, named):
         doc = base_doc()
