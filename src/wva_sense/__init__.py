@@ -12,6 +12,7 @@ from .errors import (
     DegenerateFitError,
     DetectionLimitedError,
     NoSignalError,
+    NumericalError,
     SingularPostSelectionError,
     SpectrumFormatError,
     UnboundedAmplificationError,
@@ -32,7 +33,6 @@ from .osa import (
     UsableAmplification,
     max_usable_amplification,
     osa_trace,
-    snr_estimate,
 )
 from .scenario import (
     FilterSettings,
@@ -44,7 +44,6 @@ from .scenario import (
     SweepPoint,
     apply_scenario_filter,
     reference_centroid,
-    scenario_amplification,
     scenario_grid,
     scenario_raw_spectrum,
     scenario_trace,
@@ -62,7 +61,6 @@ from .spectral import (
     frequency_to_wavelength,
     make_grid,
     read_spectrum_csv,
-    super_gaussian_filter,
     total_power,
     wavelength_to_frequency,
     write_spectrum_csv,
@@ -80,6 +78,7 @@ from .wva import (
     overlap_gamma,
     post_select,
     pulse_bandwidth,
+    two_arm_field,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

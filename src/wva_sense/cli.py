@@ -7,7 +7,8 @@ noisy instrument traces, because every random stream is derived from the
 recorded seed.
 
 Exit codes: 0 success, 2 config/usage error, 3 numerical error (singular
-post-selection, no signal, degenerate fit), 4 detection-limited.
+post-selection, no signal, degenerate fit, non-finite output), 4
+detection-limited.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     ConfigError,
     DegenerateFitError,
     DetectionLimitedError,
+    NoSignalError,
     SpectrumFormatError,
     WvaSenseError,
 )
@@ -128,6 +130,9 @@ def run_sweep_beta(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str
     kernel = SweepKernel(sc)
     ref = kernel.reference()
     power_0 = trapezoid_power(kernel.raw(0.0), kernel.grid.spacing)
+    if not power_0 > 0.0:
+        raise NoSignalError("the beta = 0 reference power of total_power_rel is 0: "
+                            "no signal reaches the detector at beta = 0")
     rows = []
     for beta_deg, (_, point) in zip(
         betas_deg, kernel.rows([math.radians(b) for b in betas_deg])

@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .fbg import FbgParams, SideLobe, bandwidth_b_from_fwhm_nm
 from .osa import OsaParams
 from .scenario import FilterSettings, GridSettings, Scenario, SourceParams
-from .spectral import UnitContext, wavelength_to_frequency
+from .spectral import SPEED_OF_LIGHT_NM_THZ, UnitContext, wavelength_to_frequency
 from .wva import pulse_bandwidth
 
 
@@ -65,11 +65,29 @@ def _exactly_one(section: Mapping[str, Any], keys: tuple[str, ...], path: str) -
     return present[0]
 
 
+# Wavelengths a config may give, 1 nm to 1 mm, and the same band in THz. In
+# it lambda^2, c/lambda and 1/lambda^2 are finite and nonzero with hundreds
+# of decades to spare, so the nm <-> THz conversions cannot overflow.
+WAVELENGTH_BAND_NM = (1.0, 1e6)
+_BAND_THZ = (SPEED_OF_LIGHT_NM_THZ / WAVELENGTH_BAND_NM[1],
+             SPEED_OF_LIGHT_NM_THZ / WAVELENGTH_BAND_NM[0])
+
+
+def _in_band(value: float, where: str) -> float:
+    """value, a wavelength in nm or, for a *_thz field, a frequency in THz,
+    checked against WAVELENGTH_BAND_NM."""
+    unit = "THz" if where.endswith("_thz") else "nm"
+    lo, hi = _BAND_THZ if unit == "THz" else WAVELENGTH_BAND_NM
+    if not lo <= value <= hi:
+        raise ConfigError(f"{where}: wavelength must lie in [{WAVELENGTH_BAND_NM[0]:g}, "
+                          f"{WAVELENGTH_BAND_NM[1]:g}] nm ([{lo:.9g}, {hi:.9g}] THz), "
+                          f"got {value!r} {unit}")
+    return value
+
+
 def _center_thz(section: Mapping[str, Any], path: str) -> float:
     key = _exactly_one(section, ("center_nm", "center_thz"), path)
-    value = _number(section, key, path)
-    if value <= 0:
-        raise ConfigError(f"{path}.{key}: must be > 0")
+    value = _in_band(_number(section, key, path), f"{path}.{key}")
     return wavelength_to_frequency(value) if key == "center_nm" else value
 
 
@@ -227,10 +245,7 @@ def parse_scenario(doc: Mapping[str, Any]) -> LoadedScenario:
         "config root",
     )
     ref_nm = _number(doc, "reference_wavelength_nm", "config root", default=1551.0)
-    try:
-        units = UnitContext(reference_wavelength_nm=ref_nm)
-    except ValueError as exc:
-        raise ConfigError(f"reference_wavelength_nm: {exc}") from None
+    units = UnitContext(reference_wavelength_nm=_in_band(ref_nm, "reference_wavelength_nm"))
 
     source = _parse_source(_section(doc, "source"))
     fbg1 = _parse_fbg(_section(doc, "fbg1"), "fbg1")

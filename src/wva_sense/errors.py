@@ -9,6 +9,10 @@ class ConfigError(WvaSenseError):
     """Invalid scenario configuration (bad value, unknown key, missing section)."""
 
 
+class NumericalError(WvaSenseError):
+    """A computed output value is not finite (overflow or an undefined result)."""
+
+
 class NoSignalError(WvaSenseError):
     """Spectrum has zero total power; a centroid is undefined."""
 

@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .errors import DetectionLimitedError, SingularPostSelectionError
-from .spectral import Spectrum, UnitContext, inclusive_range
+from .errors import ConfigError, DetectionLimitedError, SingularPostSelectionError
+from .spectral import FrequencyGrid, Spectrum, UnitContext, inclusive_range
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -52,15 +52,29 @@ def sub_seed(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence((seed, stream)).generate_state(1, np.uint64)[0])
 
 
-def rbw_kernel(p: OsaParams, units: UnitContext, spacing: float) -> np.ndarray | None:
-    """Normalized Gaussian RBW kernel on a grid of `spacing` THz; None at rbw_nm = 0."""
+def rbw_kernel(p: OsaParams, units: UnitContext, grid: FrequencyGrid) -> np.ndarray | None:
+    """Normalized Gaussian RBW kernel at the grid's spacing; None at rbw_nm = 0.
+
+    Raises ConfigError naming osa.rbw_nm, before allocating, when the kernel
+    would have more taps than the grid has points (the convolution would
+    change the trace length) or would not be finite (sigma^2 underflows).
+    """
     if p.rbw_nm <= 0.0:
         return None
+    spacing = grid.spacing
     rbw_thz = abs(units.nm_shift_to_frequency(p.rbw_nm))
     sigma = rbw_thz / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    half = max(1, int(math.ceil(_KERNEL_SIGMAS * sigma / spacing)))
+    reach = _KERNEL_SIGMAS * sigma / spacing
+    max_half = (grid.n_points - 1) // 2  # 2 * half + 1 taps fit the grid
+    if not (max_half >= 1 and reach <= max_half):  # also catches inf and NaN
+        raise ConfigError(f"osa.rbw_nm: {p.rbw_nm!r} nm needs an RBW kernel wider than "
+                          f"the {grid.n_points}-point grid")
+    half = max(1, int(math.ceil(reach)))
+    two_var = 2.0 * sigma**2
+    if not two_var > 0.0:
+        raise ConfigError(f"osa.rbw_nm: {p.rbw_nm!r} nm is too narrow for a finite RBW kernel")
     offsets = np.arange(-half, half + 1) * spacing
-    kernel = np.exp(-(offsets**2) / (2.0 * sigma**2))
+    kernel = np.exp(-(offsets**2) / two_var)
     kernel /= kernel.sum()
     return kernel
 
@@ -92,7 +106,7 @@ def osa_trace(
     With rbw_nm = 0 and zero noise this is the identity. `stream` selects a
     sub-stream of the seed for sweep points; None uses the seed directly.
     """
-    kernel = rbw_kernel(p, units or UnitContext(), s.grid.spacing)
+    kernel = rbw_kernel(p, units or UnitContext(), s.grid)
     return Spectrum(grid=s.grid, samples=measure_samples(s.samples, kernel, p, stream))
 
 
@@ -120,11 +134,6 @@ def snr_report(peak: float, p: OsaParams) -> SnrReport:
         noise_sigma=noise_sigma,
         snr_db=10.0 * math.log10(peak / noise_sigma),
     )
-
-
-def snr_estimate(trace: Spectrum, p: OsaParams) -> SnrReport:
-    """Peak-sample SNR of a trace (see snr_report)."""
-    return snr_report(float(np.max(trace.samples)), p)
 
 
 @dataclass(frozen=True)

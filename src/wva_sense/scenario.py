@@ -35,6 +35,7 @@ from .wva import (
     overlap_gamma,
     post_select,
     projected_power,
+    two_arm_field,
 )
 
 REFERENCE_BETA_RAD = -math.pi / 2
@@ -51,8 +52,11 @@ class SourceParams:
     def __post_init__(self) -> None:
         if self.nu0_thz <= 0 or self.b_thz <= 0:
             raise ValueError("source nu0_thz and b_thz must be > 0")
-        if not math.isfinite(self.amplitude * self.amplitude):
-            raise ValueError(f"amplitude squared overflows a float, got {self.amplitude!r}")
+        # The noise variance of a measured trace scales as amplitude**4.
+        squared = self.amplitude * self.amplitude
+        if not math.isfinite(squared * squared):
+            raise ValueError("amplitude squared overflows a float or its square does, "
+                             f"got {self.amplitude!r}")
 
 
 @dataclass(frozen=True)
@@ -153,18 +157,6 @@ def scenario_centers(sc: Scenario) -> tuple[float, float]:
     return c1, c2
 
 
-def _overlap(sc: Scenario) -> float:
-    """Spectral overlap gamma of the two gratings' lobes at the scenario's t1."""
-    c1, c2 = scenario_centers(sc)
-    b_eff = (sc.fbg1.bandwidth_b_thz + sc.fbg2.bandwidth_b_thz) / 2
-    return overlap_gamma((c1 - c2) / 2, b_eff)
-
-
-def scenario_amplification(sc: Scenario) -> float:
-    """Amplification factor at the scenario's beta, overlap and residual phase."""
-    return amplification_factor(sc.beta_rad, _overlap(sc), sc.delta_rad)
-
-
 def scenario_field(sc: Scenario) -> PolarizedFieldSpectrum:
     """Recombined field: each arm is the square root of its grating's
     reflected power spectrum (halved by the 45-degree pre-selection), with
@@ -180,12 +172,9 @@ def scenario_field(sc: Scenario) -> PolarizedFieldSpectrum:
     s1 = reflect(sc.fbg1, sc.source.b_thz, sc.source.nu0_thz, c1, g)
     s2 = reflect(sc.fbg2, sc.source.b_thz, sc.source.nu0_thz, c2, g)
     scale = sc.source.amplitude**2 / 2.0
-    ex = np.sqrt(scale * s1.samples)
-    nu = g.frequencies()
-    ey = np.sqrt(scale * s2.samples) * np.exp(
-        1j * (2.0 * math.pi * nu * sc.tau_ps + sc.delta_rad)
+    return two_arm_field(
+        g, np.sqrt(scale * s1.samples), np.sqrt(scale * s2.samples), sc.tau_ps, sc.delta_rad
     )
-    return PolarizedFieldSpectrum(grid=g, ex=ex, ey=ey)
 
 
 def scenario_raw_spectrum(sc: Scenario, beta_rad: Optional[float] = None) -> Spectrum:
@@ -235,7 +224,9 @@ class _FilterPlan:
     order: int
 
     def center(self, samples: np.ndarray) -> float:
-        """Window argmax refined by log-parabolic interpolation."""
+        """Main-lobe peak: the argmax within the window, so a residual side
+        lobe cannot capture the filter at strongly attenuating angles, refined
+        by log-parabolic interpolation against grid-quantization bias."""
         i = self.window.start + int(np.argmax(samples[self.window]))
         return _refine_peak(self.nu, samples, i, self.spacing)
 
@@ -258,18 +249,6 @@ def _filter_plan(sc: Scenario, grid: FrequencyGrid) -> _FilterPlan:
     if half_width is None:
         half_width = sc.filter.half_width_factor * w
     return _FilterPlan(nu, grid.spacing, window, half_width, sc.filter.order)
-
-
-def filter_center(sc: Scenario, trace: Spectrum) -> float:
-    """Main-lobe peak of the measured spectrum, for centering the filter.
-
-    The argmax search is restricted to a window around the predicted Bragg
-    centers so a residual side lobe cannot capture the filter at strongly
-    attenuating post-selection angles; the node argmax is then refined by
-    log-parabolic interpolation to avoid grid-quantization bias in the
-    filtered centroid.
-    """
-    return _filter_plan(sc, trace.grid).center(trace.samples)
 
 
 def apply_scenario_filter(sc: Scenario, trace: Spectrum) -> Spectrum:
@@ -328,8 +307,10 @@ class SweepKernel:
         self.field = scenario_field(sc)
         self.grid = self.field.grid
         self.filter = _filter_plan(sc, self.grid)
-        self.rbw = None if sc.osa is None else rbw_kernel(sc.osa, sc.units, self.grid.spacing)
-        self.gamma = _overlap(sc)
+        self.rbw = None if sc.osa is None else rbw_kernel(sc.osa, sc.units, self.grid)
+        c1, c2 = scenario_centers(sc)
+        b_eff = (sc.fbg1.bandwidth_b_thz + sc.fbg2.bandwidth_b_thz) / 2
+        self.gamma = overlap_gamma((c1 - c2) / 2, b_eff)
 
     def raw(self, beta_rad: float) -> np.ndarray:
         """Ideal post-selected power samples at beta_rad."""

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NoSignalError, SpectrumFormatError
+from .errors import NoSignalError, NumericalError, SpectrumFormatError
 
 # Exact value in nm*THz, equivalent to c = 299792458 m/s.
 SPEED_OF_LIGHT_NM_THZ = 299792.458
@@ -175,23 +175,6 @@ def centroid(s: Spectrum) -> float:
     return power_centroid(s.grid.frequencies(), s.samples, s.grid.spacing)
 
 
-def super_gaussian_filter(
-    s: Spectrum, center: float, half_width: float, order: int
-) -> Spectrum:
-    """Multiply the spectrum by exp[-((nu - center) / half_width)^order].
-
-    order must be a positive even integer; the gain is 1 at the center and
-    1/e at center +- half_width. Used to suppress reflection side lobes
-    before centroid estimation.
-    """
-    if half_width <= 0:
-        raise ValueError(f"half_width must be > 0, got {half_width}")
-    if order <= 0 or order % 2 != 0:
-        raise ValueError(f"order must be a positive even integer, got {order}")
-    gain = super_gaussian_gain(s.grid.frequencies(), center, half_width, order)
-    return Spectrum(grid=s.grid, samples=s.samples * gain)
-
-
 def super_gaussian_gain(
     nu: np.ndarray, center: float, half_width: float, order: int
 ) -> np.ndarray:
@@ -205,14 +188,28 @@ _CSV_HEADER = ["frequency_thz", "power"]
 def write_rows(path, header: Sequence[str], rows, footer: Sequence[str] = (),
                newline: str = "\n") -> None:
     """Write a CSV: header, row tuples with every value as "%.12g", footer; each
-    line ends in `newline` on every platform. Rows are written 4096 at a time."""
+    line ends in `newline` on every platform. Rows are written 4096 at a time.
+
+    A NaN, or an infinity outside an `snr_db` column (where inf means no
+    noise), raises NumericalError naming the file and column.
+    """
     line = ",".join(["%.12g"] * len(header)) + newline
     lines = map(line.__mod__, rows)
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + newline)
         while chunk := "".join(islice(lines, 4096)):
+            # Finite "%.12g" text has no "n"; "nan" and "inf" do.
+            if "n" in chunk:
+                _check_finite(path, header, chunk.split(newline))
             f.write(chunk)
         f.writelines(text + newline for text in footer)
+
+
+def _check_finite(path, header: Sequence[str], lines: Sequence[str]) -> None:
+    for text in lines:
+        for name, cell in zip(header, text.split(",")):
+            if "n" in cell and not (name == "snr_db" and cell in ("inf", "-inf")):
+                raise NumericalError(f"{path}: column {name}: value {cell} is not finite")
 
 
 def write_spectrum_csv(s: Spectrum, path) -> None:

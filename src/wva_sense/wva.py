@@ -108,8 +108,21 @@ def pulse_bandwidth(t_fwhm_ps: float) -> float:
     return math.sqrt(math.log(2.0)) / (math.pi * t_fwhm_ps)
 
 
+def two_arm_field(
+    grid: FrequencyGrid, ex: np.ndarray, ey_amplitude: np.ndarray, tau_ps: float, delta_rad: float
+) -> PolarizedFieldSpectrum:
+    """The recombined field from the real amplitudes of the two arms.
+
+    ex is the x arm as given; the y arm is ey_amplitude times the delay and
+    birefringence phase exp[i(2 pi nu tau + delta)].
+    """
+    nu = grid.frequencies()
+    ey = ey_amplitude * np.exp(1j * (2.0 * math.pi * nu * tau_ps + delta_rad))
+    return PolarizedFieldSpectrum(grid=grid, ex=ex, ey=ey)
+
+
 def jones_field(p: SetupParams, g: FrequencyGrid) -> PolarizedFieldSpectrum:
-    """Synthesize the recombined two-arm field on the grid.
+    """Synthesize the recombined two-arm field of Gaussian envelopes on the grid.
 
     ex(nu) = (E0/sqrt2) exp[-(nu - nu0 - nu1)^2 / (2 B^2)]
     ey(nu) = (E0/sqrt2) exp[-(nu - nu0 - nu2)^2 / (2 B^2)] exp[i(2 pi nu tau + delta)]
@@ -118,10 +131,8 @@ def jones_field(p: SetupParams, g: FrequencyGrid) -> PolarizedFieldSpectrum:
     scale = p.amplitude / math.sqrt(2.0)
     b2 = 2.0 * p.b_width**2
     ex = scale * np.exp(-((nu - p.nu0 - p.nu1) ** 2) / b2)
-    ey = scale * np.exp(-((nu - p.nu0 - p.nu2) ** 2) / b2) * np.exp(
-        1j * (2.0 * math.pi * nu * p.tau_ps + p.delta_rad)
-    )
-    return PolarizedFieldSpectrum(grid=g, ex=ex, ey=ey)
+    ey = scale * np.exp(-((nu - p.nu0 - p.nu2) ** 2) / b2)
+    return two_arm_field(g, ex, ey, p.tau_ps, p.delta_rad)
 
 
 def projected_power(f: PolarizedFieldSpectrum, beta_rad: float) -> np.ndarray:

@@ -17,7 +17,7 @@ import wva_sense as w
 from wva_sense.cli import main, replay_manifest
 from wva_sense.errors import DetectionLimitedError
 from wva_sense.fbg import kappa_thz_per_c
-from wva_sense.scenario import scenario_raw_spectrum, sweep_temperature
+from wva_sense.scenario import scenario_field, scenario_raw_spectrum, sweep_temperature
 
 from conftest import FBG_B, KAPPA, bench_scenario
 
@@ -56,11 +56,39 @@ def test_c01_equivalence_oracle():
         oracle = w.post_select(w.jones_field(p, grid), p.beta_rad)
         peak = float(np.max(oracle.samples))
         worst = max(worst, float(np.max(np.abs(analytic.samples - oracle.samples))) / peak)
+    # The pipeline's field: two Gaussian gratings of equal bandwidth and
+    # efficiency at nu0 +- d get equal source weights, so the projected
+    # reflections are the closed form with amplitude E0 sqrt(eff * weight).
+    for _ in range(200):
+        b = rng.uniform(0.1, 1.0)
+        nu0 = rng.uniform(150.0, 250.0)
+        d = rng.uniform(0.0, 0.5) * b
+        source = w.SourceParams(nu0_thz=nu0, b_thz=rng.uniform(2.0, 5.0) * b,
+                                amplitude=rng.uniform(0.5, 2.0))
+        eff = rng.uniform(0.05, 1.0)
+        fbg1, fbg2 = (w.FbgParams(center_ref_thz=c, kappa_nm_per_c=KAPPA, bandwidth_b_thz=b,
+                                  reflect_efficiency=eff) for c in (nu0 + d, nu0 - d))
+        sc = w.Scenario(
+            source=source, fbg1=fbg1, fbg2=fbg2, t1_c=20.0, t2_c=20.0,
+            tau_ps=rng.uniform(0.0, 0.1) / b, phi_rad=rng.uniform(0.0, math.pi),
+            beta_rad=math.radians(rng.uniform(-90.0, 0.0)),
+            grid=w.GridSettings(n_points=1501, center_thz=nu0, span_thz=10 * b),
+        )
+        pipeline = w.post_select(scenario_field(sc), sc.beta_rad)
+        weight = math.exp(-(d**2) / source.b_thz**2)
+        p = w.SetupParams(
+            nu0=nu0, b_width=b, tau_ps=sc.tau_ps, phi_rad=sc.phi_rad, beta_rad=sc.beta_rad,
+            nu1=d, nu2=-d,
+            amplitude=source.amplitude * math.sqrt(eff * weight),
+        )
+        analytic = w.output_spectrum_analytic(p, pipeline.grid)
+        peak = float(np.max(pipeline.samples))
+        worst = max(worst, float(np.max(np.abs(analytic.samples - pipeline.samples))) / peak)
     elapsed = time.time() - t0
     assert worst <= 1e-12, f"worst deviation {worst:.2e}"
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
     report("criterion-1 equivalence oracle",
-           f"worst {worst:.2e} over 200 sets in {elapsed:.2f}s")
+           f"worst {worst:.2e} over 200 sets and 200 grating scenarios in {elapsed:.2f}s")
 
 
 def test_c02_weak_regime_centroid():

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from wva_sense.cli import main, parse_calibration_csv, replay_manifest
 from wva_sense.config import load_scenario
 from wva_sense.fbg import fit_sensitivity
 from wva_sense.osa import max_usable_amplification
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_doc(beta_deg=-40.0, osa=None, phi_rad=0.0, t1_list=None):
@@ -415,6 +418,25 @@ class TestBadInputsExit2:
         # Finite, but the power and noise models square them.
         ("source", "amplitude", 1e160, "source: amplitude squared overflows"),
         ("osa", "noise_floor", 1e200, "osa: noise_floor must be >= 0 with finite square"),
+        # An RBW kernel wider than the 4001-point grid, or one that underflows.
+        ("osa", "rbw_nm", 10.0, "osa.rbw_nm"),
+        ("osa", "rbw_nm", 1e6, "osa.rbw_nm"),
+        ("osa", "rbw_nm", 1e160, "osa.rbw_nm"),
+        ("osa", "rbw_nm", 1e300, "osa.rbw_nm"),
+        ("osa", "rbw_nm", 1e-300, "osa.rbw_nm"),
+        # Wavelengths the model squares and inverts.
+        ("source", "center_nm", 1549e160, "source.center_nm: wavelength must lie in"),
+        ("source", "center_nm", 1549e300, "source.center_nm: wavelength must lie in"),
+        ("source", "center_nm", 1549e-300, "source.center_nm: wavelength must lie in"),
+        ("fbg1", "center_nm", 1551e160, "fbg1.center_nm: wavelength must lie in"),
+        ("fbg1", "center_nm", 1551e300, "fbg1.center_nm: wavelength must lie in"),
+        ("fbg1", "center_nm", 1551e-300, "fbg1.center_nm: wavelength must lie in"),
+        ("fbg2", "center_nm", 1551e160, "fbg2.center_nm: wavelength must lie in"),
+        ("fbg2", "center_nm", 1551e300, "fbg2.center_nm: wavelength must lie in"),
+        ("fbg2", "center_nm", 1551e-300, "fbg2.center_nm: wavelength must lie in"),
+        # The noise variance scales as amplitude**4.
+        ("source", "amplitude", 1e80, "source: amplitude squared overflows a float or its square"),
+        ("source", "amplitude", 1e154, "source: amplitude squared overflows a float or its square"),
     ])
     def test_config_value_named(self, tmp_path, capsys, section, key, value, named):
         doc = base_doc()
@@ -424,6 +446,15 @@ class TestBadInputsExit2:
                           "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [1551e160, 1551e300, 1551e-300])
+    def test_reference_wavelength_named(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {**base_doc(), "reference_wavelength_nm": value})
+        assert exit_code(["dump-spectrum", "--config", cfg,
+                          "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "reference_wavelength_nm: wavelength must lie in" in err
         assert "Traceback" not in err
 
     def test_non_finite_temperature_named(self, tmp_path, capsys):
@@ -438,3 +469,26 @@ class TestBadInputsExit2:
                           "--out", str(out)]) == 2
         assert "--seed" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+
+class TestNumericalExit3:
+    def test_non_finite_row_not_written(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert exit_code(["theory-lines", "--a", "1e308", "--dt", "0:2:1", "--kappa", "10",
+                          "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "theory_lines.csv" in err and "shift_nm" in err
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
+    def test_no_power_at_beta_0(self, tmp_path, capsys):
+        # A source at 1300 nm gives the 1551 nm gratings a zero source weight;
+        # only the OSA noise floor reaches the detector.
+        doc = json.loads((CONFIGS / "bench.json").read_text())
+        doc["source"]["center_nm"] = 1300.0
+        cfg = write_config(tmp_path, doc)
+        assert exit_code(["sweep-beta", "--config", cfg, *SWEEP,
+                          "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "beta = 0 reference power" in err
+        assert "Traceback" not in err

@@ -134,10 +134,11 @@ class TestRejection:
             parse_scenario(doc)
 
     def test_bad_filter_order(self):
-        doc = base_doc()
-        doc["filter"]["order"] = 3
-        with pytest.raises(ConfigError, match="filter"):
-            parse_scenario(doc)
+        for key, value in (("order", 3), ("order", 0), ("order", -2), ("half_width_thz", 0.0)):
+            doc = base_doc()
+            doc["filter"][key] = value
+            with pytest.raises(ConfigError, match="filter"):
+                parse_scenario(doc)
 
 
 class TestRangeChecks:
@@ -174,6 +175,27 @@ class TestRangeChecks:
         path.write_text(text)
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_scenario(path)
+
+    def test_wavelength_band_edges(self):
+        for value in (1.0, 1e6):
+            doc = base_doc()
+            doc["reference_wavelength_nm"] = value
+            assert parse_scenario(doc).scenario.units.reference_wavelength_nm == value
+        for value in (0.999, 1.000001e6, 0.0, -1551.0):
+            doc = base_doc()
+            doc["reference_wavelength_nm"] = value
+            with pytest.raises(ConfigError, match="reference_wavelength_nm: wavelength must lie"):
+                parse_scenario(doc)
+
+    @pytest.mark.parametrize("section,value", [
+        ("source", 0.29), ("source", 3e5), ("fbg1", 1e-300), ("fbg2", 1e300),
+    ])
+    def test_frequency_spelling_in_the_same_band(self, section, value):
+        doc = base_doc()
+        del doc[section]["center_nm"]
+        doc[section]["center_thz"] = value
+        with pytest.raises(ConfigError, match=f"{section}.center_thz: wavelength must lie"):
+            parse_scenario(doc)
 
     def test_grid_points_capped_before_allocating(self):
         doc = base_doc()

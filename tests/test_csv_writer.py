@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import wva_sense as w
+from wva_sense.errors import NumericalError
 from wva_sense.spectral import write_rows
 
 pytest.importorskip("hypothesis")
@@ -26,9 +27,10 @@ SPECTRUM_HEADER = ["frequency_thz", "power"]
 TABLE_HEADER = ["beta_deg", "g", "a"]
 FOOTER = ["# peak g=0.9: a=4.2 at beta_deg=-40", "# fit_n_points=3"]
 
-# Ints, signed zeros, infinities, NaN, the smallest subnormal, a mid-range
-# subnormal, the float extremes and values whose 12-digit form rounds.
-EDGE_VALUES = [0, 1, -7, 10**15, 0.0, -0.0, math.inf, -math.inf, math.nan,
+# Ints, signed zeros, the smallest subnormal, a mid-range subnormal, the
+# float extremes and values whose 12-digit form rounds. Non-finite values are
+# rejected (see test_non_finite_value_rejected).
+EDGE_VALUES = [0, 1, -7, 10**15, 0.0, -0.0,
                5e-324, 1.2345e-310, 1e308, -1e308, 1.7976931348623157e308,
                2.2250738585072014e-308, 0.1, 1 / 3, 999999999999.5, 1e-5, 1e16,
                np.float64(193.414489032), np.float64(-0.0)]
@@ -77,6 +79,24 @@ def test_empty_body_with_footer(tmp_path):
     write_rows(tmp_path / "out.csv", TABLE_HEADER, [], FOOTER)
     assert (tmp_path / "out.csv").read_bytes() == (
         b"beta_deg,g,a\n# peak g=0.9: a=4.2 at beta_deg=-40\n# fit_n_points=3\n")
+
+
+@pytest.mark.parametrize("n", [1, 4097])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_value_rejected(tmp_path, value, n):
+    rows = [(-40.0, 0.99, 7.1)] * n
+    rows[-1] = (-40.0, value, 7.1)
+    with pytest.raises(NumericalError, match=r"out\.csv: column g: value -?(inf|nan) "):
+        write_rows(tmp_path / "out.csv", TABLE_HEADER, rows)
+
+
+def test_snr_db_may_be_infinite(tmp_path):
+    # Without noise the SNR is +inf by definition; a NaN is still rejected.
+    header = ["beta_deg", "snr_db"]
+    write_rows(tmp_path / "out.csv", header, [(0, math.inf), (1, -math.inf)])
+    assert (tmp_path / "out.csv").read_bytes() == b"beta_deg,snr_db\n0,inf\n1,-inf\n"
+    with pytest.raises(NumericalError, match="column snr_db"):
+        write_rows(tmp_path / "out.csv", header, [(0, math.nan)])
 
 
 def test_write_spectrum_csv_bytes(tmp_path):

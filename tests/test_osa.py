@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import wva_sense as w
-from wva_sense.errors import DetectionLimitedError
+from wva_sense.errors import ConfigError, DetectionLimitedError
+from wva_sense.osa import rbw_kernel, snr_report
 
 from conftest import bench_scenario
 
@@ -67,6 +69,35 @@ class TestOsaTrace:
         out = w.osa_trace(s, p)
         assert abs(w.centroid(out) - 193.29) < g.spacing
 
+    @pytest.mark.parametrize("reach,fits", [(49.5, True), (50.5, False)])
+    def test_kernel_no_longer_than_the_grid(self, reach, fits):
+        # 7 sigma = reach grid steps gives 2 ceil(reach) + 1 taps: 101 fit
+        # the 101-point grid, 103 would make the trace longer than the grid.
+        g = w.make_grid(193.29, 1.0, 101)
+        fwhm_thz = reach * g.spacing / 7.0 * 2.0 * math.sqrt(2.0 * math.log(2.0))
+        p = w.OsaParams(rbw_nm=abs(w.UnitContext().frequency_shift_to_nm(fwhm_thz)))
+        s = gaussian(g, 193.29, 0.1)
+        if fits:
+            assert w.osa_trace(s, p).samples.shape == (101,)
+        else:
+            with pytest.raises(ConfigError, match="osa.rbw_nm: .* wider than the 101-point grid"):
+                w.osa_trace(s, p)
+
+    @pytest.mark.parametrize("rbw_nm,problem", [
+        (1e6, "wider than"), (1e160, "wider than"), (1e300, "wider than"),
+        (1e-300, "too narrow"),
+    ])
+    def test_bad_kernel_rejected_before_allocating(self, rbw_nm, problem):
+        g = w.make_grid(193.29, 2.5, 4001)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"osa.rbw_nm: .* {problem}"):
+                rbw_kernel(w.OsaParams(rbw_nm=rbw_nm), w.UnitContext(), g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+
     def test_clamped_at_zero(self):
         g = w.make_grid(193.29, 2.0, 2001)
         s = w.Spectrum(grid=g, samples=np.zeros(2001))
@@ -87,27 +118,26 @@ class TestSnrEstimate:
     def test_20_db(self):
         g = w.make_grid(193.29, 1.0, 101)
         s = w.Spectrum(grid=g, samples=np.full(101, 100.0))
-        report = w.snr_estimate(s, w.OsaParams(noise_floor=1.0))
+        report = snr_report(float(np.max(s.samples)), w.OsaParams(noise_floor=1.0))
         assert report.snr_db == pytest.approx(20.0, rel=1e-12)
         assert report.peak_signal == 100.0
         assert report.noise_sigma == 1.0
 
     def test_doubling_peak_adds_3db(self):
-        g = w.make_grid(193.29, 1.0, 101)
         p = w.OsaParams(noise_floor=1.0)
-        s1 = w.snr_estimate(w.Spectrum(grid=g, samples=np.full(101, 50.0)), p)
-        s2 = w.snr_estimate(w.Spectrum(grid=g, samples=np.full(101, 100.0)), p)
+        s1 = snr_report(50.0, p)
+        s2 = snr_report(100.0, p)
         assert s2.snr_db - s1.snr_db == pytest.approx(10 * math.log10(2), abs=1e-9)
 
     def test_zero_noise_reports_infinite(self):
         g = w.make_grid(193.29, 1.0, 101)
         s = w.Spectrum(grid=g, samples=np.full(101, 5.0))
-        assert w.snr_estimate(s, w.OsaParams()).snr_db == math.inf
+        assert snr_report(float(np.max(s.samples)), w.OsaParams()).snr_db == math.inf
 
     def test_rel_noise_quadrature(self):
         g = w.make_grid(193.29, 1.0, 101)
         s = w.Spectrum(grid=g, samples=np.full(101, 100.0))
-        report = w.snr_estimate(s, w.OsaParams(noise_floor=3.0, rel_noise=0.04))
+        report = snr_report(float(np.max(s.samples)), w.OsaParams(noise_floor=3.0, rel_noise=0.04))
         assert report.noise_sigma == pytest.approx(5.0, rel=1e-12)
 
     def test_snr_drop_equals_power_attenuation(self):
@@ -117,9 +147,11 @@ class TestSnrEstimate:
         sc = bench_scenario(osa=osa)
         from wva_sense.scenario import scenario_raw_spectrum, scenario_trace
 
-        snr_0 = w.snr_estimate(scenario_trace(sc, beta_rad=0.0, stream=1), osa).snr_db
-        snr_44 = w.snr_estimate(
-            scenario_trace(sc, beta_rad=math.radians(-44.0), stream=2), osa
+        snr_0 = snr_report(
+            float(np.max(scenario_trace(sc, beta_rad=0.0, stream=1).samples)), osa
+        ).snr_db
+        snr_44 = snr_report(
+            float(np.max(scenario_trace(sc, beta_rad=math.radians(-44.0), stream=2).samples)), osa
         ).snr_db
         p_0 = w.total_power(scenario_raw_spectrum(sc, beta_rad=0.0))
         p_44 = w.total_power(scenario_raw_spectrum(sc, beta_rad=math.radians(-44.0)))

@@ -145,14 +145,14 @@ class TestSideLobeHandling:
     def test_filter_center_ignores_side_lobe(self):
         # Under strong suppression the side lobe outshines the main lobe;
         # the windowed search must still center the filter on the main lobe.
-        from wva_sense.scenario import filter_center, scenario_trace
+        from wva_sense.scenario import SweepKernel, scenario_trace
 
         sc = bench_scenario(beta_deg=-40.0, g_target=0.99, side_lobe1=self.SIDE,
                             t1_c=20.0 + 8.0)
         trace = scenario_trace(sc)
         nu = trace.grid.frequencies()
         global_argmax = nu[int(np.argmax(trace.samples))]
-        center = filter_center(sc, trace)
+        center = SweepKernel(sc).filter.center(trace.samples)
         assert abs(global_argmax - (NU_1551 - 0.37)) < 0.1  # side lobe wins globally
         assert abs(center - NU_1551) < 0.1  # windowed center stays on the main lobe
 

@@ -3,7 +3,7 @@
 CLI sweep-beta rows and --dump-spectra files must be the bytes that
 simulate_interrogation and scenario_trace + apply_scenario_filter give on the
 same noise streams, and max_usable_amplification must pick what best_usable
-picks over per-point snr_estimate values.
+picks over per-point snr_report values.
 """
 
 import json
@@ -23,13 +23,13 @@ from wva_sense.osa import (
     UsableAmplification,
     best_usable,
     max_usable_amplification,
-    snr_estimate,
+    snr_report,
 )
 from wva_sense.scenario import (
     SweepKernel,
     apply_scenario_filter,
     reference_centroid,
-    scenario_amplification,
+    scenario_centers,
     scenario_field,
     scenario_raw_spectrum,
     scenario_trace,
@@ -37,6 +37,7 @@ from wva_sense.scenario import (
     sweep_temperature,
 )
 from wva_sense.spectral import inclusive_range, total_power, write_spectrum_csv
+from wva_sense.wva import amplification_factor, overlap_gamma
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 STEP = 7.5  # 13 angles from -90 to 0, -45 among them
@@ -89,7 +90,8 @@ def _expected_rows(sc, betas_deg):
         except (NoSignalError, SingularPostSelectionError):
             skipped.append(beta_deg)
             continue
-        snr = math.inf if sc.osa is None else snr_estimate(r.raw, sc.osa).snr_db
+        snr = math.inf if sc.osa is None else snr_report(float(np.max(r.raw.samples)),
+                                                           sc.osa).snr_db
         rows.append(",".join(_fmt(v) for v in (
             beta_deg, r.centroid_nm_shift, r.a_effective, r.raw_power / power_0, snr)))
     return rows, skipped
@@ -136,15 +138,18 @@ def test_cli_sweep_beta_equals_per_point_functions(tmp_path, capsys, case):
 ])
 def test_max_usable_equals_best_usable_over_per_point_snr(osa):
     sc = replace(load_scenario(CONFIGS / "bench.json").scenario, t1_c=31.0, osa=osa)
+    c1, c2 = scenario_centers(sc)
+    gamma = overlap_gamma((c1 - c2) / 2, (sc.fbg1.bandwidth_b_thz + sc.fbg2.bandwidth_b_thz) / 2)
     points = []
     for i, beta_deg in enumerate(inclusive_range(-89.0, 0.0, 1.0)):
         point = replace(sc, beta_rad=math.radians(beta_deg))
         try:
-            a = scenario_amplification(point)
+            a = amplification_factor(point.beta_rad, gamma, point.delta_rad)
         except SingularPostSelectionError:
             continue
         trace = scenario_trace(point, stream=i + 1)
-        points.append((point.beta_rad, a, snr_estimate(trace, osa or OsaParams()).snr_db))
+        points.append((point.beta_rad, a,
+                       snr_report(float(np.max(trace.samples)), osa or OsaParams()).snr_db))
     expected = UsableAmplification(*best_usable(points, 20.0))
     assert max_usable_amplification(sc, 20.0, -89.0, 0.0, 1.0) == expected
 
