@@ -32,7 +32,6 @@ from .osa import (
     SnrReport,
     UsableAmplification,
     max_usable_amplification,
-    osa_trace,
 )
 from .scenario import (
     FilterSettings,
@@ -42,11 +41,7 @@ from .scenario import (
     SourceParams,
     SweepKernel,
     SweepPoint,
-    apply_scenario_filter,
-    reference_centroid,
     scenario_grid,
-    scenario_raw_spectrum,
-    scenario_trace,
     simulate_interrogation,
     sweep_beta,
     sweep_temperature,

@@ -35,14 +35,7 @@ from .errors import (
 )
 from .fbg import centroid_shift_model, fit_sensitivity
 from .osa import best_usable, snr_report
-from .scenario import (
-    Scenario,
-    SweepKernel,
-    apply_scenario_filter,
-    scenario_raw_spectrum,
-    scenario_trace,
-    temperature_points,
-)
+from .scenario import Scenario, SweepKernel, temperature_points
 from .spectral import inclusive_range, read_csv_rows, trapezoid_power, write_rows, write_spectrum_csv
 from .wva import amplification_factor
 
@@ -264,14 +257,14 @@ def run_dump_spectrum(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, 
     if resolved["dt_c"] is not None:
         sc = replace(sc, t1_c=sc.t2_c + resolved["dt_c"])
     stage = resolved["stage"]
-    if stage == "raw":
-        spectrum = scenario_raw_spectrum(sc)
-    else:
-        spectrum = scenario_trace(sc, stream=1)
-        if stage == "filtered":
-            spectrum = apply_scenario_filter(sc, spectrum)
+    kernel = SweepKernel(sc)
+    samples = kernel.raw(sc.beta_rad)
+    if stage != "raw":
+        samples = kernel.measure(samples, 1)
+    if stage == "filtered":
+        samples = kernel.filtered(samples)
     csv_path = out_dir / "spectrum.csv"
-    write_spectrum_csv(spectrum, csv_path)
+    write_spectrum_csv(kernel.spectrum(samples), csv_path)
     print(f"dump-spectrum: {stage} spectrum -> {csv_path}")
     return {csv_path.name: _sha256(csv_path)}
 

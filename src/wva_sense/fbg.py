@@ -22,6 +22,13 @@ from .spectral import SPEED_OF_LIGHT_NM_THZ, FrequencyGrid, Spectrum, UnitContex
 _FWHM_PER_B = 2.0 * math.sqrt(math.log(2.0))
 
 
+def check_width(name: str, value: float) -> None:
+    """ValueError unless the lobe width `value` has a finite, nonzero square:
+    the Gaussian lobes divide by it."""
+    if not (value > 0 and 0.0 < value * value < math.inf):
+        raise ValueError(f"{name} must have a finite nonzero square, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SideLobe:
     """Satellite reflection lobe relative to the main lobe."""
@@ -35,8 +42,7 @@ class SideLobe:
             raise ValueError(
                 f"rel_amplitude must lie in [0, 1), got {self.rel_amplitude}"
             )
-        if self.width_thz <= 0:
-            raise ValueError(f"width_thz must be > 0, got {self.width_thz}")
+        check_width("width_thz", self.width_thz)
 
 
 @dataclass(frozen=True)
@@ -53,10 +59,7 @@ class FbgParams:
     def __post_init__(self) -> None:
         if self.center_ref_thz <= 0:
             raise ValueError(f"center_ref_thz must be > 0, got {self.center_ref_thz}")
-        if self.bandwidth_b_thz <= 0:
-            raise ValueError(
-                f"bandwidth_b_thz must be > 0, got {self.bandwidth_b_thz}"
-            )
+        check_width("bandwidth_b_thz", self.bandwidth_b_thz)
         if not 0.0 < self.reflect_efficiency <= 1.0:
             raise ValueError(
                 f"reflect_efficiency must lie in (0, 1], got {self.reflect_efficiency}"

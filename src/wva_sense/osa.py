@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError, DetectionLimitedError, SingularPostSelectionError
-from .spectral import FrequencyGrid, Spectrum, UnitContext, inclusive_range
+from .spectral import FrequencyGrid, UnitContext, inclusive_range
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -80,34 +80,18 @@ def rbw_kernel(p: OsaParams, units: UnitContext, grid: FrequencyGrid) -> np.ndar
 
 
 def measure_samples(
-    samples: np.ndarray, kernel: np.ndarray | None, p: OsaParams, stream: int | None
+    samples: np.ndarray, kernel: np.ndarray | None, p: OsaParams, stream: int
 ) -> np.ndarray:
     """Measured samples: convolution with `kernel` (from rbw_kernel), seeded
-    noise on sub-stream `stream` of p.seed (None: the seed itself), clamp at zero."""
+    noise on sub-stream `stream` of p.seed, clamp at zero."""
     if kernel is not None:
         samples = np.convolve(samples, kernel, mode="same")
     if p.noise_floor > 0.0 or p.rel_noise > 0.0:
-        seed = p.seed if stream is None else sub_seed(p.seed, stream)
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = np.random.Generator(np.random.PCG64(sub_seed(p.seed, stream)))
         sigma_per_sample = np.sqrt(p.noise_floor**2 + (p.rel_noise * samples) ** 2)
         samples = samples + rng.standard_normal(samples.size) * sigma_per_sample
         samples = np.clip(samples, 0.0, None)
     return samples
-
-
-def osa_trace(
-    s: Spectrum,
-    p: OsaParams,
-    units: UnitContext | None = None,
-    stream: int | None = None,
-) -> Spectrum:
-    """Measured trace: RBW convolution, seeded noise injection, clamp at zero.
-
-    With rbw_nm = 0 and zero noise this is the identity. `stream` selects a
-    sub-stream of the seed for sweep points; None uses the seed directly.
-    """
-    kernel = rbw_kernel(p, units or UnitContext(), s.grid)
-    return Spectrum(grid=s.grid, samples=measure_samples(s.samples, kernel, p, stream))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, NoSignalError, SingularPostSelectionError
-from .fbg import FbgParams, bragg_center, reflect
-from .osa import OsaParams, measure_samples, osa_trace, rbw_kernel
+from .fbg import FbgParams, bragg_center, check_width, reflect
+from .osa import OsaParams, measure_samples, rbw_kernel
 from .spectral import (
     MAX_RANGE_POINTS,
     FrequencyGrid,
@@ -33,7 +33,6 @@ from .wva import (
     PolarizedFieldSpectrum,
     amplification_factor,
     overlap_gamma,
-    post_select,
     projected_power,
     two_arm_field,
 )
@@ -50,8 +49,9 @@ class SourceParams:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.nu0_thz <= 0 or self.b_thz <= 0:
-            raise ValueError("source nu0_thz and b_thz must be > 0")
+        if self.nu0_thz <= 0:
+            raise ValueError("source nu0_thz must be > 0")
+        check_width("b_thz", self.b_thz)
         # The noise variance of a measured trace scales as amplitude**4.
         squared = self.amplitude * self.amplitude
         if not math.isfinite(squared * squared):
@@ -177,21 +177,6 @@ def scenario_field(sc: Scenario) -> PolarizedFieldSpectrum:
     )
 
 
-def scenario_raw_spectrum(sc: Scenario, beta_rad: Optional[float] = None) -> Spectrum:
-    """Ideal post-selected spectrum before any instrument effects."""
-    beta = sc.beta_rad if beta_rad is None else beta_rad
-    return post_select(scenario_field(sc), beta)
-
-
-def scenario_trace(
-    sc: Scenario, beta_rad: Optional[float] = None, stream: Optional[int] = None
-) -> Spectrum:
-    """Measured spectrum: the raw spectrum through the OSA model, if any, on
-    noise `stream`."""
-    raw = scenario_raw_spectrum(sc, beta_rad)
-    return raw if sc.osa is None else osa_trace(raw, sc.osa, sc.units, stream=stream)
-
-
 def _refine_peak(nu: np.ndarray, y: np.ndarray, i: int, spacing: float) -> float:
     """Log-parabolic sub-sample peak position around discrete argmax i.
 
@@ -248,14 +233,16 @@ def _filter_plan(sc: Scenario, grid: FrequencyGrid) -> _FilterPlan:
     half_width = sc.filter.half_width_thz
     if half_width is None:
         half_width = sc.filter.half_width_factor * w
+    # The gain raises |nu - center| / half_width, at most span / half_width,
+    # to the order.
+    try:
+        reach = (grid.span / half_width) ** sc.filter.order
+    except OverflowError:
+        reach = math.inf
+    if not math.isfinite(reach):
+        raise ConfigError(f"filter: a half-width of {half_width!r} THz overflows the "
+                          f"order-{sc.filter.order} gain on a {grid.span:.9g} THz grid")
     return _FilterPlan(nu, grid.spacing, window, half_width, sc.filter.order)
-
-
-def apply_scenario_filter(sc: Scenario, trace: Spectrum) -> Spectrum:
-    """Super-Gaussian filter with scenario defaults; identity when disabled."""
-    if not sc.filter.enabled:
-        return trace
-    return Spectrum(grid=trace.grid, samples=_filter_plan(sc, trace.grid).apply(trace.samples))
 
 
 @dataclass(frozen=True)
@@ -386,15 +373,6 @@ class SweepKernel:
         )
 
 
-def reference_centroid(sc: Scenario) -> float:
-    """Centroid (THz) of the beta = -90 deg measurement of this scenario.
-
-    Sees only the fixed-temperature grating; computed once per scenario
-    (noise sub-stream 0) and shared by all sweep points.
-    """
-    return SweepKernel(sc).reference()
-
-
 def simulate_interrogation(
     sc: Scenario,
     reference_thz: Optional[float] = None,
@@ -418,7 +396,7 @@ def temperature_points(
 ) -> Iterator[tuple[float, InterrogationResult]]:
     """(dt, result) at t1 = t2 + dt for each dt, one at a time, sharing one
     reference; point i draws OSA noise stream i+1."""
-    ref = reference_centroid(sc)
+    ref = SweepKernel(sc).reference()
     for i, dt in enumerate(dt_list):
         point = replace(sc, t1_c=sc.t2_c + dt)
         yield float(dt), simulate_interrogation(point, ref, stream=i + 1)

@@ -9,6 +9,7 @@ second-order accurate otherwise.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Sequence
@@ -191,18 +192,23 @@ def write_rows(path, header: Sequence[str], rows, footer: Sequence[str] = (),
     line ends in `newline` on every platform. Rows are written 4096 at a time.
 
     A NaN, or an infinity outside an `snr_db` column (where inf means no
-    noise), raises NumericalError naming the file and column.
+    noise), raises NumericalError naming the file and column, and removes
+    the partly written file.
     """
     line = ",".join(["%.12g"] * len(header)) + newline
     lines = map(line.__mod__, rows)
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + newline)
-        while chunk := "".join(islice(lines, 4096)):
-            # Finite "%.12g" text has no "n"; "nan" and "inf" do.
-            if "n" in chunk:
-                _check_finite(path, header, chunk.split(newline))
-            f.write(chunk)
-        f.writelines(text + newline for text in footer)
+    try:
+        with open(path, "w", newline="") as f:
+            f.write(",".join(header) + newline)
+            while chunk := "".join(islice(lines, 4096)):
+                # Finite "%.12g" text has no "n"; "nan" and "inf" do.
+                if "n" in chunk:
+                    _check_finite(path, header, chunk.split(newline))
+                f.write(chunk)
+            f.writelines(text + newline for text in footer)
+    except NumericalError:
+        os.remove(path)
+        raise
 
 
 def _check_finite(path, header: Sequence[str], lines: Sequence[str]) -> None:

@@ -17,7 +17,7 @@ import wva_sense as w
 from wva_sense.cli import main, replay_manifest
 from wva_sense.errors import DetectionLimitedError
 from wva_sense.fbg import kappa_thz_per_c
-from wva_sense.scenario import scenario_field, scenario_raw_spectrum, sweep_temperature
+from wva_sense.scenario import scenario_field, sweep_temperature
 
 from conftest import FBG_B, KAPPA, bench_scenario
 
@@ -198,8 +198,8 @@ def test_c05_temperature_sweep_slopes():
 
 def test_c06_dark_port():
     sc = bench_scenario()
-    p_dark = w.total_power(scenario_raw_spectrum(sc, beta_rad=math.radians(-45.0)))
-    p_bright = w.total_power(scenario_raw_spectrum(sc, beta_rad=0.0))
+    p_dark = w.total_power(w.post_select(scenario_field(sc), math.radians(-45.0)))
+    p_bright = w.total_power(w.post_select(scenario_field(sc), 0.0))
     ratio = p_dark / p_bright
     assert ratio <= 1e-10
     report("criterion-6 dark port", f"power ratio {ratio:.2e}")

@@ -437,6 +437,12 @@ class TestBadInputsExit2:
         # The noise variance scales as amplitude**4.
         ("source", "amplitude", 1e80, "source: amplitude squared overflows a float or its square"),
         ("source", "amplitude", 1e154, "source: amplitude squared overflows a float or its square"),
+        # Widths the model squares: B^2 underflows, or overflows for a short pulse.
+        ("fbg1", "fwhm_nm", 2e-300, "fbg1: bandwidth_b_thz must have a finite nonzero square"),
+        ("fbg2", "fwhm_nm", 2e-300, "fbg2: bandwidth_b_thz must have a finite nonzero square"),
+        ("source", "pulse_fwhm_ps", 3.2e-301, "source: b_thz must have a finite nonzero square"),
+        # (span / half-width)^order overflows in the super-Gaussian gain.
+        ("filter", "half_width_factor", 1.5e-300, "filter: "),
     ])
     def test_config_value_named(self, tmp_path, capsys, section, key, value, named):
         doc = base_doc()
@@ -455,6 +461,14 @@ class TestBadInputsExit2:
                           "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "reference_wavelength_nm: wavelength must lie in" in err
+        assert "Traceback" not in err
+
+    def test_raw_stage_validates_the_osa_section(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_doc(osa={"rbw_nm": 10.0}))
+        assert exit_code(["dump-spectrum", "--config", cfg, "--stage", "raw",
+                          "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "osa.rbw_nm" in err
         assert "Traceback" not in err
 
     def test_non_finite_temperature_named(self, tmp_path, capsys):
@@ -481,6 +495,13 @@ class TestNumericalExit3:
         assert "Traceback" not in err
         assert not (out / "manifest.json").exists()
 
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        out = tmp_path / "out"
+        assert exit_code(["theory-lines", "--a", "1e308", "--dt", "0:2:1", "--kappa", "10",
+                          "--out", str(out)]) == 3
+        assert not (out / "theory_lines.csv").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_no_power_at_beta_0(self, tmp_path, capsys):
         # A source at 1300 nm gives the 1551 nm gratings a zero source weight;
         # only the OSA noise floor reaches the detector.
@@ -492,3 +513,44 @@ class TestNumericalExit3:
         err = capsys.readouterr().err
         assert "beta = 0 reference power" in err
         assert "Traceback" not in err
+
+
+def _numeric_leaves(node, path=()):
+    """(path, value) for every number in a JSON document, booleans aside."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _numeric_leaves(value, (*path, key))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, node
+
+
+def test_every_numeric_config_leaf_scaled(tmp_path, capsys):
+    # Each number in configs/bench.json, alone, times 1e160, 1e300 and 1e-300
+    # (the grid left at its defaults): the run exits 0 with a finite
+    # spectrum, or 2 or 3 with a message, never with a traceback.
+    bench = json.loads((CONFIGS / "bench.json").read_text())
+    out = tmp_path / "out"
+    failures = []
+    for path, value in _numeric_leaves(bench):
+        for factor in (1e160, 1e300, 1e-300):
+            doc = json.loads(json.dumps(bench))
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value * factor
+            cfg = write_config(tmp_path, doc)
+            (out / "spectrum.csv").unlink(missing_ok=True)
+            try:
+                code = exit_code(["dump-spectrum", "--config", cfg, "--stage", "filtered",
+                                  "--out", str(out)])
+            except Exception as exc:  # reported below with the leaf that raised it
+                code = f"{type(exc).__name__}: {exc}"
+            err = capsys.readouterr().err
+            where = ".".join(map(str, path)) + f" x{factor:g}"
+            if code not in (0, 2, 3) or "Traceback" in err:
+                failures.append(f"{where}: {code} {err.strip()}")
+            elif code == 0:
+                samples = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+                if not np.all(np.isfinite(samples)):
+                    failures.append(f"{where}: non-finite spectrum")
+    assert failures == []

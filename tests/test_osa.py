@@ -7,9 +7,16 @@ import pytest
 
 import wva_sense as w
 from wva_sense.errors import ConfigError, DetectionLimitedError
-from wva_sense.osa import rbw_kernel, snr_report
+from wva_sense.osa import measure_samples, rbw_kernel, snr_report
+from wva_sense.scenario import SweepKernel, scenario_field
 
 from conftest import bench_scenario
+
+
+def osa_trace(s, p, stream=0):
+    """The measured trace of spectrum s through the OSA model p on noise stream."""
+    kernel = rbw_kernel(p, w.UnitContext(), s.grid)
+    return w.Spectrum(grid=s.grid, samples=measure_samples(s.samples, kernel, p, stream))
 
 
 def gaussian(grid, center, b, amplitude=1.0):
@@ -21,15 +28,15 @@ class TestOsaTrace:
     def test_identity_when_off(self):
         g = w.make_grid(193.29, 2.0, 1001)
         s = gaussian(g, 193.29, 0.1)
-        out = w.osa_trace(s, w.OsaParams())
+        out = osa_trace(s, w.OsaParams())
         assert np.array_equal(out.samples, s.samples)
 
     def test_same_seed_bit_identical(self):
         g = w.make_grid(193.29, 2.0, 1001)
         s = gaussian(g, 193.29, 0.1)
         p = w.OsaParams(rbw_nm=0.02, noise_floor=0.01, rel_noise=0.02, seed=99)
-        a = w.osa_trace(s, p)
-        b = w.osa_trace(s, p)
+        a = osa_trace(s, p)
+        b = osa_trace(s, p)
         assert np.array_equal(a.samples, b.samples)
 
     def test_different_seeds_differ_almost_everywhere(self):
@@ -38,8 +45,8 @@ class TestOsaTrace:
         g = w.make_grid(193.29, 2.0, 1001)
         nu = g.frequencies()
         s = w.Spectrum(grid=g, samples=1.0 + np.exp(-((nu - 193.29) ** 2) / 0.1**2))
-        a = w.osa_trace(s, w.OsaParams(noise_floor=0.01, seed=1))
-        b = w.osa_trace(s, w.OsaParams(noise_floor=0.01, seed=2))
+        a = osa_trace(s, w.OsaParams(noise_floor=0.01, seed=1))
+        b = osa_trace(s, w.OsaParams(noise_floor=0.01, seed=2))
         frac = np.mean(a.samples != b.samples)
         assert frac >= 0.99
 
@@ -47,9 +54,9 @@ class TestOsaTrace:
         g = w.make_grid(193.29, 2.0, 1001)
         s = gaussian(g, 193.29, 0.1)
         p = w.OsaParams(noise_floor=0.01, seed=5)
-        a = w.osa_trace(s, p, stream=1)
-        b = w.osa_trace(s, p, stream=2)
-        again = w.osa_trace(s, p, stream=1)
+        a = osa_trace(s, p, stream=1)
+        b = osa_trace(s, p, stream=2)
+        again = osa_trace(s, p, stream=1)
         assert np.array_equal(a.samples, again.samples)
         assert not np.array_equal(a.samples, b.samples)
 
@@ -58,7 +65,7 @@ class TestOsaTrace:
         g = w.make_grid(193.29, 3.0, 12001)
         s = gaussian(g, 193.29, b)
         p = w.OsaParams(rbw_nm=0.1)  # ~12.5 GHz FWHM at 1551 nm
-        out = w.osa_trace(s, p)
+        out = osa_trace(s, p)
         assert w.total_power(out) == pytest.approx(w.total_power(s), rel=1e-9)
 
     def test_broad_kernel_preserves_symmetric_centroid(self):
@@ -66,7 +73,7 @@ class TestOsaTrace:
         g = w.make_grid(193.29, 3.0, 12001)
         s = gaussian(g, 193.29, b)
         p = w.OsaParams(rbw_nm=0.8)  # kernel ~10x wider than the feature
-        out = w.osa_trace(s, p)
+        out = osa_trace(s, p)
         assert abs(w.centroid(out) - 193.29) < g.spacing
 
     @pytest.mark.parametrize("reach,fits", [(49.5, True), (50.5, False)])
@@ -78,10 +85,10 @@ class TestOsaTrace:
         p = w.OsaParams(rbw_nm=abs(w.UnitContext().frequency_shift_to_nm(fwhm_thz)))
         s = gaussian(g, 193.29, 0.1)
         if fits:
-            assert w.osa_trace(s, p).samples.shape == (101,)
+            assert osa_trace(s, p).samples.shape == (101,)
         else:
             with pytest.raises(ConfigError, match="osa.rbw_nm: .* wider than the 101-point grid"):
-                w.osa_trace(s, p)
+                osa_trace(s, p)
 
     @pytest.mark.parametrize("rbw_nm,problem", [
         (1e6, "wider than"), (1e160, "wider than"), (1e300, "wider than"),
@@ -101,7 +108,7 @@ class TestOsaTrace:
     def test_clamped_at_zero(self):
         g = w.make_grid(193.29, 2.0, 2001)
         s = w.Spectrum(grid=g, samples=np.zeros(2001))
-        out = w.osa_trace(s, w.OsaParams(noise_floor=0.5, seed=3))
+        out = osa_trace(s, w.OsaParams(noise_floor=0.5, seed=3))
         assert np.all(out.samples >= 0)
         assert np.any(out.samples > 0)
 
@@ -145,16 +152,16 @@ class TestSnrEstimate:
         # peak ratio equals the total-power ratio exactly.
         osa = w.OsaParams(noise_floor=1e-9, seed=12)
         sc = bench_scenario(osa=osa)
-        from wva_sense.scenario import scenario_raw_spectrum, scenario_trace
+        kernel = SweepKernel(sc)
 
         snr_0 = snr_report(
-            float(np.max(scenario_trace(sc, beta_rad=0.0, stream=1).samples)), osa
+            float(np.max(kernel.measure(kernel.raw(0.0), 1))), osa
         ).snr_db
         snr_44 = snr_report(
-            float(np.max(scenario_trace(sc, beta_rad=math.radians(-44.0), stream=2).samples)), osa
+            float(np.max(kernel.measure(kernel.raw(math.radians(-44.0)), 2))), osa
         ).snr_db
-        p_0 = w.total_power(scenario_raw_spectrum(sc, beta_rad=0.0))
-        p_44 = w.total_power(scenario_raw_spectrum(sc, beta_rad=math.radians(-44.0)))
+        p_0 = w.total_power(w.post_select(scenario_field(sc), 0.0))
+        p_44 = w.total_power(w.post_select(scenario_field(sc), math.radians(-44.0)))
         attenuation_db = 10 * math.log10(p_44 / p_0)
         assert snr_44 - snr_0 == pytest.approx(attenuation_db, abs=0.1)
 

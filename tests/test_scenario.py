@@ -8,8 +8,9 @@ import wva_sense as w
 from wva_sense.errors import ConfigError, NoSignalError, SingularPostSelectionError
 from wva_sense.fbg import kappa_thz_per_c
 from wva_sense.scenario import (
+    SweepKernel,
     scenario_centers,
-    scenario_raw_spectrum,
+    scenario_field,
     sweep_temperature,
 )
 
@@ -78,7 +79,7 @@ class TestSweepBeta:
         osa = w.OsaParams(rbw_nm=0.01, noise_floor=1e-5, rel_noise=0.01, seed=5)
         sc = bench_scenario(g_target=0.99, t1_c=31.0, osa=osa)
         betas = [math.radians(b) for b in (-60.0, -40.0, -25.0, 0.0)]
-        ref = w.reference_centroid(sc)
+        ref = SweepKernel(sc).reference()
         sweep = w.sweep_beta(sc, betas)
         assert [b for b, _ in sweep] == betas
         for i, (beta, result) in enumerate(sweep):
@@ -145,14 +146,12 @@ class TestSideLobeHandling:
     def test_filter_center_ignores_side_lobe(self):
         # Under strong suppression the side lobe outshines the main lobe;
         # the windowed search must still center the filter on the main lobe.
-        from wva_sense.scenario import SweepKernel, scenario_trace
-
         sc = bench_scenario(beta_deg=-40.0, g_target=0.99, side_lobe1=self.SIDE,
                             t1_c=20.0 + 8.0)
-        trace = scenario_trace(sc)
-        nu = trace.grid.frequencies()
-        global_argmax = nu[int(np.argmax(trace.samples))]
-        center = SweepKernel(sc).filter.center(trace.samples)
+        kernel = SweepKernel(sc)
+        trace = kernel.measure(kernel.raw(sc.beta_rad), 1)
+        global_argmax = kernel.filter.nu[int(np.argmax(trace))]
+        center = kernel.filter.center(trace)
         assert abs(global_argmax - (NU_1551 - 0.37)) < 0.1  # side lobe wins globally
         assert abs(center - NU_1551) < 0.1  # windowed center stays on the main lobe
 
@@ -164,7 +163,7 @@ class TestScenarioValidation:
 
     def test_raw_spectrum_beta_zero_is_half_reflection(self):
         sc = bench_scenario()
-        raw = scenario_raw_spectrum(sc, beta_rad=0.0)
+        raw = w.post_select(scenario_field(sc), 0.0)
         s1 = w.reflect(sc.fbg1, sc.source.b_thz, sc.source.nu0_thz, NU_1551,
                        raw.grid)
         assert np.allclose(raw.samples, s1.samples / 2, rtol=1e-12, atol=1e-300)

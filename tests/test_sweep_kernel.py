@@ -1,9 +1,11 @@
 """The streamed sweep kernel against the public per-point functions.
 
-CLI sweep-beta rows and --dump-spectra files must be the bytes that
-simulate_interrogation and scenario_trace + apply_scenario_filter give on the
-same noise streams, and max_usable_amplification must pick what best_usable
-picks over per-point snr_report values.
+CLI sweep-beta rows must be the bytes that simulate_interrogation gives on
+the same noise streams; --dump-spectra and dump-spectrum files must be
+write_spectrum_csv of the kernel's raw, measured and filtered arrays on the
+documented streams; the kernel's single point must match the pipeline
+formulas written out independently; and max_usable_amplification must pick
+what best_usable picks over per-point snr_report values.
 """
 
 import json
@@ -27,17 +29,13 @@ from wva_sense.osa import (
 )
 from wva_sense.scenario import (
     SweepKernel,
-    apply_scenario_filter,
-    reference_centroid,
     scenario_centers,
     scenario_field,
-    scenario_raw_spectrum,
-    scenario_trace,
     simulate_interrogation,
     sweep_temperature,
 )
 from wva_sense.spectral import inclusive_range, total_power, write_spectrum_csv
-from wva_sense.wva import amplification_factor, overlap_gamma
+from wva_sense.wva import amplification_factor, overlap_gamma, post_select
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 STEP = 7.5  # 13 angles from -90 to 0, -45 among them
@@ -80,8 +78,8 @@ def _fmt(x):
 def _expected_rows(sc, betas_deg):
     """sweep_beta.csv rows from the per-point public functions, and the
     angles they skip."""
-    ref = reference_centroid(sc)
-    power_0 = total_power(scenario_raw_spectrum(sc, beta_rad=0.0))
+    ref = SweepKernel(sc).reference()
+    power_0 = total_power(post_select(scenario_field(sc), 0.0))
     rows, skipped = [], []
     for i, beta_deg in enumerate(betas_deg):
         point = replace(sc, beta_rad=math.radians(beta_deg))
@@ -122,13 +120,39 @@ def test_cli_sweep_beta_equals_per_point_functions(tmp_path, capsys, case):
     for beta_deg in skipped:
         assert f"skipping beta={beta_deg:.4g} deg" in err
 
+    kernel = SweepKernel(sc)
     for j, beta_deg in enumerate(DUMPS):
-        trace = scenario_trace(sc, beta_rad=math.radians(beta_deg),
-                               stream=len(betas_deg) + 1 + j)
+        trace = kernel.measure(kernel.raw(math.radians(beta_deg)), len(betas_deg) + 1 + j)
         expected = tmp_path / f"expected_{j}.csv"
-        write_spectrum_csv(apply_scenario_filter(sc, trace), expected)
+        write_spectrum_csv(kernel.spectrum(kernel.filtered(trace)), expected)
         dumped = run / f"spectrum_beta_{beta_deg:+.2f}.csv"
         assert dumped.read_bytes() == expected.read_bytes()
+
+
+# The arrays dump-spectrum writes at each stage, from the kernel on stream 1.
+STAGES = {
+    "raw": lambda k, beta: k.raw(beta),
+    "osa": lambda k, beta: k.measure(k.raw(beta), 1),
+    "filtered": lambda k, beta: k.filtered(k.measure(k.raw(beta), 1)),
+}
+
+
+@pytest.mark.parametrize("stage", list(STAGES))
+@pytest.mark.parametrize("case", ["bench", "no_osa", "no_filter"])
+def test_cli_dump_spectrum_equals_kernel_arrays(tmp_path, case, stage):
+    doc, dt = CASES[case]
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(doc))
+    run = tmp_path / "run"
+    assert main(["dump-spectrum", "--config", str(cfg), "--beta", "-40", "--dt", str(dt),
+                 "--stage", stage, "--out", str(run)]) == 0
+
+    sc = load_scenario(cfg).scenario
+    sc = replace(sc, t1_c=sc.t2_c + dt, beta_rad=math.radians(-40.0))
+    kernel = SweepKernel(sc)
+    expected = tmp_path / "expected.csv"
+    write_spectrum_csv(kernel.spectrum(STAGES[stage](kernel, sc.beta_rad)), expected)
+    assert (run / "spectrum.csv").read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("osa", [
@@ -140,6 +164,7 @@ def test_max_usable_equals_best_usable_over_per_point_snr(osa):
     sc = replace(load_scenario(CONFIGS / "bench.json").scenario, t1_c=31.0, osa=osa)
     c1, c2 = scenario_centers(sc)
     gamma = overlap_gamma((c1 - c2) / 2, (sc.fbg1.bandwidth_b_thz + sc.fbg2.bandwidth_b_thz) / 2)
+    kernel = SweepKernel(sc)
     points = []
     for i, beta_deg in enumerate(inclusive_range(-89.0, 0.0, 1.0)):
         point = replace(sc, beta_rad=math.radians(beta_deg))
@@ -147,9 +172,9 @@ def test_max_usable_equals_best_usable_over_per_point_snr(osa):
             a = amplification_factor(point.beta_rad, gamma, point.delta_rad)
         except SingularPostSelectionError:
             continue
-        trace = scenario_trace(point, stream=i + 1)
+        trace = kernel.measure(kernel.raw(point.beta_rad), i + 1)
         points.append((point.beta_rad, a,
-                       snr_report(float(np.max(trace.samples)), osa or OsaParams()).snr_db))
+                       snr_report(float(np.max(trace)), osa or OsaParams()).snr_db))
     expected = UsableAmplification(*best_usable(points, 20.0))
     assert max_usable_amplification(sc, 20.0, -89.0, 0.0, 1.0) == expected
 
