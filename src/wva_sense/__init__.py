@@ -40,7 +40,6 @@ from .scenario import (
     Scenario,
     SourceParams,
     SweepKernel,
-    SweepPoint,
     scenario_grid,
     simulate_interrogation,
     sweep_beta,

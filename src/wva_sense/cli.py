@@ -34,9 +34,10 @@ from .errors import (
     WvaSenseError,
 )
 from .fbg import centroid_shift_model, fit_sensitivity
-from .osa import best_usable, snr_report
+from .osa import best_usable
 from .scenario import Scenario, SweepKernel, temperature_points
-from .spectral import inclusive_range, read_csv_rows, trapezoid_power, write_rows, write_spectrum_csv
+from .spectral import (Spectrum, inclusive_range, read_csv_rows, trapezoid_power, write_rows,
+                       write_spectrum_csv)
 from .wva import amplification_factor
 
 
@@ -67,15 +68,30 @@ def _angle(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_float_list(text: str, name: str, parse=_finite) -> list[float]:
-    """Accept 'a,b,c' or 'start:stop:step' (inclusive of stop within 1e-9)."""
+    """Accept 'a,b,c' or 'start:stop:step' (inclusive of stop within 1e-9);
+    at least one value."""
     try:
         if ":" in text:
             parts = text.split(":")
             if len(parts) != 3:
                 raise ValueError("range spec needs start:stop:step")
             return inclusive_range(parse(parts[0]), parse(parts[1]), _finite(parts[2]))
-        return [parse(p) for p in text.split(",") if p.strip() != ""]
+        values = [parse(p) for p in text.split(",") if p.strip() != ""]
+        if not values:
+            raise ValueError(f"expected at least one value, got {text!r}")
+        return values
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"--{name}: {exc}") from None
 
@@ -128,15 +144,14 @@ def run_sweep_beta(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str
                             "no signal reaches the detector at beta = 0")
     rows = []
     for beta_deg, (_, point) in zip(
-        betas_deg, kernel.rows([math.radians(b) for b in betas_deg])
+        betas_deg, kernel.rows([math.radians(b) for b in betas_deg], ref)
     ):
         if point is None:
             print(f"skipping beta={beta_deg:.4g} deg: no signal at this angle",
                   file=sys.stderr)
             continue
-        snr_db = math.inf if sc.osa is None else snr_report(point.peak, sc.osa).snr_db
-        shift_nm = sc.units.frequency_shift_to_nm(point.centroid_thz - ref)
-        rows.append((beta_deg, shift_nm, point.a, point.raw_power / power_0, snr_db))
+        rows.append((beta_deg, point.centroid_nm_shift, point.a_effective,
+                     point.raw_power / power_0, point.snr_db))
 
     footer = []
     if resolved["snr_min_db"] is not None:
@@ -152,7 +167,7 @@ def run_sweep_beta(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str
 
     for j, (name, beta_deg) in enumerate(dumps.items()):
         trace = kernel.measure(kernel.raw(math.radians(beta_deg)), len(betas_deg) + 1 + j)
-        write_spectrum_csv(kernel.spectrum(kernel.filtered(trace)), out_dir / name)
+        write_spectrum_csv(Spectrum(kernel.grid, kernel.filtered(trace)), out_dir / name)
         outputs[name] = _sha256(out_dir / name)
 
     print(f"sweep-beta: {len(rows)} points -> {csv_path}")
@@ -264,7 +279,7 @@ def run_dump_spectrum(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, 
     if stage == "filtered":
         samples = kernel.filtered(samples)
     csv_path = out_dir / "spectrum.csv"
-    write_spectrum_csv(kernel.spectrum(samples), csv_path)
+    write_spectrum_csv(Spectrum(kernel.grid, samples), csv_path)
     print(f"dump-spectrum: {stage} spectrum -> {csv_path}")
     return {csv_path.name: _sha256(csv_path)}
 
@@ -300,11 +315,21 @@ def _execute(command: str, resolved: dict, out_dir: Path, seed: Optional[int],
 
 
 def replay_manifest(manifest_path, out_dir) -> dict:
-    """Re-run a recorded command; outputs are byte-identical to the original."""
-    with open(manifest_path) as f:
-        manifest = json.load(f)
-    command = manifest["command"]
-    if command not in _RUNNERS:
+    """Re-run a recorded command; outputs are byte-identical to the original.
+
+    A manifest that cannot be read, is not JSON, or is not an object with
+    `command` and `resolved` raises ConfigError naming its path.
+    """
+    try:
+        with open(manifest_path) as f:
+            manifest = json.load(f)
+    except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{manifest_path}: cannot read manifest: {exc}") from None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("resolved"), dict)):
+        raise ConfigError(f"{manifest_path}: a manifest is a JSON object with a "
+                          "'resolved' object")
+    command = manifest.get("command")
+    if not (isinstance(command, str) and command in _RUNNERS):
         raise ConfigError(f"{manifest_path}: unknown command {command!r}")
     resolved = manifest["resolved"]
     sc = parse_scenario(resolved["config"]).scenario if "config" in resolved else None
@@ -330,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if config_required:
             sp.add_argument("--config", required=True, help="scenario JSON file")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
+        sp.add_argument("--seed", type=_seed, default=None,
                         help="override the OSA noise seed")
 
     sp = sub.add_parser("sweep-beta", help="centroid shift vs post-selection angle")
@@ -414,7 +439,8 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, Optional[Scenario]]:
             "beta_max_deg": hi,
             "step_deg": step,
             "dt_c": args.dt,
-            "dump_spectra_deg": _parse_float_list(args.dump_spectra, "dump-spectra", _angle),
+            "dump_spectra_deg": (_parse_float_list(args.dump_spectra, "dump-spectra", _angle)
+                                 if args.dump_spectra else []),
             "snr_min_db": args.snr_min,
         }, loaded.scenario
     if args.command == "sweep-temp":

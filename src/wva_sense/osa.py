@@ -177,7 +177,6 @@ def max_usable_amplification(
         raise ValueError("invalid beta sweep range")
     betas = [math.radians(b) for b in inclusive_range(beta_min_deg, beta_max_deg, step_deg)]
     kernel = SweepKernel(sc)
-    osa = sc.osa or OsaParams()
 
     def usable() -> Iterator[tuple[float, float, float]]:
         for i, beta in enumerate(betas):
@@ -185,7 +184,7 @@ def max_usable_amplification(
                 a = kernel.amplification(beta)
             except SingularPostSelectionError:
                 continue
-            yield beta, a, snr_report(kernel.peak(beta, i + 1), osa).snr_db
+            yield beta, a, kernel.snr_db(kernel.peak(beta, i + 1))
 
     beta, a, snr = best_usable(usable(), snr_min_db)
     return UsableAmplification(beta_rad=beta, a=a, snr_db=snr)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, NoSignalError, SingularPostSelectionError
 from .fbg import FbgParams, bragg_center, check_width, reflect
-from .osa import OsaParams, measure_samples, rbw_kernel
+from .osa import OsaParams, measure_samples, rbw_kernel, snr_report
 from .spectral import (
     MAX_RANGE_POINTS,
     FrequencyGrid,
@@ -198,104 +198,79 @@ def _refine_peak(nu: np.ndarray, y: np.ndarray, i: int, spacing: float) -> float
 
 
 @dataclass(frozen=True)
-class _FilterPlan:
-    """The scenario filter on one grid: frequencies, the nodes searched for
-    the main-lobe peak, half-width and order."""
-
-    nu: np.ndarray
-    spacing: float
-    window: slice
-    half_width: float
-    order: int
-
-    def center(self, samples: np.ndarray) -> float:
-        """Main-lobe peak: the argmax within the window, so a residual side
-        lobe cannot capture the filter at strongly attenuating angles, refined
-        by log-parabolic interpolation against grid-quantization bias."""
-        i = self.window.start + int(np.argmax(samples[self.window]))
-        return _refine_peak(self.nu, samples, i, self.spacing)
-
-    def apply(self, samples: np.ndarray) -> np.ndarray:
-        gain = super_gaussian_gain(self.nu, self.center(samples), self.half_width, self.order)
-        return samples * gain
-
-
-def _filter_plan(sc: Scenario, grid: FrequencyGrid) -> _FilterPlan:
-    """Search window: the predicted Bragg centers widened by the wider
-    grating's bandwidth, or the whole grid if no node falls inside.
-    Half-width: half_width_thz, or half_width_factor times that bandwidth."""
-    nu = grid.frequencies()
-    c1, c2 = scenario_centers(sc)
-    w = max(sc.fbg1.bandwidth_b_thz, sc.fbg2.bandwidth_b_thz)
-    # nu ascends, so the nodes inside the window are contiguous.
-    inside = np.flatnonzero((nu >= min(c1, c2) - w) & (nu <= max(c1, c2) + w))
-    window = slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, nu.size)
-    half_width = sc.filter.half_width_thz
-    if half_width is None:
-        half_width = sc.filter.half_width_factor * w
-    # The gain raises |nu - center| / half_width, at most span / half_width,
-    # to the order.
-    try:
-        reach = (grid.span / half_width) ** sc.filter.order
-    except OverflowError:
-        reach = math.inf
-    if not math.isfinite(reach):
-        raise ConfigError(f"filter: a half-width of {half_width!r} THz overflows the "
-                          f"order-{sc.filter.order} gain on a {grid.span:.9g} THz grid")
-    return _FilterPlan(nu, grid.spacing, window, half_width, sc.filter.order)
-
-
-@dataclass(frozen=True)
 class InterrogationResult:
-    """One measurement: spectra, referenced shift and effective amplification.
+    """One measurement on bare arrays on the kernel's grid.
 
-    `raw` is the measured trace before filtering; `raw_power` is the total
-    power of the ideal post-selected spectrum, before the OSA.
+    `trace` is the measured trace before the filter and `filtered_trace` the
+    trace after it; `raw` and `filtered` are their Spectrum views, built
+    when read. `raw_power` is the total power of the ideal post-selected
+    spectrum, before the OSA, and `snr_db` the peak SNR of the trace (+inf
+    without an OSA). The centroid shift is referenced to `reference_thz`.
     """
 
-    raw: Spectrum
+    grid: FrequencyGrid = field(repr=False)
+    beta_rad: float
+    trace: np.ndarray = field(repr=False)
+    filtered_trace: np.ndarray = field(repr=False)
     raw_power: float
-    filtered: Spectrum
+    snr_db: float
     centroid_thz: float
     centroid_nm_shift: float
     reference_thz: float
-    reference_nm: float
     a_effective: float
 
+    @property
+    def raw(self) -> Spectrum:
+        return Spectrum(self.grid, self.trace)
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One measurement on bare arrays: the measured trace before the filter,
-    the filtered samples, the trace's peak sample, the total power of the
-    ideal post-selected spectrum, the filtered centroid (THz) and A."""
+    @property
+    def filtered(self) -> Spectrum:
+        return Spectrum(self.grid, self.filtered_trace)
 
-    beta_rad: float
-    trace: np.ndarray = field(repr=False)
-    filtered: np.ndarray = field(repr=False)
-    peak: float
-    raw_power: float
-    centroid_thz: float
-    a: float
+    @property
+    def reference_nm(self) -> float:
+        return frequency_to_wavelength(self.reference_thz)
 
 
 class SweepKernel:
     """A scenario's measurement with every beta-independent part built once.
 
-    The two-arm field, grid frequencies, RBW kernel, filter window and
-    half-width and the overlap gamma are computed here; each angle then runs
-    on bare arrays (post-select, OSA, filter, centroid, A) and builds no
-    Spectrum. Angle i of a sweep draws OSA noise stream i+1 and the
-    reference draws stream 0, so every point equals the single-point
-    pipeline on the same stream.
+    The two-arm field, grid frequencies, RBW kernel, overlap gamma and the
+    filter's search window and half-width are computed here; each angle then
+    runs on bare arrays (post-select, OSA, filter, centroid, A). Angle i of
+    a sweep draws OSA noise stream i+1 and the reference draws stream 0, so
+    every point equals the single-point pipeline on the same stream.
+
+    Filter search window: the predicted Bragg centers widened by the wider
+    grating's bandwidth, or the whole grid if no node falls inside.
+    Half-width: half_width_thz, or half_width_factor times that bandwidth.
     """
 
     def __init__(self, sc: Scenario) -> None:
         self.sc = sc
         self.field = scenario_field(sc)
-        self.grid = self.field.grid
-        self.filter = _filter_plan(sc, self.grid)
-        self.rbw = None if sc.osa is None else rbw_kernel(sc.osa, sc.units, self.grid)
+        self.grid = grid = self.field.grid
+        self.nu = grid.frequencies()
         c1, c2 = scenario_centers(sc)
+        w = max(sc.fbg1.bandwidth_b_thz, sc.fbg2.bandwidth_b_thz)
+        # nu ascends, so the nodes inside the window are contiguous.
+        inside = np.flatnonzero((self.nu >= min(c1, c2) - w) & (self.nu <= max(c1, c2) + w))
+        self.window = (slice(int(inside[0]), int(inside[-1]) + 1) if inside.size
+                       else slice(0, self.nu.size))
+        half_width = sc.filter.half_width_thz
+        if half_width is None:
+            half_width = sc.filter.half_width_factor * w
+        # The gain raises |nu - center| / half_width, at most span / half_width,
+        # to the order.
+        try:
+            reach = (grid.span / half_width) ** sc.filter.order
+        except OverflowError:
+            reach = math.inf
+        if not math.isfinite(reach):
+            raise ConfigError(f"filter: a half-width of {half_width!r} THz overflows the "
+                              f"order-{sc.filter.order} gain on a {grid.span:.9g} THz grid")
+        self.half_width = half_width
+        self.rbw = None if sc.osa is None else rbw_kernel(sc.osa, sc.units, grid)
         b_eff = (sc.fbg1.bandwidth_b_thz + sc.fbg2.bandwidth_b_thz) / 2
         self.gamma = overlap_gamma((c1 - c2) / 2, b_eff)
 
@@ -309,14 +284,29 @@ class SweepKernel:
             return raw
         return measure_samples(raw, self.rbw, self.sc.osa, stream)
 
+    def filter_center(self, samples: np.ndarray) -> float:
+        """Main-lobe peak: the argmax within the window, so a residual side
+        lobe cannot capture the filter at strongly attenuating angles, refined
+        by log-parabolic interpolation against grid-quantization bias."""
+        i = self.window.start + int(np.argmax(samples[self.window]))
+        return _refine_peak(self.nu, samples, i, self.grid.spacing)
+
     def filtered(self, trace: np.ndarray) -> np.ndarray:
-        return self.filter.apply(trace) if self.sc.filter.enabled else trace
+        if not self.sc.filter.enabled:
+            return trace
+        center = self.filter_center(trace)
+        return trace * super_gaussian_gain(self.nu, center, self.half_width, self.sc.filter.order)
 
     def centroid(self, samples: np.ndarray) -> float:
-        return power_centroid(self.filter.nu, samples, self.grid.spacing)
+        return power_centroid(self.nu, samples, self.grid.spacing)
 
     def amplification(self, beta_rad: float) -> float:
         return amplification_factor(beta_rad, self.gamma, self.sc.delta_rad)
+
+    def snr_db(self, peak: float) -> float:
+        """Peak SNR (dB) of a measured trace whose largest sample is `peak`;
+        +inf without an OSA, as with a noise-free one."""
+        return math.inf if self.sc.osa is None else snr_report(peak, self.sc.osa).snr_db
 
     def peak(self, beta_rad: float, stream: int) -> float:
         """Largest sample of the measured trace at beta_rad."""
@@ -326,51 +316,36 @@ class SweepKernel:
         """Filtered centroid (THz) at beta = -90 deg on noise stream 0."""
         return self.centroid(self.filtered(self.measure(self.raw(REFERENCE_BETA_RAD), 0)))
 
-    def point(self, beta_rad: float, stream: int) -> SweepPoint:
-        """The full measurement at beta_rad; raises NoSignalError or
+    def point(self, beta_rad: float, stream: int, reference_thz: float) -> InterrogationResult:
+        """The full measurement at beta_rad on noise `stream`, its shift
+        referenced to `reference_thz`; raises NoSignalError or
         SingularPostSelectionError."""
         raw = self.raw(beta_rad)
         trace = self.measure(raw, stream)
         filtered = self.filtered(trace)
-        return SweepPoint(
-            beta_rad=beta_rad,
-            trace=trace,
-            filtered=filtered,
-            peak=float(np.max(trace)),
+        centroid_thz = self.centroid(filtered)
+        return InterrogationResult(
+            self.grid, beta_rad, trace, filtered,
             raw_power=trapezoid_power(raw, self.grid.spacing),
-            centroid_thz=self.centroid(filtered),
-            a=self.amplification(beta_rad),
+            snr_db=self.snr_db(float(np.max(trace))),
+            centroid_thz=centroid_thz,
+            centroid_nm_shift=self.sc.units.frequency_shift_to_nm(centroid_thz - reference_thz),
+            reference_thz=reference_thz,
+            a_effective=self.amplification(beta_rad),
         )
 
     def rows(
-        self, beta_rad_list: Sequence[float]
-    ) -> Iterator[tuple[float, Optional[SweepPoint]]]:
+        self, beta_rad_list: Sequence[float], reference_thz: float
+    ) -> Iterator[tuple[float, Optional[InterrogationResult]]]:
         """(beta, point) per angle, one at a time, on noise stream i+1; the
         point is None where the angle has no signal or is singular."""
         for i, beta in enumerate(beta_rad_list):
             beta = float(beta)
             try:
-                point = self.point(beta, i + 1)
+                point = self.point(beta, i + 1, reference_thz)
             except (NoSignalError, SingularPostSelectionError):
                 point = None
             yield beta, point
-
-    def spectrum(self, samples: np.ndarray) -> Spectrum:
-        return Spectrum(grid=self.grid, samples=samples)
-
-    def interrogation(self, point: SweepPoint, reference_thz: float) -> InterrogationResult:
-        return InterrogationResult(
-            raw=self.spectrum(point.trace),
-            raw_power=point.raw_power,
-            filtered=self.spectrum(point.filtered),
-            centroid_thz=point.centroid_thz,
-            centroid_nm_shift=self.sc.units.frequency_shift_to_nm(
-                point.centroid_thz - reference_thz
-            ),
-            reference_thz=reference_thz,
-            reference_nm=frequency_to_wavelength(reference_thz),
-            a_effective=point.a,
-        )
 
 
 def simulate_interrogation(
@@ -386,9 +361,8 @@ def simulate_interrogation(
     supplied). Propagates no-signal and singular-post-selection errors.
     """
     kernel = SweepKernel(sc)
-    if reference_thz is None:
-        reference_thz = kernel.reference()
-    return kernel.interrogation(kernel.point(sc.beta_rad, stream), reference_thz)
+    ref = kernel.reference() if reference_thz is None else reference_thz
+    return kernel.point(sc.beta_rad, stream, ref)
 
 
 def temperature_points(
@@ -420,8 +394,4 @@ def sweep_beta(
     None rather than aborting the sweep.
     """
     kernel = SweepKernel(sc)
-    ref = kernel.reference()
-    return [
-        (beta, None if point is None else kernel.interrogation(point, ref))
-        for beta, point in kernel.rows(beta_rad_list)
-    ]
+    return list(kernel.rows(beta_rad_list, kernel.reference()))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from wva_sense.cli import main, parse_calibration_csv, replay_manifest
 from wva_sense.config import load_scenario
+from wva_sense.errors import ConfigError
 from wva_sense.fbg import fit_sensitivity
 from wva_sense.osa import max_usable_amplification
 
@@ -348,6 +350,24 @@ class TestManifestReplay:
         ).read_bytes()
 
 
+class TestReplayManifestErrors:
+    @pytest.mark.parametrize("content", [
+        None,  # no file
+        "{not json",
+        "[1, 2]",
+        json.dumps({"resolved": {}}),
+        json.dumps({"command": "amax-curve"}),
+        json.dumps({"command": ["amax-curve"], "resolved": {}}),
+    ])
+    def test_bad_manifest_names_path(self, tmp_path, content):
+        path = tmp_path / "manifest.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            replay_manifest(path, tmp_path / "replay")
+        assert not (tmp_path / "replay").exists()
+
+
 class TestConfigErrors:
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         doc = base_doc()
@@ -401,6 +421,14 @@ class TestBadInputsExit2:
         # Both angles round to spectrum_beta_-40.00.csv.
         (["sweep-beta", *SWEEP, "--dump-spectra=-40,-40.001"],
          "--dump-spectra: angles -40 and -40.001 both write spectrum_beta_-40.00.csv"),
+        # A list flag needs at least one value.
+        (["amax-curve", "--g", ","], "--g: expected at least one value"),
+        (["theory-lines", "--a", " ", "--kappa", "0.009"], "--a: expected at least one value"),
+        (["theory-lines", "--a", "1", "--dt", ",", "--kappa", "0.009"],
+         "--dt: expected at least one value"),
+        (["sweep-temp", "--dt", ","], "--dt: expected at least one value"),
+        (["sweep-beta", *SWEEP, "--dump-spectra=,"], "--dump-spectra: expected at least one"),
+        (["dump-spectrum", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
     ])
     def test_flag_named(self, tmp_path, capsys, argv, named):
         if argv[0] in ("dump-spectrum", "sweep-temp", "sweep-beta"):

@@ -150,8 +150,8 @@ class TestSideLobeHandling:
                             t1_c=20.0 + 8.0)
         kernel = SweepKernel(sc)
         trace = kernel.measure(kernel.raw(sc.beta_rad), 1)
-        global_argmax = kernel.filter.nu[int(np.argmax(trace))]
-        center = kernel.filter.center(trace)
+        global_argmax = kernel.nu[int(np.argmax(trace))]
+        center = kernel.filter_center(trace)
         assert abs(global_argmax - (NU_1551 - 0.37)) < 0.1  # side lobe wins globally
         assert abs(center - NU_1551) < 0.1  # windowed center stays on the main lobe
 

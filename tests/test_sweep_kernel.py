@@ -34,7 +34,7 @@ from wva_sense.scenario import (
     simulate_interrogation,
     sweep_temperature,
 )
-from wva_sense.spectral import inclusive_range, total_power, write_spectrum_csv
+from wva_sense.spectral import Spectrum, inclusive_range, total_power, write_spectrum_csv
 from wva_sense.wva import amplification_factor, overlap_gamma, post_select
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -124,7 +124,7 @@ def test_cli_sweep_beta_equals_per_point_functions(tmp_path, capsys, case):
     for j, beta_deg in enumerate(DUMPS):
         trace = kernel.measure(kernel.raw(math.radians(beta_deg)), len(betas_deg) + 1 + j)
         expected = tmp_path / f"expected_{j}.csv"
-        write_spectrum_csv(kernel.spectrum(kernel.filtered(trace)), expected)
+        write_spectrum_csv(Spectrum(kernel.grid, kernel.filtered(trace)), expected)
         dumped = run / f"spectrum_beta_{beta_deg:+.2f}.csv"
         assert dumped.read_bytes() == expected.read_bytes()
 
@@ -151,7 +151,7 @@ def test_cli_dump_spectrum_equals_kernel_arrays(tmp_path, case, stage):
     sc = replace(sc, t1_c=sc.t2_c + dt, beta_rad=math.radians(-40.0))
     kernel = SweepKernel(sc)
     expected = tmp_path / "expected.csv"
-    write_spectrum_csv(kernel.spectrum(STAGES[stage](kernel, sc.beta_rad)), expected)
+    write_spectrum_csv(Spectrum(kernel.grid, STAGES[stage](kernel, sc.beta_rad)), expected)
     assert (run / "spectrum.csv").read_bytes() == expected.read_bytes()
 
 
@@ -215,9 +215,10 @@ def test_point_matches_the_pipeline_formulas():
     centroid = float(np.trapezoid(nu * filtered, dx=g.spacing)) / float(
         np.trapezoid(filtered, dx=g.spacing))
 
-    point = SweepKernel(sc).point(beta, stream)
+    kernel = SweepKernel(sc)
+    point = kernel.point(beta, stream, kernel.reference())
     assert np.array_equal(point.trace, trace)
-    assert np.array_equal(point.filtered, filtered)
+    assert np.array_equal(point.filtered_trace, filtered)
     assert point.centroid_thz == centroid
     assert point.raw_power == float(np.trapezoid(raw, dx=g.spacing))
 
