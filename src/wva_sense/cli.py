@@ -294,6 +294,61 @@ _RUNNERS: dict[str, Callable[[dict, Path, Optional[Scenario]], dict[str, str]]] 
 }
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(map(_is_number, value))
+
+
+# What each runner reads from `resolved`: key -> (what it must be, check).
+_NUMBER = ("a finite number", _is_number)
+_NUMBER_OR_NULL = ("null or a finite number", lambda v: v is None or _is_number(v))
+_NUMBERS = ("a non-empty list of finite numbers", _is_number_list)
+_CONFIG = ("a config object", lambda v: isinstance(v, dict))
+_RESOLVED: dict[str, dict[str, tuple[str, Callable[[object], bool]]]] = {
+    "sweep-beta": {
+        "config": _CONFIG, "beta_min_deg": _NUMBER, "beta_max_deg": _NUMBER,
+        "step_deg": _NUMBER, "dt_c": _NUMBER_OR_NULL, "snr_min_db": _NUMBER_OR_NULL,
+        "dump_spectra_deg": ("a list of finite numbers",
+                             lambda v: v == [] or _is_number_list(v)),
+    },
+    "sweep-temp": {"config": _CONFIG, "dt_list_c": _NUMBERS, "beta_deg": _NUMBER_OR_NULL},
+    "amax-curve": {"g_list": _NUMBERS, "beta_min_deg": _NUMBER, "beta_max_deg": _NUMBER,
+                   "step_deg": _NUMBER},
+    "theory-lines": {"a_list": _NUMBERS, "dt_list_c": _NUMBERS, "kappa_nm_per_c": _NUMBER},
+    "calibrate": {
+        "input": ("a string", lambda v: isinstance(v, str)),
+        "points": ("a non-empty list of [dt_c, centroid_shift_nm] number pairs",
+                   lambda v: isinstance(v, list) and bool(v) and all(
+                       isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))
+                       for p in v)),
+    },
+    "dump-spectrum": {"config": _CONFIG, "beta_deg": _NUMBER_OR_NULL, "dt_c": _NUMBER_OR_NULL,
+                      "stage": ("one of 'raw', 'osa', 'filtered'",
+                                lambda v: v in ("raw", "osa", "filtered"))},
+}
+
+
+def _check_resolved(manifest_path, command: str, resolved: dict) -> None:
+    """ConfigError naming the manifest and resolved.<key> for the first key
+    the command's runner reads that is missing or of the wrong type."""
+    for key, (expected, ok) in _RESOLVED[command].items():
+        if key not in resolved:
+            raise ConfigError(f"{manifest_path}: resolved.{key}: missing, "
+                              f"{command} needs {expected}")
+        if not ok(resolved[key]):
+            raise ConfigError(f"{manifest_path}: resolved.{key}: expected {expected}, "
+                              f"got {resolved[key]!r:.80}")
+
+
 def _execute(command: str, resolved: dict, out_dir: Path, seed: Optional[int],
              sc: Optional[Scenario]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -317,8 +372,9 @@ def _execute(command: str, resolved: dict, out_dir: Path, seed: Optional[int],
 def replay_manifest(manifest_path, out_dir) -> dict:
     """Re-run a recorded command; outputs are byte-identical to the original.
 
-    A manifest that cannot be read, is not JSON, or is not an object with
-    `command` and `resolved` raises ConfigError naming its path.
+    A manifest that cannot be read, is not JSON, is not an object with
+    `command` and `resolved`, or whose `resolved` lacks a key the command
+    reads or holds it with the wrong type raises ConfigError naming its path.
     """
     try:
         with open(manifest_path) as f:
@@ -332,6 +388,7 @@ def replay_manifest(manifest_path, out_dir) -> dict:
     if not (isinstance(command, str) and command in _RUNNERS):
         raise ConfigError(f"{manifest_path}: unknown command {command!r}")
     resolved = manifest["resolved"]
+    _check_resolved(manifest_path, command, resolved)
     sc = parse_scenario(resolved["config"]).scenario if "config" in resolved else None
     _execute(command, resolved, Path(out_dir), manifest.get("seed"), sc)
     return manifest

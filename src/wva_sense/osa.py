@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -129,15 +129,20 @@ class UsableAmplification:
     snr_db: float
 
 
+def same_magnitude(a: float, b: float) -> bool:
+    """True when |a| and |b| agree to 1e-9 relative: the two sweep branches
+    carry equal |A| at their optima up to float jitter."""
+    return abs(abs(a) - abs(b)) <= 1e-9 * max(abs(a), abs(b))
+
+
 def best_usable(
     points: Iterable[tuple[float, float, float]], snr_min_db: float
 ) -> tuple[float, float, float]:
     """The largest-|A| (beta, a, snr_db) point with snr_db >= snr_min_db.
 
-    The two sweep branches carry equal |A| at their optima up to float
-    jitter, so |A| values within 1e-9 relative tie and resolve toward the
-    larger signed A (the branch closer to beta = 0); the earlier point wins
-    exact ties. Raises DetectionLimitedError when no point clears the floor.
+    Points of the same_magnitude resolve toward the larger signed A (the
+    branch closer to beta = 0); the earlier point wins exact ties. Raises
+    DetectionLimitedError when no point clears the floor.
     """
     best = None
     for point in points:
@@ -146,8 +151,7 @@ def best_usable(
             continue
         if best is not None:
             best_a = best[1]
-            tie = abs(abs(a) - abs(best_a)) <= 1e-9 * max(abs(a), abs(best_a))
-            if not (a > best_a if tie else abs(a) > abs(best_a)):
+            if not (a > best_a if same_magnitude(a, best_a) else abs(a) > abs(best_a)):
                 continue
         best = point
     if best is None:
@@ -162,12 +166,29 @@ def max_usable_amplification(
     beta_max_deg: float = 0.0,
     step_deg: float = 0.05,
 ) -> UsableAmplification:
-    """Sweep beta, keep points with SNR >= snr_min_db, return the largest |A|.
+    """The best_usable point of a beta sweep, measuring as few angles as it can.
 
-    One SweepKernel serves the whole sweep; angle i draws OSA noise stream
-    i+1, so the result is deterministic given the scenario's seed. Only
-    (beta, A, snr_db) is kept per angle. Ties follow best_usable. Raises
-    DetectionLimitedError when no angle clears the floor.
+    A(beta) is closed-form, so it is computed at every angle first (singular
+    angles are skipped). The angles are then visited in descending |A|, and
+    the peak SNR is measured only while the next angle could still win: the
+    search stops at the first angle whose |A| does not have the
+    same_magnitude as the smallest usable |A| found so far (it is below it,
+    by the visit order). best_usable then scans the measured points in sweep
+    order. The cost is one measurement per angle from the largest |A| down
+    to the answer's tie band, plus the closed-form A at every angle.
+
+    This equals best_usable over every angle. A skipped angle's |A| is below
+    the smallest usable |A| measured and further from it than the tie
+    tolerance, so also from every larger one: each usable point measured
+    beats the skipped angle and the skipped angle beats none of them. In the
+    full scan it can therefore be the best only before the first measured
+    usable point, which replaces it; from there on the two scans make the
+    same choices. One SweepKernel serves the search and angle i draws OSA
+    noise stream i+1 from its sweep index, so every SNR measured is the full
+    scan's value, bit for bit.
+
+    When no angle clears the floor every angle is measured, as in a full
+    scan, and DetectionLimitedError is raised.
     """
     from .scenario import SweepKernel
 
@@ -177,14 +198,22 @@ def max_usable_amplification(
         raise ValueError("invalid beta sweep range")
     betas = [math.radians(b) for b in inclusive_range(beta_min_deg, beta_max_deg, step_deg)]
     kernel = SweepKernel(sc)
-
-    def usable() -> Iterator[tuple[float, float, float]]:
-        for i, beta in enumerate(betas):
-            try:
-                a = kernel.amplification(beta)
-            except SingularPostSelectionError:
-                continue
-            yield beta, a, kernel.snr_db(kernel.peak(beta, i + 1))
-
-    beta, a, snr = best_usable(usable(), snr_min_db)
+    candidates = []
+    for i, beta in enumerate(betas):
+        try:
+            candidates.append((i, beta, kernel.amplification(beta)))
+        except SingularPostSelectionError:
+            continue
+    candidates.sort(key=lambda c: -abs(c[2]))  # stable: sweep order within equal |A|
+    measured, smallest = [], None  # smallest: the last usable A, the least |A| so far
+    for i, beta, a in candidates:
+        if smallest is not None and not same_magnitude(a, smallest):
+            break  # |A| has fallen below the smallest usable |A| and the tie band
+        snr = kernel.snr_db(kernel.peak(beta, i + 1))
+        measured.append((i, beta, a, snr))
+        if snr < snr_min_db:
+            continue
+        smallest = a
+    measured.sort()
+    beta, a, snr = best_usable(((beta, a, snr) for _, beta, a, snr in measured), snr_min_db)
     return UsableAmplification(beta_rad=beta, a=a, snr_db=snr)

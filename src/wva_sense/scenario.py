@@ -26,6 +26,7 @@ from .spectral import (
     frequency_to_wavelength,
     make_grid,
     power_centroid,
+    records_equal,
     super_gaussian_gain,
     trapezoid_power,
 )
@@ -218,6 +219,8 @@ class InterrogationResult:
     centroid_nm_shift: float
     reference_thz: float
     a_effective: float
+
+    __eq__ = records_equal
 
     @property
     def raw(self) -> Spectrum:

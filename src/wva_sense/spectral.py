@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import Sequence
 
@@ -90,12 +90,24 @@ def make_grid(center: float, span: float, n_points: int) -> FrequencyGrid:
     return FrequencyGrid(center=center, span=span, n_points=n_points)
 
 
+def records_equal(self, other) -> bool:
+    """`__eq__` for a dataclass that holds arrays: array fields compare with
+    np.array_equal, the others with ==, and the answer is one bool."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+               for a, b in ((getattr(self, f.name), getattr(other, f.name))
+                            for f in fields(self)))
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Real non-negative power samples on a frequency grid."""
 
     grid: FrequencyGrid
     samples: np.ndarray = field(repr=False)
+
+    __eq__ = records_equal
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=float)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularPostSelectionError, UnboundedAmplificationError
-from .spectral import FrequencyGrid, Spectrum
+from .spectral import FrequencyGrid, Spectrum, records_equal
 
 # Below this |denominator| the post-selected mean is considered extinguished.
 _SINGULAR_EPS = 1e-12
@@ -84,6 +84,8 @@ class PolarizedFieldSpectrum:
     grid: FrequencyGrid
     ex: np.ndarray = field(repr=False)
     ey: np.ndarray = field(repr=False)
+
+    __eq__ = records_equal
 
     def __post_init__(self) -> None:
         ex = np.asarray(self.ex, dtype=complex)

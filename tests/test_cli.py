@@ -368,6 +368,72 @@ class TestReplayManifestErrors:
         assert not (tmp_path / "replay").exists()
 
 
+# One small run of every command, for manifests that replay_manifest accepts.
+COMMAND_ARGS = {
+    "sweep-beta": ["--beta-min", "-10", "--beta-max", "0", "--step", "5", "--dt", "1",
+                   "--dump-spectra=-5", "--snr-min", "10"],
+    "sweep-temp": ["--dt", "0,5"],
+    "amax-curve": ["--g", "0.9", "--step", "10"],
+    "theory-lines": ["--a", "1,2", "--dt", "0:2:1", "--kappa", "0.01"],
+    "calibrate": [],
+    "dump-spectrum": ["--stage", "raw"],
+}
+
+
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifests")
+    cfg = write_config(root, base_doc(osa={"rbw_nm": 0.01, "noise_floor": 1e-6, "seed": 3}))
+    data = root / "cal.csv"
+    data.write_text("dt_c,centroid_shift_nm\n0,0\n1,0.01\n2,0.02\n")
+    docs = {}
+    for command, args in COMMAND_ARGS.items():
+        if command == "calibrate":
+            args = ["--input", str(data)]
+        elif command not in ("amax-curve", "theory-lines"):
+            args = ["--config", cfg, *args]
+        assert main([command, *args, "--out", str(root / command)]) == 0
+        docs[command] = json.loads((root / command / "manifest.json").read_text())
+    return docs
+
+
+class TestReplayResolvedValidation:
+    def _replay(self, tmp_path, manifest):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        return path, lambda: replay_manifest(path, tmp_path / "replay")
+
+    def test_empty_resolved_names_missing_key(self, tmp_path):
+        path, replay = self._replay(tmp_path, {"command": "amax-curve", "resolved": {}})
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: resolved.g_list: missing")):
+            replay()
+
+    def test_string_g_list_names_key(self, tmp_path, manifests):
+        manifest = manifests["amax-curve"]
+        manifest = {**manifest, "resolved": {**manifest["resolved"], "g_list": "0.9"}}
+        path, replay = self._replay(tmp_path, manifest)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: resolved.g_list: expected")):
+            replay()
+
+    @pytest.mark.parametrize("command", list(COMMAND_ARGS))
+    def test_recorded_manifest_replays(self, tmp_path, manifests, command):
+        _, replay = self._replay(tmp_path, manifests[command])
+        replay()
+        replayed = json.loads((tmp_path / "replay" / "manifest.json").read_text())
+        assert replayed["outputs"] == manifests[command]["outputs"]
+
+    @pytest.mark.parametrize("command", list(COMMAND_ARGS))
+    def test_each_missing_or_mistyped_key_names_it(self, tmp_path, manifests, command):
+        manifest = manifests[command]
+        for key in manifest["resolved"]:
+            missing = {k: v for k, v in manifest["resolved"].items() if k != key}
+            for resolved in (missing, {**missing, key: True}):
+                path, replay = self._replay(tmp_path, {**manifest, "resolved": resolved})
+                with pytest.raises(ConfigError, match=re.escape(f"{path}: resolved.{key}: ")):
+                    replay()
+        assert not (tmp_path / "replay").exists()
+
+
 class TestConfigErrors:
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         doc = base_doc()

@@ -1,10 +1,12 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wva_sense as w
+from wva_sense.config import load_scenario
 from wva_sense.errors import ConfigError, NoSignalError, SingularPostSelectionError
 from wva_sense.fbg import kappa_thz_per_c
 from wva_sense.scenario import (
@@ -17,6 +19,7 @@ from wva_sense.scenario import (
 from conftest import FBG_B, KAPPA, NU_1549, NU_1551, bench_scenario
 
 UNITS = w.UnitContext(reference_wavelength_nm=1551.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def dt_for_nu_minus(frac_of_b):
@@ -70,6 +73,34 @@ class TestSimulateInterrogation:
         r2 = w.simulate_interrogation(boosted)
         assert r2.centroid_thz == pytest.approx(r1.centroid_thz, abs=1e-9)
         assert r2.centroid_nm_shift == pytest.approx(r1.centroid_nm_shift, abs=1e-6)
+
+
+# Records that hold arrays, built twice from the same scenario, and the
+# array field each one compares sample by sample.
+RECORDS = {
+    "result": (lambda sc: w.simulate_interrogation(sc), "trace"),
+    "spectrum": (lambda sc: w.simulate_interrogation(sc).raw, "samples"),
+    "field": (scenario_field, "ey"),
+}
+
+
+@pytest.mark.parametrize("kind", list(RECORDS))
+def test_array_records_compare_to_one_bool(kind):
+    build, name = RECORDS[kind]
+    sc = load_scenario(CONFIGS / "bench.json").scenario
+    a, b = build(sc), build(sc)
+    assert a is not b
+    assert (a == b) is True and (a != b) is False
+
+    changed = getattr(a, name).copy()
+    changed[changed.size // 2] *= 2
+    assert (a == replace(a, **{name: changed})) is False
+    assert (a != replace(a, **{name: changed})) is True
+
+    other_kind = RECORDS["field" if kind != "field" else "result"][0](sc)
+    assert (a == other_kind) is False
+    assert (a == None) is False  # noqa: E711
+    assert (a != "record") is True
 
 
 class TestSweepBeta:

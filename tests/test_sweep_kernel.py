@@ -19,12 +19,13 @@ import pytest
 
 from wva_sense.cli import main
 from wva_sense.config import load_scenario
-from wva_sense.errors import NoSignalError, SingularPostSelectionError
+from wva_sense.errors import DetectionLimitedError, NoSignalError, SingularPostSelectionError
 from wva_sense.osa import (
     OsaParams,
     UsableAmplification,
     best_usable,
     max_usable_amplification,
+    same_magnitude,
     snr_report,
 )
 from wva_sense.scenario import (
@@ -155,18 +156,14 @@ def test_cli_dump_spectrum_equals_kernel_arrays(tmp_path, case, stage):
     assert (run / "spectrum.csv").read_bytes() == expected.read_bytes()
 
 
-@pytest.mark.parametrize("osa", [
-    OsaParams(rbw_nm=0.01, noise_floor=1e-4, seed=1234),
-    OsaParams(rbw_nm=0.01, noise_floor=1e-6, rel_noise=0.001, seed=7),
-    None,
-])
-def test_max_usable_equals_best_usable_over_per_point_snr(osa):
-    sc = replace(load_scenario(CONFIGS / "bench.json").scenario, t1_c=31.0, osa=osa)
+def _full_scan(sc, lo, hi, step):
+    """(beta, A, snr_db) at every non-singular angle of the sweep, each
+    angle measured on its own noise stream i+1 with the per-point functions."""
     c1, c2 = scenario_centers(sc)
     gamma = overlap_gamma((c1 - c2) / 2, (sc.fbg1.bandwidth_b_thz + sc.fbg2.bandwidth_b_thz) / 2)
     kernel = SweepKernel(sc)
     points = []
-    for i, beta_deg in enumerate(inclusive_range(-89.0, 0.0, 1.0)):
+    for i, beta_deg in enumerate(inclusive_range(lo, hi, step)):
         point = replace(sc, beta_rad=math.radians(beta_deg))
         try:
             a = amplification_factor(point.beta_rad, gamma, point.delta_rad)
@@ -174,9 +171,124 @@ def test_max_usable_equals_best_usable_over_per_point_snr(osa):
             continue
         trace = kernel.measure(kernel.raw(point.beta_rad), i + 1)
         points.append((point.beta_rad, a,
-                       snr_report(float(np.max(trace)), osa or OsaParams()).snr_db))
-    expected = UsableAmplification(*best_usable(points, 20.0))
-    assert max_usable_amplification(sc, 20.0, -89.0, 0.0, 1.0) == expected
+                       snr_report(float(np.max(trace)), sc.osa or OsaParams()).snr_db))
+    return points
+
+
+def _assert_search_equals_full_scan(sc, points, snr_min, lo=-89.0, hi=0.0, step=1.0):
+    """max_usable_amplification equals best_usable over the full scan, or
+    both raise DetectionLimitedError; returns whether an angle was usable."""
+    try:
+        expected = UsableAmplification(*best_usable(points, snr_min))
+    except DetectionLimitedError:
+        with pytest.raises(DetectionLimitedError):
+            max_usable_amplification(sc, snr_min, lo, hi, step)
+        return False
+    assert max_usable_amplification(sc, snr_min, lo, hi, step) == expected
+    return True
+
+
+# Noise floors 1e-7 to 1e-3, a tenth of a decade apart.
+FLOORS = [10.0 ** (k / 10.0) for k in range(-70, -29)]
+
+
+@pytest.mark.parametrize("osa", [
+    OsaParams(rbw_nm=0.01, noise_floor=1e-4, seed=1234),
+    OsaParams(rbw_nm=0.01, noise_floor=1e-6, rel_noise=0.001, seed=7),
+    None,
+    *(pytest.param(OsaParams(rbw_nm=0.01, noise_floor=f, seed=1234), id=f"floor{f:.3g}")
+      for f in FLOORS),
+])
+def test_max_usable_equals_best_usable_over_per_point_snr(osa):
+    sc = replace(load_scenario(CONFIGS / "bench.json").scenario, t1_c=31.0, osa=osa)
+    points = _full_scan(sc, -89.0, 0.0, 1.0)
+    for snr_min in (10.0, 20.0, 30.0):
+        _assert_search_equals_full_scan(sc, points, snr_min)
+
+
+def test_max_usable_unreachable_floor_raises_on_both_paths():
+    sc = replace(load_scenario(CONFIGS / "bench.json").scenario, t1_c=31.0)
+    assert not _assert_search_equals_full_scan(sc, _full_scan(sc, -89.0, 0.0, 1.0), 200.0)
+
+
+def test_max_usable_tie_between_branches_resolves_like_full_scan():
+    # gamma = 1 and cos(delta) = sin(72 deg) put A = +a_max at -36 deg and
+    # A = -a_max at -54 deg; the float |A| at -54 deg is a few ulp larger,
+    # so only the tie rule picks the positive branch.
+    sc = load_scenario(CONFIGS / "bench.json").scenario
+    sc = replace(sc, t1_c=sc.t2_c, phi_rad=math.acos(math.sin(math.radians(72.0))))
+    points = _full_scan(sc, -89.0, 0.0, 1.0)
+    by_deg = {round(math.degrees(beta)): (beta, a, snr) for beta, a, snr in points}
+    positive, negative = by_deg[-36], by_deg[-54]
+    assert same_magnitude(positive[1], negative[1])
+    assert abs(negative[1]) > abs(positive[1]) > 0
+    assert _assert_search_equals_full_scan(sc, points, 20.0)
+    assert max_usable_amplification(sc, 20.0, -89.0, 0.0, 1.0) == UsableAmplification(*positive)
+
+
+def _search_on_table(monkeypatch, a_values, snr_values, snr_min=20.0):
+    """max_usable_amplification over a 1-degree sweep whose A and SNR per
+    angle come from the tables (A None: singular), next to best_usable over
+    every angle; the kernel's own physics is bypassed."""
+    hi = -89.0 + len(a_values) - 1
+    betas = [math.radians(b) for b in inclusive_range(-89.0, hi, 1.0)]
+    index = {beta: i for i, beta in enumerate(betas)}
+
+    def amplification(self, beta):
+        a = a_values[index[beta]]
+        if a is None:
+            raise SingularPostSelectionError("table")
+        return a
+
+    monkeypatch.setattr(SweepKernel, "__init__", lambda self, sc: None)
+    monkeypatch.setattr(SweepKernel, "amplification", amplification)
+    monkeypatch.setattr(SweepKernel, "peak", lambda self, beta, stream: snr_values[stream - 1])
+    monkeypatch.setattr(SweepKernel, "snr_db", lambda self, peak: peak)
+    points = [(beta, a, snr) for beta, a, snr in zip(betas, a_values, snr_values)
+              if a is not None]
+    _assert_search_equals_full_scan(None, points, snr_min, -89.0, hi, 1.0)
+
+
+def test_max_usable_scans_measured_points_in_sweep_order(monkeypatch):
+    # Ties do not chain: q ties r and beats it, p ties q and beats it, yet
+    # r beats p outright. In sweep order (r, p, q) q wins; scanned in |A|
+    # order (r, q, p) p would.
+    r, p, q = -1.0, 1.0 - 1.5e-9, -(1.0 - 0.8e-9)
+    assert same_magnitude(q, r) and same_magnitude(p, q) and not same_magnitude(r, p)
+    assert best_usable([(1, r, 30.0), (3, p, 30.0), (4, q, 30.0)], 20.0)[1] == q
+    assert best_usable([(1, r, 30.0), (4, q, 30.0), (3, p, 30.0)], 20.0)[1] == p
+    _search_on_table(monkeypatch, [0.5, r, 0.2, p, q, 0.1], [30.0] * 6)
+
+
+def test_max_usable_equals_full_scan_on_random_near_tie_tables(monkeypatch):
+    """A and SNR tables built to tie often, across singular angles and SNRs
+    on both sides of the floor."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(2, 30))
+        magnitude = rng.choice([1.5, 2.0, 3.0], n) * (1.0 - 0.5e-9 * rng.integers(0, 5, n))
+        a_values = [None if rng.random() < 0.1 else float(m * rng.choice([-1.0, 1.0]))
+                    for m in magnitude]
+        snr_values = [float(v) for v in rng.choice([10.0, 20.0, 30.0], n)]
+        _search_on_table(monkeypatch, a_values, snr_values)
+
+
+def test_max_usable_measures_only_angles_that_can_win(monkeypatch):
+    """The c10 scenario at floor 1e-6 finds its answer among the first few
+    of its 891 angles in |A| order; a full scan would measure all of them."""
+    sc = replace(load_scenario(CONFIGS / "bench.json").scenario, t1_c=31.0,
+                 osa=OsaParams(rbw_nm=0.01, noise_floor=1e-6, seed=1234))
+    expected = UsableAmplification(*best_usable(_full_scan(sc, -89.0, 0.0, 0.1), 20.0))
+    peak = SweepKernel.peak
+    calls = []
+
+    def counted(self, beta_rad, stream):
+        calls.append(stream)
+        return peak(self, beta_rad, stream)
+
+    monkeypatch.setattr(SweepKernel, "peak", counted)
+    assert max_usable_amplification(sc, 20.0, -89.0, 0.0, 0.1) == expected
+    assert 1 <= len(calls) <= 10
 
 
 def test_point_matches_the_pipeline_formulas():
