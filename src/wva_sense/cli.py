@@ -53,7 +53,7 @@ def _finite(text: str) -> float:
     """argparse type: a finite float."""
     try:
         value = float(text)
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: an int too large for a float
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
@@ -294,44 +294,54 @@ _RUNNERS: dict[str, Callable[[dict, Path, Optional[Scenario]], dict[str, str]]] 
 }
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number; booleans are not numbers here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
+def _json(rule: Callable[..., float]) -> Callable[[object], bool]:
+    """Whether a JSON value is a number (not a boolean) that the CLI's
+    argparse type `rule` accepts, so replay and the CLI share one rule."""
+    def ok(value) -> bool:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        try:
+            rule(value)
+        except argparse.ArgumentTypeError:
+            return False
+        return True
+    return ok
 
 
-def _is_number_list(value) -> bool:
-    return isinstance(value, list) and bool(value) and all(map(_is_number, value))
+def _list_of(ok: Callable[[object], bool], empty: bool = False) -> Callable[[object], bool]:
+    return lambda v: isinstance(v, list) and (empty or bool(v)) and all(map(ok, v))
 
+
+def _or_null(ok: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda v: v is None or ok(v)
+
+
+_is_finite, _is_angle = _json(_finite), _json(_angle)
 
 # What each runner reads from `resolved`: key -> (what it must be, check).
-_NUMBER = ("a finite number", _is_number)
-_NUMBER_OR_NULL = ("null or a finite number", lambda v: v is None or _is_number(v))
-_NUMBERS = ("a non-empty list of finite numbers", _is_number_list)
+_NUMBER = ("a finite number", _is_finite)
+_NUMBER_OR_NULL = ("null or a finite number", _or_null(_is_finite))
+_ANGLE = ("an angle in [-90, 90] deg", _is_angle)
+_ANGLE_OR_NULL = ("null or an angle in [-90, 90] deg", _or_null(_is_angle))
+_NUMBERS = ("a non-empty list of finite numbers", _list_of(_is_finite))
 _CONFIG = ("a config object", lambda v: isinstance(v, dict))
 _RESOLVED: dict[str, dict[str, tuple[str, Callable[[object], bool]]]] = {
     "sweep-beta": {
-        "config": _CONFIG, "beta_min_deg": _NUMBER, "beta_max_deg": _NUMBER,
+        "config": _CONFIG, "beta_min_deg": _ANGLE, "beta_max_deg": _ANGLE,
         "step_deg": _NUMBER, "dt_c": _NUMBER_OR_NULL, "snr_min_db": _NUMBER_OR_NULL,
-        "dump_spectra_deg": ("a list of finite numbers",
-                             lambda v: v == [] or _is_number_list(v)),
+        "dump_spectra_deg": ("a list of angles in [-90, 90] deg",
+                             _list_of(_is_angle, empty=True)),
     },
-    "sweep-temp": {"config": _CONFIG, "dt_list_c": _NUMBERS, "beta_deg": _NUMBER_OR_NULL},
-    "amax-curve": {"g_list": _NUMBERS, "beta_min_deg": _NUMBER, "beta_max_deg": _NUMBER,
+    "sweep-temp": {"config": _CONFIG, "dt_list_c": _NUMBERS, "beta_deg": _ANGLE_OR_NULL},
+    "amax-curve": {"g_list": _NUMBERS, "beta_min_deg": _ANGLE, "beta_max_deg": _ANGLE,
                    "step_deg": _NUMBER},
     "theory-lines": {"a_list": _NUMBERS, "dt_list_c": _NUMBERS, "kappa_nm_per_c": _NUMBER},
     "calibrate": {
         "input": ("a string", lambda v: isinstance(v, str)),
         "points": ("a non-empty list of [dt_c, centroid_shift_nm] number pairs",
-                   lambda v: isinstance(v, list) and bool(v) and all(
-                       isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))
-                       for p in v)),
+                   _list_of(lambda p: _list_of(_is_finite)(p) and len(p) == 2)),
     },
-    "dump-spectrum": {"config": _CONFIG, "beta_deg": _NUMBER_OR_NULL, "dt_c": _NUMBER_OR_NULL,
+    "dump-spectrum": {"config": _CONFIG, "beta_deg": _ANGLE_OR_NULL, "dt_c": _NUMBER_OR_NULL,
                       "stage": ("one of 'raw', 'osa', 'filtered'",
                                 lambda v: v in ("raw", "osa", "filtered"))},
 }

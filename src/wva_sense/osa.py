@@ -204,7 +204,7 @@ def max_usable_amplification(
             candidates.append((i, beta, kernel.amplification(beta)))
         except SingularPostSelectionError:
             continue
-    candidates.sort(key=lambda c: -abs(c[2]))  # stable: sweep order within equal |A|
+    candidates.sort(key=lambda c: -abs(c[2]))
     measured, smallest = [], None  # smallest: the last usable A, the least |A| so far
     for i, beta, a in candidates:
         if smallest is not None and not same_magnitude(a, smallest):

@@ -415,6 +415,21 @@ class TestReplayResolvedValidation:
         with pytest.raises(ConfigError, match=re.escape(f"{path}: resolved.g_list: expected")):
             replay()
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("amax-curve", "beta_min_deg", -1000.0),
+        ("sweep-beta", "beta_max_deg", 91),
+        ("sweep-beta", "dump_spectra_deg", [-40.0, -95.0]),
+        ("sweep-temp", "dt_list_c", [0.0, 10 ** 400]),
+        ("theory-lines", "kappa_nm_per_c", 10 ** 400),
+    ])
+    def test_value_the_cli_rejects_names_key(self, tmp_path, manifests, command, key, value):
+        """Replay applies the CLI's own angle and finite-number rules."""
+        manifest = manifests[command]
+        manifest = {**manifest, "resolved": {**manifest["resolved"], key: value}}
+        path, replay = self._replay(tmp_path, manifest)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: resolved.{key}: expected")):
+            replay()
+
     @pytest.mark.parametrize("command", list(COMMAND_ARGS))
     def test_recorded_manifest_replays(self, tmp_path, manifests, command):
         _, replay = self._replay(tmp_path, manifests[command])

@@ -188,22 +188,27 @@ def _assert_search_equals_full_scan(sc, points, snr_min, lo=-89.0, hi=0.0, step=
     return True
 
 
-# Noise floors 1e-7 to 1e-3, a tenth of a decade apart.
+# Noise floors 1e-7 to 1e-3, a tenth of a decade apart: every one leaves an
+# angle usable at 10 dB; the largest leave none at 30 dB, or at 20 dB.
 FLOORS = [10.0 ** (k / 10.0) for k in range(-70, -29)]
 
 
-@pytest.mark.parametrize("osa", [
-    OsaParams(rbw_nm=0.01, noise_floor=1e-4, seed=1234),
-    OsaParams(rbw_nm=0.01, noise_floor=1e-6, rel_noise=0.001, seed=7),
-    None,
-    *(pytest.param(OsaParams(rbw_nm=0.01, noise_floor=f, seed=1234), id=f"floor{f:.3g}")
+@pytest.mark.parametrize("osa,usable_at", [
+    pytest.param(OsaParams(rbw_nm=0.01, noise_floor=1e-4, seed=1234), (10.0, 20.0), id="osa0"),
+    pytest.param(OsaParams(rbw_nm=0.01, noise_floor=1e-6, rel_noise=0.001, seed=7),
+                 (10.0, 20.0), id="osa1"),
+    pytest.param(None, (10.0, 20.0, 30.0), id="None"),
+    *(pytest.param(OsaParams(rbw_nm=0.01, noise_floor=f, seed=1234), (10.0,), id=f"floor{f:.3g}")
       for f in FLOORS),
 ])
-def test_max_usable_equals_best_usable_over_per_point_snr(osa):
+def test_max_usable_equals_best_usable_over_per_point_snr(osa, usable_at):
+    """At the thresholds in usable_at some angle must clear the floor; at the
+    others both paths may instead raise DetectionLimitedError."""
     sc = replace(load_scenario(CONFIGS / "bench.json").scenario, t1_c=31.0, osa=osa)
     points = _full_scan(sc, -89.0, 0.0, 1.0)
     for snr_min in (10.0, 20.0, 30.0):
-        _assert_search_equals_full_scan(sc, points, snr_min)
+        usable = _assert_search_equals_full_scan(sc, points, snr_min)
+        assert usable or snr_min not in usable_at
 
 
 def test_max_usable_unreachable_floor_raises_on_both_paths():
