@@ -21,10 +21,10 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from . import __version__
-from .config import LoadedScenario, parse_scenario, read_config
+from .config import angle, count, finite, listed, parse_scenario, read_config, sweep
 from .errors import (
     ConfigError,
     DegenerateFitError,
@@ -49,70 +49,41 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _finite(text: str) -> float:
-    """argparse type: a finite float."""
-    try:
-        value = float(text)
-    except (ValueError, OverflowError):  # OverflowError: an int too large for a float
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _flag(rule: Callable[[Any, str], Any], parse: Callable[[str], Any] = float):
+    """argparse type: `parse` the flag's text (text that does not parse is
+    passed on as is) and apply a config rule; argparse names the flag."""
+    def flag_type(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = text
+        try:
+            return rule(value, "")
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc).removeprefix(": ")) from None
+    return flag_type
 
 
-def _angle(text: str) -> float:
-    """argparse type: a finite angle in [-90, 90] degrees."""
-    value = _finite(text)
-    if not -90.0 <= value <= 90.0:
-        raise argparse.ArgumentTypeError(f"angle must lie in [-90, 90] deg, got {text!r}")
-    return value
+_finite, _angle, _seed = _flag(finite), _flag(angle), _flag(count, int)
 
 
-def _seed(text: str) -> int:
-    """argparse type: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
-
-
-def _parse_float_list(text: str, name: str, parse=_finite) -> list[float]:
-    """Accept 'a,b,c' or 'start:stop:step' (inclusive of stop within 1e-9);
-    at least one value."""
-    try:
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise ValueError("range spec needs start:stop:step")
-            return inclusive_range(parse(parts[0]), parse(parts[1]), _finite(parts[2]))
-        values = [parse(p) for p in text.split(",") if p.strip() != ""]
-        if not values:
-            raise ValueError(f"expected at least one value, got {text!r}")
-        return values
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ConfigError(f"--{name}: {exc}") from None
-
-
-def _beta_grid(lo: float, hi: float, step: float) -> list[float]:
-    if hi <= lo:
-        raise ConfigError("--beta-max must exceed --beta-min")
-    try:
-        return inclusive_range(lo, hi, step)
-    except ValueError as exc:
-        raise ConfigError(f"--step: {exc}") from None
-
-
-def _load_config(path: str, seed: Optional[int]) -> tuple[dict, LoadedScenario]:
-    """Read a config, apply the --seed override and parse it, once per run."""
-    doc = read_config(path)
-    if seed is not None and isinstance(doc, dict):
-        if not isinstance(doc.get("osa"), dict):
-            raise ConfigError("--seed: the config has no osa section to seed")
-        doc["osa"]["seed"] = seed
-    return doc, parse_scenario(doc)
+def _float_list(parse: Callable[[str], float] = _finite) -> Callable[[str], list[float]]:
+    """argparse type: 'a,b,c' or 'start:stop:step' (inclusive of stop within
+    1e-9), at least one value, each value (start and stop of a range) `parse`d."""
+    def list_type(text: str) -> list[float]:
+        try:
+            if ":" in text:
+                parts = text.split(":")
+                if len(parts) != 3:
+                    raise ValueError("range spec needs start:stop:step")
+                return inclusive_range(parse(parts[0]), parse(parts[1]), _finite(parts[2]))
+            values = [parse(p) for p in text.split(",") if p.strip() != ""]
+            if not values:
+                raise ValueError(f"expected at least one value, got {text!r}")
+            return values
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return list_type
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +96,7 @@ def _load_config(path: str, seed: Optional[int]) -> tuple[dict, LoadedScenario]:
 def run_sweep_beta(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str]:
     if resolved.get("dt_c") is not None:
         sc = replace(sc, t1_c=sc.t2_c + resolved["dt_c"])
-    betas_deg = _beta_grid(
+    betas_deg = inclusive_range(
         resolved["beta_min_deg"], resolved["beta_max_deg"], resolved["step_deg"]
     )
     dumps: dict[str, float] = {}
@@ -205,7 +176,7 @@ def run_amax_curve(resolved: dict, out_dir: Path, sc: Optional[Scenario]) -> dic
     for g in g_list:
         if abs(g) >= 1.0:
             raise ConfigError(f"--g: |g| must be < 1, got {g}")
-    betas_deg = _beta_grid(
+    betas_deg = inclusive_range(
         resolved["beta_min_deg"], resolved["beta_max_deg"], resolved["step_deg"]
     )
     rows = []
@@ -294,69 +265,72 @@ _RUNNERS: dict[str, Callable[[dict, Path, Optional[Scenario]], dict[str, str]]] 
 }
 
 
-def _json(rule: Callable[..., float]) -> Callable[[object], bool]:
-    """Whether a JSON value is a number (not a boolean) that the CLI's
-    argparse type `rule` accepts, so replay and the CLI share one rule."""
-    def ok(value) -> bool:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return False
-        try:
-            rule(value)
-        except argparse.ArgumentTypeError:
-            return False
-        return True
-    return ok
+def _list_of(rule: Callable[[Any, str], Any], empty: bool = False):
+    """The rule for a list, non-empty unless `empty`, whose items pass `rule`."""
+    return lambda value, where: [rule(v, where) for v in listed(value, where, empty)]
 
 
-def _list_of(ok: Callable[[object], bool], empty: bool = False) -> Callable[[object], bool]:
-    return lambda v: isinstance(v, list) and (empty or bool(v)) and all(map(ok, v))
+def _or_null(rule: Callable[[Any, str], Any]):
+    return lambda value, where: None if value is None else rule(value, where)
 
 
-def _or_null(ok: Callable[[object], bool]) -> Callable[[object], bool]:
-    return lambda v: v is None or ok(v)
+def _is(ok: Callable[[Any], bool], expected: str):
+    """The rule for the values `ok` accepts."""
+    def rule(value, where):
+        if not ok(value):
+            raise ConfigError(f"{where}: expected {expected}, got {value!r:.80}")
+        return value
+    return rule
 
 
-_is_finite, _is_angle = _json(_finite), _json(_angle)
+def _config(value, where: str):
+    """The rule for a config document: parse_scenario's, under `where`."""
+    try:
+        return parse_scenario(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
-# What each runner reads from `resolved`: key -> (what it must be, check).
-_NUMBER = ("a finite number", _is_finite)
-_NUMBER_OR_NULL = ("null or a finite number", _or_null(_is_finite))
-_ANGLE = ("an angle in [-90, 90] deg", _is_angle)
-_ANGLE_OR_NULL = ("null or an angle in [-90, 90] deg", _or_null(_is_angle))
-_NUMBERS = ("a non-empty list of finite numbers", _list_of(_is_finite))
-_CONFIG = ("a config object", lambda v: isinstance(v, dict))
-_RESOLVED: dict[str, dict[str, tuple[str, Callable[[object], bool]]]] = {
+
+_STAGES = ("raw", "osa", "filtered")
+_PAIR = _is(lambda v: isinstance(v, list) and len(v) == 2, "a [dt_c, centroid_shift_nm] pair")
+# What each runner reads from `resolved`: key -> the rule its value must pass.
+_RESOLVED: dict[str, dict[str, Callable[[Any, str], Any]]] = {
     "sweep-beta": {
-        "config": _CONFIG, "beta_min_deg": _ANGLE, "beta_max_deg": _ANGLE,
-        "step_deg": _NUMBER, "dt_c": _NUMBER_OR_NULL, "snr_min_db": _NUMBER_OR_NULL,
-        "dump_spectra_deg": ("a list of angles in [-90, 90] deg",
-                             _list_of(_is_angle, empty=True)),
+        "config": _config, "beta_min_deg": angle, "beta_max_deg": angle, "step_deg": finite,
+        "dt_c": _or_null(finite), "snr_min_db": _or_null(finite),
+        "dump_spectra_deg": _list_of(angle, empty=True),
     },
-    "sweep-temp": {"config": _CONFIG, "dt_list_c": _NUMBERS, "beta_deg": _ANGLE_OR_NULL},
-    "amax-curve": {"g_list": _NUMBERS, "beta_min_deg": _ANGLE, "beta_max_deg": _ANGLE,
-                   "step_deg": _NUMBER},
-    "theory-lines": {"a_list": _NUMBERS, "dt_list_c": _NUMBERS, "kappa_nm_per_c": _NUMBER},
+    "sweep-temp": {"config": _config, "dt_list_c": _list_of(finite), "beta_deg": _or_null(angle)},
+    "amax-curve": {"g_list": _list_of(finite), "beta_min_deg": angle, "beta_max_deg": angle,
+                   "step_deg": finite},
+    "theory-lines": {"a_list": _list_of(finite), "dt_list_c": _list_of(finite),
+                     "kappa_nm_per_c": finite},
     "calibrate": {
-        "input": ("a string", lambda v: isinstance(v, str)),
-        "points": ("a non-empty list of [dt_c, centroid_shift_nm] number pairs",
-                   _list_of(lambda p: _list_of(_is_finite)(p) and len(p) == 2)),
+        "input": _is(lambda v: isinstance(v, str), "a string"),
+        "points": _list_of(lambda v, where: _list_of(finite)(_PAIR(v, where), where)),
     },
-    "dump-spectrum": {"config": _CONFIG, "beta_deg": _ANGLE_OR_NULL, "dt_c": _NUMBER_OR_NULL,
-                      "stage": ("one of 'raw', 'osa', 'filtered'",
-                                lambda v: v in ("raw", "osa", "filtered"))},
+    "dump-spectrum": {"config": _config, "beta_deg": _or_null(angle), "dt_c": _or_null(finite),
+                      "stage": _is(lambda v: v in _STAGES, f"one of {_STAGES}")},
 }
+# The keys of a beta sweep, and the flags that set them.
+_SWEEP = {"beta_min_deg": "--beta-min", "beta_max_deg": "--beta-max", "step_deg": "--step"}
 
 
-def _check_resolved(manifest_path, command: str, resolved: dict) -> None:
-    """ConfigError naming the manifest and resolved.<key> for the first key
-    the command's runner reads that is missing or of the wrong type."""
-    for key, (expected, ok) in _RESOLVED[command].items():
-        if key not in resolved:
-            raise ConfigError(f"{manifest_path}: resolved.{key}: missing, "
-                              f"{command} needs {expected}")
-        if not ok(resolved[key]):
-            raise ConfigError(f"{manifest_path}: resolved.{key}: expected {expected}, "
-                              f"got {resolved[key]!r:.80}")
+def _check_resolved(manifest_path, command: str, resolved: dict) -> Optional[Scenario]:
+    """The scenario of `resolved`'s config, if the command reads one. The first
+    key the runner reads that is missing or breaks its rule, or a sweep that
+    breaks the sweep rule, raises ConfigError naming the manifest and key."""
+    checked = {}
+    try:
+        for key, rule in _RESOLVED[command].items():
+            if key not in resolved:
+                raise ConfigError(f"resolved.{key}: missing, {command} reads it")
+            checked[key] = rule(resolved[key], f"resolved.{key}")
+        if "step_deg" in checked:
+            sweep(*(resolved[k] for k in _SWEEP), [f"resolved.{k}" for k in _SWEEP])
+    except ConfigError as exc:
+        raise ConfigError(f"{manifest_path}: {exc}") from None
+    return checked["config"].scenario if "config" in checked else None
 
 
 def _execute(command: str, resolved: dict, out_dir: Path, seed: Optional[int],
@@ -384,7 +358,8 @@ def replay_manifest(manifest_path, out_dir) -> dict:
 
     A manifest that cannot be read, is not JSON, is not an object with
     `command` and `resolved`, or whose `resolved` lacks a key the command
-    reads or holds it with the wrong type raises ConfigError naming its path.
+    reads or holds a value the CLI would reject raises ConfigError naming
+    its path.
     """
     try:
         with open(manifest_path) as f:
@@ -397,10 +372,8 @@ def replay_manifest(manifest_path, out_dir) -> dict:
     command = manifest.get("command")
     if not (isinstance(command, str) and command in _RUNNERS):
         raise ConfigError(f"{manifest_path}: unknown command {command!r}")
-    resolved = manifest["resolved"]
-    _check_resolved(manifest_path, command, resolved)
-    sc = parse_scenario(resolved["config"]).scenario if "config" in resolved else None
-    _execute(command, resolved, Path(out_dir), manifest.get("seed"), sc)
+    sc = _check_resolved(manifest_path, command, manifest["resolved"])
+    _execute(command, manifest["resolved"], Path(out_dir), manifest.get("seed"), sc)
     return manifest
 
 
@@ -425,40 +398,45 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=_seed, default=None,
                         help="override the OSA noise seed")
 
+    # Each flag's dest is its key in the manifest's `resolved` inputs.
     sp = sub.add_parser("sweep-beta", help="centroid shift vs post-selection angle")
     common(sp)
-    sp.add_argument("--beta-min", type=_angle, default=None, help="degrees")
-    sp.add_argument("--beta-max", type=_angle, default=None, help="degrees")
-    sp.add_argument("--step", type=_finite, default=None, help="degrees")
-    sp.add_argument("--dt", type=_finite, default=None,
+    sp.add_argument("--beta-min", dest="beta_min_deg", type=_angle, help="degrees")
+    sp.add_argument("--beta-max", dest="beta_max_deg", type=_angle, help="degrees")
+    sp.add_argument("--step", dest="step_deg", type=_finite, help="degrees")
+    sp.add_argument("--dt", dest="dt_c", type=_finite,
                     help="t1 - t2 override for the whole sweep (degC)")
-    sp.add_argument("--dump-spectra", default="",
-                    help="comma list of angles (deg) whose filtered spectra to write "
-                    "(use --dump-spectra=-40,-25 for negative angles)")
-    sp.add_argument("--snr-min", type=_finite, default=None,
+    sp.add_argument("--dump-spectra", dest="dump_spectra_deg", type=_float_list(_angle),
+                    default=[], help="comma list of angles (deg) whose filtered spectra to "
+                    "write (use --dump-spectra=-40,-25 for negative angles)")
+    sp.add_argument("--snr-min", dest="snr_min_db", type=_finite,
                     help="annotate the largest |A| point with SNR above this floor "
                     "(dB); exits 4 when no angle qualifies")
 
     sp = sub.add_parser("sweep-temp", help="centroid shift vs temperature difference")
     common(sp)
-    sp.add_argument("--dt", default=None,
+    sp.add_argument("--dt", dest="dt_list_c", type=_float_list(),
                     help="dt values, 'a,b,c' or 'start:stop:step' (degC); "
                     "defaults to the config temperature plan")
-    sp.add_argument("--beta", type=_angle, default=None,
+    sp.add_argument("--beta", dest="beta_deg", type=_angle,
                     help="post-selection angle override (deg)")
 
     sp = sub.add_parser("amax-curve", help="amplification factor vs angle for each g")
     common(sp, config_required=False)
-    sp.add_argument("--g", required=True, help="comma list of gamma*cos(delta) values")
-    sp.add_argument("--beta-min", type=_angle, default=-90.0, help="degrees")
-    sp.add_argument("--beta-max", type=_angle, default=0.0, help="degrees")
-    sp.add_argument("--step", type=_finite, default=0.01, help="degrees")
+    sp.add_argument("--g", dest="g_list", type=_float_list(), required=True,
+                    help="comma list of gamma*cos(delta) values")
+    sp.add_argument("--beta-min", dest="beta_min_deg", type=_angle, default=-90.0, help="degrees")
+    sp.add_argument("--beta-max", dest="beta_max_deg", type=_angle, default=0.0, help="degrees")
+    sp.add_argument("--step", dest="step_deg", type=_finite, default=0.01, help="degrees")
 
     sp = sub.add_parser("theory-lines", help="first-order shift lines for fixed A")
     common(sp, config_required=False)
-    sp.add_argument("--a", required=True, help="comma list of amplification factors")
-    sp.add_argument("--dt", default="0:12:1", help="'a,b,c' or 'start:stop:step' (degC)")
-    sp.add_argument("--kappa", type=_finite, required=True, help="nm per degC")
+    sp.add_argument("--a", dest="a_list", type=_float_list(), required=True,
+                    help="comma list of amplification factors")
+    sp.add_argument("--dt", dest="dt_list_c", type=_float_list(), default="0:12:1",
+                    help="'a,b,c' or 'start:stop:step' (degC)")
+    sp.add_argument("--kappa", dest="kappa_nm_per_c", type=_finite, required=True,
+                    help="nm per degC")
 
     sp = sub.add_parser("calibrate", help="least-squares fit of a measured CSV")
     common(sp, config_required=False)
@@ -466,61 +444,46 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dump-spectrum", help="write one simulated spectrum")
     common(sp)
-    sp.add_argument("--beta", type=_angle, default=None, help="angle override (deg)")
-    sp.add_argument("--dt", type=_finite, default=None, help="t1 - t2 override (degC)")
-    sp.add_argument("--stage", choices=["raw", "osa", "filtered"], default="filtered")
+    sp.add_argument("--beta", dest="beta_deg", type=_angle, help="angle override (deg)")
+    sp.add_argument("--dt", dest="dt_c", type=_finite, help="t1 - t2 override (degC)")
+    sp.add_argument("--stage", choices=_STAGES, default="filtered")
 
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> tuple[dict, Optional[Scenario]]:
-    """The command's fully resolved inputs and its config scenario, if any."""
-    if args.command == "amax-curve":
-        return {
-            "g_list": _parse_float_list(args.g, "g"),
-            "beta_min_deg": args.beta_min,
-            "beta_max_deg": args.beta_max,
-            "step_deg": args.step,
-        }, None
-    if args.command == "theory-lines":
-        return {
-            "a_list": _parse_float_list(args.a, "a"),
-            "dt_list_c": _parse_float_list(args.dt, "dt"),
-            "kappa_nm_per_c": args.kappa,
-        }, None
+    """The command's fully resolved inputs and its config scenario, if any.
+
+    `args` holds the flags under their resolved keys; this adds what comes
+    from files: the config and the defaults it gives, or calibration points."""
+    resolved = {k: v for k, v in vars(args).items()
+                if k not in ("command", "config", "out", "seed")}
+    sc, names = None, dict(_SWEEP)
     if args.command == "calibrate":
-        return {"input": args.input, "points": parse_calibration_csv(args.input)}, None
-    doc, loaded = _load_config(args.config, args.seed)
-    if args.command == "sweep-beta":
-        spec = loaded.beta
-        lo = args.beta_min if args.beta_min is not None else spec.sweep_min_deg
-        hi = args.beta_max if args.beta_max is not None else spec.sweep_max_deg
-        step = args.step if args.step is not None else spec.sweep_step_deg
-        if lo is None or hi is None or step is None:
-            raise ConfigError(
-                "sweep-beta needs --beta-min/--beta-max/--step or a config sweep spec"
-            )
-        return {
-            "config": doc,
-            "beta_min_deg": lo,
-            "beta_max_deg": hi,
-            "step_deg": step,
-            "dt_c": args.dt,
-            "dump_spectra_deg": (_parse_float_list(args.dump_spectra, "dump-spectra", _angle)
-                                 if args.dump_spectra else []),
-            "snr_min_db": args.snr_min,
-        }, loaded.scenario
-    if args.command == "sweep-temp":
-        dt_list = (
-            _parse_float_list(args.dt, "dt") if args.dt is not None else loaded.dt_list_c
-        )
-        return {"config": doc, "dt_list_c": dt_list, "beta_deg": args.beta}, loaded.scenario
-    return {
-        "config": doc,
-        "beta_deg": args.beta,
-        "dt_c": args.dt,
-        "stage": args.stage,
-    }, loaded.scenario
+        resolved["points"] = parse_calibration_csv(args.input)
+    elif "config" in args:
+        resolved["config"] = doc = read_config(args.config)
+        if args.seed is not None and isinstance(doc, dict):
+            if not isinstance(doc.get("osa"), dict):
+                raise ConfigError("--seed: the config has no osa section to seed")
+            doc["osa"]["seed"] = args.seed
+        loaded = parse_scenario(doc)
+        sc = loaded.scenario
+        if args.command == "sweep-temp" and resolved["dt_list_c"] is None:
+            resolved["dt_list_c"] = loaded.dt_list_c
+        if args.command == "sweep-beta":
+            spec = loaded.beta
+            defaults = (spec.sweep_min_deg, spec.sweep_max_deg, spec.sweep_step_deg)
+            for key, default in zip(_SWEEP, defaults):
+                if resolved[key] is None:
+                    resolved[key], names[key] = default, f"postselect.{key}"
+            if any(resolved[key] is None for key in _SWEEP):
+                raise ConfigError(
+                    "sweep-beta needs --beta-min/--beta-max/--step or a config sweep spec"
+                )
+    if "step_deg" in resolved:
+        sweep(*(resolved[k] for k in _SWEEP), [names[k] for k in _SWEEP])
+    return resolved, sc
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 from .errors import ConfigError
 from .fbg import FbgParams, SideLobe, bandwidth_b_from_fwhm_nm
 from .osa import OsaParams
 from .scenario import FilterSettings, GridSettings, Scenario, SourceParams
-from .spectral import SPEED_OF_LIGHT_NM_THZ, UnitContext, wavelength_to_frequency
+from .spectral import SPEED_OF_LIGHT_NM_THZ, UnitContext, check_sweep, wavelength_to_frequency
 from .wva import pulse_bandwidth
 
 
@@ -38,24 +38,60 @@ def _section(doc: Mapping[str, Any], name: str, required: bool = True):
     return value
 
 
-def _finite(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ConfigError(f"{where}: must be finite, got an integer too large "
-                          "for a float") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{where}: must be finite, got {value!r}")
+# One rule per kind of input value: each returns the value checked (a number
+# as a float) or raises ConfigError naming `where`. The CLI applies the same
+# rules to its flags and to the `resolved` inputs of a replayed manifest.
+
+
+def finite(value: Any, where: str) -> float:
+    """A number, not a boolean, that is finite as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ConfigError(f"{where}: expected a finite number, got an integer too "
+                              "large for a float") from None
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{where}: expected a finite number, got {value!r:.80}")
+
+
+def angle(value: Any, where: str) -> float:
+    """A finite angle in degrees within [-90, 90]."""
+    number = finite(value, where)
+    if not -90.0 <= number <= 90.0:
+        raise ConfigError(f"{where}: expected an angle in [-90, 90] deg, got {value!r}")
     return number
+
+
+def count(value: Any, where: str) -> int:
+    """A non-negative integer, not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{where}: expected a non-negative integer, got {value!r:.80}")
+    return value
+
+
+def listed(value: Any, where: str, empty: bool = False) -> list:
+    """A list, non-empty unless `empty`; the caller checks its items."""
+    if not isinstance(value, list) or not (value or empty):
+        raise ConfigError(f"{where}: expected a {'' if empty else 'non-empty '}list, "
+                          f"got {value!r:.80}")
+    return value
+
+
+def sweep(lo: float, hi: float, step: float, names: Sequence[str]) -> None:
+    """The beta sweep rule, spectral.check_sweep, naming the field that breaks it."""
+    try:
+        check_sweep(lo, hi, step, names)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _number(section: Mapping[str, Any], key: str, path: str, default=None) -> float:
     value = section.get(key, default)
     if value is None:
         raise ConfigError(f"{path}.{key}: required numeric field missing")
-    return _finite(value, f"{path}.{key}")
+    return finite(value, f"{path}.{key}")
 
 
 def _exactly_one(section: Mapping[str, Any], keys: tuple[str, ...], path: str) -> str:
@@ -176,10 +212,9 @@ def _parse_settings(cls, section: Mapping[str, Any], path: str):
             if not isinstance(value, bool):
                 raise ConfigError(f"{path}.{key}: expected true/false")
         elif isinstance(default, int):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ConfigError(f"{path}.{key}: expected a non-negative integer")
+            count(value, f"{path}.{key}")
         else:
-            kwargs[key] = _finite(value, f"{path}.{key}")
+            kwargs[key] = finite(value, f"{path}.{key}")
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -196,33 +231,22 @@ class BetaSpec:
     sweep_step_deg: Optional[float] = None
 
 
-def _angle(section: Mapping[str, Any], key: str, default=None) -> float:
-    """A postselect angle in degrees, within [-90, 90]."""
-    value = _number(section, key, "postselect", default)
-    if not -90.0 <= value <= 90.0:
-        raise ConfigError(f"postselect.{key}: angle must lie in [-90, 90] deg, got {value!r}")
-    return value
-
-
 def _parse_postselect(section: Mapping[str, Any]) -> BetaSpec:
-    _check_keys(
-        section, {"beta_deg", "beta_min_deg", "beta_max_deg", "step_deg"}, "postselect"
-    )
     sweep_keys = ("beta_min_deg", "beta_max_deg", "step_deg")
+    _check_keys(section, {"beta_deg", *sweep_keys}, "postselect")
     has_sweep = any(k in section for k in sweep_keys)
     if has_sweep and not all(k in section for k in sweep_keys):
         raise ConfigError("postselect: sweep spec needs beta_min_deg, beta_max_deg and step_deg")
     if "beta_deg" not in section and not has_sweep:
         raise ConfigError("postselect: give beta_deg or a sweep spec")
-    if has_sweep:
-        lo = _angle(section, "beta_min_deg")
-        hi = _angle(section, "beta_max_deg")
-        step = _number(section, "step_deg", "postselect")
-        if step <= 0 or hi <= lo:
-            raise ConfigError("postselect: sweep needs step_deg > 0 and beta_max_deg > beta_min_deg")
-        beta_deg = _angle(section, "beta_deg", default=lo)
-        return BetaSpec(math.radians(beta_deg), lo, hi, step)
-    return BetaSpec(math.radians(_angle(section, "beta_deg")))
+    if not has_sweep:
+        return BetaSpec(math.radians(angle(section["beta_deg"], "postselect.beta_deg")))
+    names = [f"postselect.{k}" for k in sweep_keys]
+    lo, hi = angle(section["beta_min_deg"], names[0]), angle(section["beta_max_deg"], names[1])
+    step = finite(section["step_deg"], names[2])
+    sweep(lo, hi, step, names)
+    beta_deg = angle(section.get("beta_deg", lo), "postselect.beta_deg")
+    return BetaSpec(math.radians(beta_deg), lo, hi, step)
 
 
 @dataclass(frozen=True)
@@ -262,10 +286,8 @@ def parse_scenario(doc: Mapping[str, Any]) -> LoadedScenario:
     temps = _section(doc, "temperatures")
     _check_keys(temps, {"t2_ref_c", "t1_list_c"}, "temperatures")
     t2 = _number(temps, "t2_ref_c", "temperatures")
-    t1_list = temps.get("t1_list_c")
-    if not isinstance(t1_list, list) or not t1_list:
-        raise ConfigError("temperatures.t1_list_c: expected a non-empty list")
-    t1_values = [_finite(v, f"temperatures.t1_list_c[{i}]") for i, v in enumerate(t1_list)]
+    t1_list = listed(temps.get("t1_list_c"), "temperatures.t1_list_c")
+    t1_values = [finite(v, f"temperatures.t1_list_c[{i}]") for i, v in enumerate(t1_list)]
 
     osa = _section(doc, "osa", required=False)
     scenario = Scenario(

@@ -113,12 +113,14 @@ def reflect(
     nu = g.frequencies()
     source_weight = math.exp(-((center_thz - source_nu0_thz) ** 2) / source_b_thz**2)
     peak = f.reflect_efficiency * source_weight
-    samples = peak * np.exp(-((nu - center_thz) ** 2) / f.bandwidth_b_thz**2)
-    if f.side_lobe is not None:
-        lobe = f.side_lobe
-        samples = samples + peak * lobe.rel_amplitude * np.exp(
-            -((nu - center_thz - lobe.offset_thz) ** 2) / lobe.width_thz**2
-        )
+    # At ~1e154 widths from a lobe its exponent overflows to -inf; exp gives the exact 0.
+    with np.errstate(over="ignore"):
+        samples = peak * np.exp(-((nu - center_thz) ** 2) / f.bandwidth_b_thz**2)
+        if f.side_lobe is not None:
+            lobe = f.side_lobe
+            samples = samples + peak * lobe.rel_amplitude * np.exp(
+                -((nu - center_thz - lobe.offset_thz) ** 2) / lobe.width_thz**2
+            )
     return Spectrum(grid=g, samples=samples)
 
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .errors import ConfigError, DetectionLimitedError, SingularPostSelectionError
-from .spectral import FrequencyGrid, UnitContext, inclusive_range
+from .spectral import FrequencyGrid, UnitContext, check_sweep, inclusive_range
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -194,8 +194,7 @@ def max_usable_amplification(
 
     if not math.isfinite(snr_min_db):
         raise ValueError("snr_min_db must be finite")
-    if beta_max_deg <= beta_min_deg:
-        raise ValueError("invalid beta sweep range")
+    check_sweep(beta_min_deg, beta_max_deg, step_deg)
     betas = [math.radians(b) for b in inclusive_range(beta_min_deg, beta_max_deg, step_deg)]
     kernel = SweepKernel(sc)
     candidates = []

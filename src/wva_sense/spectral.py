@@ -85,6 +85,18 @@ def inclusive_range(start: float, stop: float, step: float) -> list[float]:
     return [start + k * step for k in range(int(count) + 1)]
 
 
+def check_sweep(lo: float, hi: float, step: float,
+                names: Sequence[str] = ("beta_min_deg", "beta_max_deg", "step_deg")) -> None:
+    """The sweep rule: ValueError naming the field unless step > 0, hi > lo
+    and inclusive_range(lo, hi, step) has at most MAX_RANGE_POINTS points."""
+    if not step > 0:
+        raise ValueError(f"{names[2]}: must be > 0, got {step!r}")
+    if not hi > lo:
+        raise ValueError(f"{names[1]} must exceed {names[0]}")
+    if not (hi - lo) / step + 1e-9 < MAX_RANGE_POINTS:
+        raise ValueError(f"{names[2]}: range exceeds {MAX_RANGE_POINTS} points")
+
+
 def make_grid(center: float, span: float, n_points: int) -> FrequencyGrid:
     """Build a uniform grid covering [center - span/2, center + span/2]."""
     return FrequencyGrid(center=center, span=span, n_points=n_points)
@@ -132,7 +144,6 @@ class UnitContext:
     """
 
     reference_wavelength_nm: float = 1551.0
-    speed_of_light: float = SPEED_OF_LIGHT_NM_THZ
 
     def __post_init__(self) -> None:
         if self.reference_wavelength_nm <= 0:
@@ -140,11 +151,11 @@ class UnitContext:
 
     def frequency_shift_to_nm(self, dnu_thz: float) -> float:
         """Convert a frequency shift (THz) to a wavelength shift (nm)."""
-        return -dnu_thz * self.reference_wavelength_nm**2 / self.speed_of_light
+        return -dnu_thz * self.reference_wavelength_nm**2 / SPEED_OF_LIGHT_NM_THZ
 
     def nm_shift_to_frequency(self, dlam_nm: float) -> float:
         """Convert a wavelength shift (nm) to a frequency shift (THz)."""
-        return -dlam_nm * self.speed_of_light / self.reference_wavelength_nm**2
+        return -dlam_nm * SPEED_OF_LIGHT_NM_THZ / self.reference_wavelength_nm**2
 
 
 def wavelength_to_frequency(lambda_nm: float) -> float:

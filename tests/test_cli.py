@@ -449,6 +449,78 @@ class TestReplayResolvedValidation:
         assert not (tmp_path / "replay").exists()
 
 
+class TestSweepRangeSource:
+    """A sweep that breaks the sweep rule names the flag, config key or
+    manifest key it came from, and no output directory is made."""
+
+    def test_config_step_names_config_key(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["postselect"] = {"beta_min_deg": -90.0, "beta_max_deg": 0.0, "step_deg": 1e-6}
+        out = tmp_path / "out"
+        assert exit_code(["sweep-beta", "--config", write_config(tmp_path, doc),
+                          "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "postselect.step_deg: range exceeds 1000000 points" in err
+        assert "--step" not in err
+        assert not out.exists()
+
+    def test_flag_and_config_bounds_named_by_source(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["postselect"] = {"beta_min_deg": -90.0, "beta_max_deg": 0.0, "step_deg": 1.0}
+        out = tmp_path / "out"
+        assert exit_code(["sweep-beta", "--config", write_config(tmp_path, doc),
+                          "--beta-min", "10", "--out", str(out)]) == 2
+        assert "postselect.beta_max_deg must exceed --beta-min" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("step_deg", 0, "resolved.step_deg: must be > 0"),
+        ("step_deg", 1e-9, "resolved.step_deg: range exceeds 1000000 points"),
+        ("beta_max_deg", -90, "resolved.beta_max_deg must exceed resolved.beta_min_deg"),
+    ], ids=["step_0", "step_1e-9", "max_at_min"])
+    def test_replayed_sweep_names_manifest_key(self, tmp_path, manifests, key, value, named):
+        manifest = manifests["amax-curve"]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**manifest, "resolved": {**manifest["resolved"], key: value}}))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {named}")):
+            replay_manifest(path, tmp_path / "replay")
+        assert not (tmp_path / "replay").exists()
+
+
+@pytest.mark.parametrize("value,expected", [
+    (91, "an angle in [-90, 90] deg"),
+    (10**400, "a finite number"),
+    (True, "a finite number"),
+    (math.nan, "a finite number"),
+], ids=["91", "10**400", "true", "nan"])
+@pytest.mark.parametrize("entry", ["flag", "config", "manifest"])
+def test_entry_points_share_one_rule(tmp_path, capsys, manifests, entry, value, expected):
+    """--beta, postselect.beta_deg and a replayed resolved.beta_deg reject a
+    value with the same rule, naming the field, before any output exists."""
+    out = tmp_path / "out"
+    if entry == "manifest":
+        manifest = manifests["dump-spectrum"]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**manifest,
+                                    "resolved": {**manifest["resolved"], "beta_deg": value}}))
+        with pytest.raises(ConfigError) as excinfo:
+            replay_manifest(path, out)
+        err, named = str(excinfo.value), f"{path}: resolved.beta_deg: "
+    else:
+        doc, argv = base_doc(), ["dump-spectrum", "--out", str(out)]
+        if entry == "config":
+            doc["postselect"]["beta_deg"] = value
+            named = "postselect.beta_deg: "
+        else:
+            argv += ["--beta", json.dumps(value).lower()]  # 91, 1000...0, true, nan
+            named = "argument --beta: "
+        assert exit_code([*argv, "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+    assert f"{named}expected {expected}, got " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestConfigErrors:
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         doc = base_doc()
@@ -634,32 +706,66 @@ def _numeric_leaves(node, path=()):
 
 
 def test_every_numeric_config_leaf_scaled(tmp_path, capsys):
-    # Each number in configs/bench.json, alone, times 1e160, 1e300 and 1e-300
-    # (the grid left at its defaults): the run exits 0 with a finite
-    # spectrum, or 2 or 3 with a message, never with a traceback.
-    bench = json.loads((CONFIGS / "bench.json").read_text())
+    # Each number in configs/bench.json and configs/bench_sidelobe.json,
+    # alone, times 1e160, 1e300 and 1e-300 (the grid left at its defaults):
+    # the run exits 0 with a finite spectrum, or 2 or 3 with a message, never
+    # with a traceback or a numpy warning.
     out = tmp_path / "out"
     failures = []
-    for path, value in _numeric_leaves(bench):
-        for factor in (1e160, 1e300, 1e-300):
-            doc = json.loads(json.dumps(bench))
-            node = doc
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value * factor
-            cfg = write_config(tmp_path, doc)
-            (out / "spectrum.csv").unlink(missing_ok=True)
-            try:
-                code = exit_code(["dump-spectrum", "--config", cfg, "--stage", "filtered",
-                                  "--out", str(out)])
-            except Exception as exc:  # reported below with the leaf that raised it
-                code = f"{type(exc).__name__}: {exc}"
-            err = capsys.readouterr().err
-            where = ".".join(map(str, path)) + f" x{factor:g}"
-            if code not in (0, 2, 3) or "Traceback" in err:
-                failures.append(f"{where}: {code} {err.strip()}")
-            elif code == 0:
-                samples = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
-                if not np.all(np.isfinite(samples)):
-                    failures.append(f"{where}: non-finite spectrum")
+    for name in ("bench.json", "bench_sidelobe.json"):
+        bench = json.loads((CONFIGS / name).read_text())
+        for path, value in _numeric_leaves(bench):
+            for factor in (1e160, 1e300, 1e-300):
+                doc = json.loads(json.dumps(bench))
+                node = doc
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value * factor
+                cfg = write_config(tmp_path, doc)
+                (out / "spectrum.csv").unlink(missing_ok=True)
+                try:
+                    code = exit_code(["dump-spectrum", "--config", cfg, "--stage", "filtered",
+                                      "--out", str(out)])
+                except Exception as exc:  # reported below with the leaf that raised it
+                    code = f"{type(exc).__name__}: {exc}"
+                err = capsys.readouterr().err
+                where = f"{name}: " + ".".join(map(str, path)) + f" x{factor:g}"
+                if code not in (0, 2, 3) or "Traceback" in err:
+                    failures.append(f"{where}: {code} {err.strip()}")
+                elif code == 0:
+                    samples = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+                    if not np.all(np.isfinite(samples)):
+                        failures.append(f"{where}: non-finite spectrum")
     assert failures == []
+
+
+@pytest.mark.parametrize("edit", [
+    {"side_lobe": {"offset_thz": -0.37e160, "rel_amplitude": 0.2}},
+    {"side_lobe": {"offset_thz": -0.37, "rel_amplitude": 0.2, "width_thz": 1e-154}},
+], ids=["offset_x1e160", "width_1e-154"])
+def test_side_lobe_beyond_float_range_is_exactly_zero(tmp_path, edit):
+    # Every node is about 1e154 lobe widths or more from the side lobe, so its
+    # Gaussian exponent overflows to -inf and exp gives exactly 0: the spectrum
+    # is the one without a side lobe, byte for byte, and numpy does not warn.
+    doc = json.loads((CONFIGS / "bench_sidelobe.json").read_text())
+    spectra = []
+    for fbg1 in ({**doc["fbg1"], **edit}, {k: v for k, v in doc["fbg1"].items()
+                                           if k != "side_lobe"}):
+        out = tmp_path / str(len(spectra))
+        cfg = write_config(tmp_path, {**doc, "fbg1": fbg1})
+        assert main(["dump-spectrum", "--config", cfg, "--out", str(out)]) == 0
+        spectra.append((out / "spectrum.csv").read_bytes())
+    assert spectra[0] == spectra[1]
+
+
+def test_grating_narrower_than_float_range_runs(tmp_path):
+    # fwhm_nm 1e-152 on a 100 THz grid: the main-lobe exponent overflows at
+    # nodes far from the Bragg center and exp gives 0 there, without a warning.
+    doc = json.loads((CONFIGS / "bench_sidelobe.json").read_text())
+    doc["fbg1"]["fwhm_nm"] = 1e-152
+    doc["grid"] = {"span_thz": 100.0}
+    out = tmp_path / "out"
+    assert main(["dump-spectrum", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    samples = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(samples))
