@@ -49,63 +49,51 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _flag(rule: Callable[[Any, str], Any], parse: Callable[[str], Any] = float):
-    """argparse type: `parse` the flag's text (text that does not parse is
-    passed on as is) and apply a config rule; argparse names the flag."""
-    def flag_type(text: str):
-        try:
-            value = parse(text)
-        except ValueError:
-            value = text
-        try:
-            return rule(value, "")
-        except ConfigError as exc:
-            raise argparse.ArgumentTypeError(str(exc).removeprefix(": ")) from None
-    return flag_type
+def _number(text: str):
+    """argparse type: the flag's text as a float, or the text itself when it
+    is not a number, for the input's rule to reject."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
-_finite, _angle, _seed = _flag(finite), _flag(angle), _flag(count, int)
-
-
-def _float_list(parse: Callable[[str], float] = _finite) -> Callable[[str], list[float]]:
+def _numbers(text: str) -> list:
     """argparse type: 'a,b,c' or 'start:stop:step' (inclusive of stop within
-    1e-9), at least one value, each value (start and stop of a range) `parse`d."""
-    def list_type(text: str) -> list[float]:
-        try:
-            if ":" in text:
-                parts = text.split(":")
-                if len(parts) != 3:
-                    raise ValueError("range spec needs start:stop:step")
-                return inclusive_range(parse(parts[0]), parse(parts[1]), _finite(parts[2]))
-            values = [parse(p) for p in text.split(",") if p.strip() != ""]
-            if not values:
-                raise ValueError(f"expected at least one value, got {text!r}")
-            return values
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return list_type
+    1e-9) as a list of at least one value, each value `_number`ed."""
+    try:
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise ValueError("range spec needs start:stop:step")
+            return inclusive_range(*map(float, parts))
+        values = [_number(p) for p in text.split(",") if p.strip() != ""]
+        if not values:
+            raise ValueError(f"expected at least one value, got {text!r}")
+        return values
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_dump_name = "spectrum_beta_{:+.2f}.csv".format  # the file of a dumped angle's spectrum
 
 
 # ---------------------------------------------------------------------------
 # Command implementations. Each takes the fully resolved input dict, the
 # output directory and the parsed config scenario (None for commands without
-# a config), writes its files and returns {filename: sha256}.
+# a config), writes its files and returns {filename: sha256}. Its inputs were
+# checked before it runs; its docstring is the command's help.
 # ---------------------------------------------------------------------------
 
 
 def run_sweep_beta(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str]:
+    """centroid shift vs post-selection angle"""
     if resolved.get("dt_c") is not None:
         sc = replace(sc, t1_c=sc.t2_c + resolved["dt_c"])
     betas_deg = inclusive_range(
         resolved["beta_min_deg"], resolved["beta_max_deg"], resolved["step_deg"]
     )
-    dumps: dict[str, float] = {}
-    for beta_deg in resolved["dump_spectra_deg"]:
-        name = f"spectrum_beta_{beta_deg:+.2f}.csv"
-        if name in dumps:
-            raise ConfigError(f"--dump-spectra: angles {_fmt(dumps[name])} and "
-                              f"{_fmt(beta_deg)} both write {name}")
-        dumps[name] = beta_deg
+    dumps = {_dump_name(beta_deg): beta_deg for beta_deg in resolved["dump_spectra_deg"]}
     # Rows stream from one kernel; no angle's spectra outlive its row.
     kernel = SweepKernel(sc)
     ref = kernel.reference()
@@ -146,6 +134,7 @@ def run_sweep_beta(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str
 
 
 def run_sweep_temp(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str]:
+    """centroid shift vs temperature difference"""
     if resolved["beta_deg"] is not None:
         sc = replace(sc, beta_rad=math.radians(resolved["beta_deg"]))
     dt_list = resolved["dt_list_c"]
@@ -172,10 +161,8 @@ def run_sweep_temp(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str
 
 
 def run_amax_curve(resolved: dict, out_dir: Path, sc: Optional[Scenario]) -> dict[str, str]:
+    """amplification factor vs angle for each g"""
     g_list = resolved["g_list"]
-    for g in g_list:
-        if abs(g) >= 1.0:
-            raise ConfigError(f"--g: |g| must be < 1, got {g}")
     betas_deg = inclusive_range(
         resolved["beta_min_deg"], resolved["beta_max_deg"], resolved["step_deg"]
     )
@@ -197,6 +184,7 @@ def run_amax_curve(resolved: dict, out_dir: Path, sc: Optional[Scenario]) -> dic
 
 
 def run_theory_lines(resolved: dict, out_dir: Path, sc: Optional[Scenario]) -> dict[str, str]:
+    """first-order shift lines for fixed A"""
     kappa = resolved["kappa_nm_per_c"]
     rows = [(dt, a, centroid_shift_model(dt, kappa, a))
             for a in resolved["a_list"] for dt in resolved["dt_list_c"]]
@@ -219,6 +207,7 @@ def parse_calibration_csv(path) -> list[tuple[float, float]]:
 
 
 def run_calibrate(resolved: dict, out_dir: Path, sc: Optional[Scenario]) -> dict[str, str]:
+    """least-squares fit of a measured CSV"""
     points = [(float(dt), float(s)) for dt, s in resolved["points"]]
     fit = fit_sensitivity(points)
     doc = {
@@ -238,6 +227,7 @@ def run_calibrate(resolved: dict, out_dir: Path, sc: Optional[Scenario]) -> dict
 
 
 def run_dump_spectrum(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str]:
+    """write one simulated spectrum"""
     if resolved["beta_deg"] is not None:
         sc = replace(sc, beta_rad=math.radians(resolved["beta_deg"]))
     if resolved["dt_c"] is not None:
@@ -291,52 +281,108 @@ def _config(value, where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _dump_angles(value, where: str) -> list[float]:
+    """The rule for the angles sweep-beta dumps: no two share a file name."""
+    angles, names = _list_of(angle, empty=True)(value, where), {}
+    for beta_deg in angles:
+        name = _dump_name(beta_deg)
+        if name in names:
+            raise ConfigError(f"{where}: angles {_fmt(names[name])} and "
+                              f"{_fmt(beta_deg)} both write {name}")
+        names[name] = beta_deg
+    return angles
+
+
+def _input(rule: Callable[[Any, str], Any], flag: Optional[str] = None,
+           type: Optional[Callable[[str], Any]] = _number, **options) -> tuple:
+    """A command input: the rule its value must pass and, if a flag sets it,
+    the flag and its add_argument options."""
+    return rule, flag, {"type": type, **options}
+
+
 _STAGES = ("raw", "osa", "filtered")
 _PAIR = _is(lambda v: isinstance(v, list) and len(v) == 2, "a [dt_c, centroid_shift_nm] pair")
-# What each runner reads from `resolved`: key -> the rule its value must pass.
-_RESOLVED: dict[str, dict[str, Callable[[Any, str], Any]]] = {
+_G = _is(lambda g: abs(g) < 1.0, "|g| < 1")
+# What each runner reads from `resolved`, declared once: key -> _input. The
+# keys no flag sets are read from files: the config, or calibrate's CSV.
+_INPUTS: dict[str, dict[str, tuple]] = {
     "sweep-beta": {
-        "config": _config, "beta_min_deg": angle, "beta_max_deg": angle, "step_deg": finite,
-        "dt_c": _or_null(finite), "snr_min_db": _or_null(finite),
-        "dump_spectra_deg": _list_of(angle, empty=True),
+        "config": _input(_config),
+        "beta_min_deg": _input(angle, "--beta-min", help="degrees"),
+        "beta_max_deg": _input(angle, "--beta-max", help="degrees"),
+        "step_deg": _input(finite, "--step", help="degrees"),
+        "dt_c": _input(_or_null(finite), "--dt",
+                       help="t1 - t2 override for the whole sweep (degC)"),
+        "dump_spectra_deg": _input(_dump_angles, "--dump-spectra", _numbers, default=[],
+                                   help="comma list of angles (deg) whose filtered spectra to "
+                                   "write (use --dump-spectra=-40,-25 for negative angles)"),
+        "snr_min_db": _input(_or_null(finite), "--snr-min", help="annotate the largest |A| point "
+                             "with SNR above this floor (dB); exits 4 when no angle qualifies"),
     },
-    "sweep-temp": {"config": _config, "dt_list_c": _list_of(finite), "beta_deg": _or_null(angle)},
-    "amax-curve": {"g_list": _list_of(finite), "beta_min_deg": angle, "beta_max_deg": angle,
-                   "step_deg": finite},
-    "theory-lines": {"a_list": _list_of(finite), "dt_list_c": _list_of(finite),
-                     "kappa_nm_per_c": finite},
+    "sweep-temp": {
+        "config": _input(_config),
+        "dt_list_c": _input(_list_of(finite), "--dt", _numbers, help="dt values, 'a,b,c' or "
+                            "'start:stop:step' (degC); defaults to the config temperature plan"),
+        "beta_deg": _input(_or_null(angle), "--beta", help="post-selection angle override (deg)"),
+    },
+    "amax-curve": {
+        "g_list": _input(_list_of(lambda g, where: _G(finite(g, where), where)), "--g", _numbers,
+                         required=True, help="comma list of gamma*cos(delta) values"),
+        "beta_min_deg": _input(angle, "--beta-min", default=-90.0, help="degrees"),
+        "beta_max_deg": _input(angle, "--beta-max", default=0.0, help="degrees"),
+        "step_deg": _input(finite, "--step", default=0.01, help="degrees"),
+    },
+    "theory-lines": {
+        "a_list": _input(_list_of(finite), "--a", _numbers, required=True,
+                         help="comma list of amplification factors"),
+        "dt_list_c": _input(_list_of(finite), "--dt", _numbers, default="0:12:1",
+                            help="'a,b,c' or 'start:stop:step' (degC)"),
+        "kappa_nm_per_c": _input(finite, "--kappa", required=True, help="nm per degC"),
+    },
     "calibrate": {
-        "input": _is(lambda v: isinstance(v, str), "a string"),
-        "points": _list_of(lambda v, where: _list_of(finite)(_PAIR(v, where), where)),
+        "input": _input(_is(lambda v: isinstance(v, str), "a string"), "--input", None,
+                        required=True, help="CSV of dt_c,centroid_shift_nm rows"),
+        "points": _input(_list_of(lambda v, where: _list_of(finite)(_PAIR(v, where), where))),
     },
-    "dump-spectrum": {"config": _config, "beta_deg": _or_null(angle), "dt_c": _or_null(finite),
-                      "stage": _is(lambda v: v in _STAGES, f"one of {_STAGES}")},
+    "dump-spectrum": {
+        "config": _input(_config),
+        "beta_deg": _input(_or_null(angle), "--beta", help="angle override (deg)"),
+        "dt_c": _input(_or_null(finite), "--dt", help="t1 - t2 override (degC)"),
+        "stage": _input(_is(lambda v: v in _STAGES, f"one of {_STAGES}"), "--stage", None,
+                        choices=_STAGES, default="filtered"),
+    },
 }
-# The keys of a beta sweep, and the flags that set them.
-_SWEEP = {"beta_min_deg": "--beta-min", "beta_max_deg": "--beta-max", "step_deg": "--step"}
+_SWEEP = ("beta_min_deg", "beta_max_deg", "step_deg")  # the keys of a beta sweep
 
 
-def _check_resolved(manifest_path, command: str, resolved: dict) -> Optional[Scenario]:
-    """The scenario of `resolved`'s config, if the command reads one. The first
-    key the runner reads that is missing or breaks its rule, or a sweep that
-    breaks the sweep rule, raises ConfigError naming the manifest and key."""
-    checked = {}
-    try:
-        for key, rule in _RESOLVED[command].items():
+def _check(command: str, resolved: dict, name: Callable[[str], str],
+           checked: dict) -> Optional[Scenario]:
+    """The scenario of the command's config, if it reads one. Each key it reads
+    must be in `resolved` and pass its rule (keys in `checked` passed where they
+    were read), and a beta sweep the sweep rule; a failure raises ConfigError
+    naming the key as `name(key)`, a flag bare (`--step`) in a sweep message."""
+    for key, (rule, _, _) in _INPUTS[command].items():
+        if key not in checked:
             if key not in resolved:
-                raise ConfigError(f"resolved.{key}: missing, {command} reads it")
-            checked[key] = rule(resolved[key], f"resolved.{key}")
-        if "step_deg" in checked:
-            sweep(*(resolved[k] for k in _SWEEP), [f"resolved.{k}" for k in _SWEEP])
-    except ConfigError as exc:
-        raise ConfigError(f"{manifest_path}: {exc}") from None
+                raise ConfigError(f"{name(key)}: missing, {command} reads it")
+            checked[key] = rule(resolved[key], name(key))
+    if "step_deg" in checked:
+        sweep(*(checked[k] for k in _SWEEP), [name(k).removeprefix("argument ") for k in _SWEEP])
     return checked["config"].scenario if "config" in checked else None
 
 
 def _execute(command: str, resolved: dict, out_dir: Path, seed: Optional[int],
              sc: Optional[Scenario]) -> None:
+    """Run the command into out_dir and write its manifest. A run that fails
+    removes out_dir if this call made it and it is still empty."""
+    made = not out_dir.is_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = _RUNNERS[command](resolved, out_dir, sc)
+    try:
+        outputs = _RUNNERS[command](resolved, out_dir, sc)
+    except WvaSenseError:
+        if made and not any(out_dir.iterdir()):
+            out_dir.rmdir()
+        raise
     manifest = {
         "tool": "wva-sense",
         "version": __version__,
@@ -372,7 +418,10 @@ def replay_manifest(manifest_path, out_dir) -> dict:
     command = manifest.get("command")
     if not (isinstance(command, str) and command in _RUNNERS):
         raise ConfigError(f"{manifest_path}: unknown command {command!r}")
-    sc = _check_resolved(manifest_path, command, manifest["resolved"])
+    try:
+        sc = _check(command, manifest["resolved"], lambda key: f"resolved.{key}", {})
+    except ConfigError as exc:
+        raise ConfigError(f"{manifest_path}: {exc}") from None
     _execute(command, manifest["resolved"], Path(out_dir), manifest.get("seed"), sc)
     return manifest
 
@@ -390,85 +439,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, config_required=True):
-        if config_required:
+    for command, inputs in _INPUTS.items():
+        sp = sub.add_parser(command, help=_RUNNERS[command].__doc__)
+        if "config" in inputs:
             sp.add_argument("--config", required=True, help="scenario JSON file")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=_seed, default=None,
-                        help="override the OSA noise seed")
-
-    # Each flag's dest is its key in the manifest's `resolved` inputs.
-    sp = sub.add_parser("sweep-beta", help="centroid shift vs post-selection angle")
-    common(sp)
-    sp.add_argument("--beta-min", dest="beta_min_deg", type=_angle, help="degrees")
-    sp.add_argument("--beta-max", dest="beta_max_deg", type=_angle, help="degrees")
-    sp.add_argument("--step", dest="step_deg", type=_finite, help="degrees")
-    sp.add_argument("--dt", dest="dt_c", type=_finite,
-                    help="t1 - t2 override for the whole sweep (degC)")
-    sp.add_argument("--dump-spectra", dest="dump_spectra_deg", type=_float_list(_angle),
-                    default=[], help="comma list of angles (deg) whose filtered spectra to "
-                    "write (use --dump-spectra=-40,-25 for negative angles)")
-    sp.add_argument("--snr-min", dest="snr_min_db", type=_finite,
-                    help="annotate the largest |A| point with SNR above this floor "
-                    "(dB); exits 4 when no angle qualifies")
-
-    sp = sub.add_parser("sweep-temp", help="centroid shift vs temperature difference")
-    common(sp)
-    sp.add_argument("--dt", dest="dt_list_c", type=_float_list(),
-                    help="dt values, 'a,b,c' or 'start:stop:step' (degC); "
-                    "defaults to the config temperature plan")
-    sp.add_argument("--beta", dest="beta_deg", type=_angle,
-                    help="post-selection angle override (deg)")
-
-    sp = sub.add_parser("amax-curve", help="amplification factor vs angle for each g")
-    common(sp, config_required=False)
-    sp.add_argument("--g", dest="g_list", type=_float_list(), required=True,
-                    help="comma list of gamma*cos(delta) values")
-    sp.add_argument("--beta-min", dest="beta_min_deg", type=_angle, default=-90.0, help="degrees")
-    sp.add_argument("--beta-max", dest="beta_max_deg", type=_angle, default=0.0, help="degrees")
-    sp.add_argument("--step", dest="step_deg", type=_finite, default=0.01, help="degrees")
-
-    sp = sub.add_parser("theory-lines", help="first-order shift lines for fixed A")
-    common(sp, config_required=False)
-    sp.add_argument("--a", dest="a_list", type=_float_list(), required=True,
-                    help="comma list of amplification factors")
-    sp.add_argument("--dt", dest="dt_list_c", type=_float_list(), default="0:12:1",
-                    help="'a,b,c' or 'start:stop:step' (degC)")
-    sp.add_argument("--kappa", dest="kappa_nm_per_c", type=_finite, required=True,
-                    help="nm per degC")
-
-    sp = sub.add_parser("calibrate", help="least-squares fit of a measured CSV")
-    common(sp, config_required=False)
-    sp.add_argument("--input", required=True, help="CSV of dt_c,centroid_shift_nm rows")
-
-    sp = sub.add_parser("dump-spectrum", help="write one simulated spectrum")
-    common(sp)
-    sp.add_argument("--beta", dest="beta_deg", type=_angle, help="angle override (deg)")
-    sp.add_argument("--dt", dest="dt_c", type=_finite, help="t1 - t2 override (degC)")
-    sp.add_argument("--stage", choices=_STAGES, default="filtered")
-
+        sp.add_argument("--seed", type=int, help="override the OSA noise seed")
+        # Each flag's dest is its key in the manifest's `resolved` inputs.
+        for key, (_, flag, options) in inputs.items():
+            if flag is not None:
+                sp.add_argument(flag, dest=key, **options)
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> tuple[dict, Optional[Scenario]]:
-    """The command's fully resolved inputs and its config scenario, if any.
-
-    `args` holds the flags under their resolved keys; this adds what comes
-    from files: the config and the defaults it gives, or calibration points."""
-    resolved = {k: v for k, v in vars(args).items()
-                if k not in ("command", "config", "out", "seed")}
-    sc, names = None, dict(_SWEEP)
+    """The command's checked, fully resolved inputs and its config scenario,
+    if any: the flags under their resolved keys, plus what files give (the
+    config and its defaults, or calibration points), checked where read."""
+    inputs = _INPUTS[args.command]
+    names = {key: f"argument {flag}" for key, (_, flag, _) in inputs.items() if flag}
+    resolved = {key: getattr(args, key) for key in names}
+    checked: dict[str, Any] = {}
+    if args.seed is not None:
+        count(args.seed, "argument --seed")
     if args.command == "calibrate":
-        resolved["points"] = parse_calibration_csv(args.input)
-    elif "config" in args:
+        resolved["points"] = checked["points"] = parse_calibration_csv(args.input)
+    elif "config" in inputs:
         resolved["config"] = doc = read_config(args.config)
         if args.seed is not None and isinstance(doc, dict):
             if not isinstance(doc.get("osa"), dict):
                 raise ConfigError("--seed: the config has no osa section to seed")
             doc["osa"]["seed"] = args.seed
-        loaded = parse_scenario(doc)
-        sc = loaded.scenario
+        checked["config"] = loaded = parse_scenario(doc)
         if args.command == "sweep-temp" and resolved["dt_list_c"] is None:
             resolved["dt_list_c"] = loaded.dt_list_c
         if args.command == "sweep-beta":
@@ -478,12 +480,9 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, Optional[Scenario]]:
                 if resolved[key] is None:
                     resolved[key], names[key] = default, f"postselect.{key}"
             if any(resolved[key] is None for key in _SWEEP):
-                raise ConfigError(
-                    "sweep-beta needs --beta-min/--beta-max/--step or a config sweep spec"
-                )
-    if "step_deg" in resolved:
-        sweep(*(resolved[k] for k in _SWEEP), [names[k] for k in _SWEEP])
-    return resolved, sc
+                raise ConfigError("sweep-beta needs --beta-min/--beta-max/--step or a "
+                                  "config sweep spec")
+    return resolved, _check(args.command, resolved, names.__getitem__, checked)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -237,12 +237,12 @@ class CentroidPrediction:
 
 
 def analytic_centroid(p: SetupParams) -> CentroidPrediction:
-    """First-order centroid nu0 + nu_plus + A * nu_minus.
+    """Centroid nu0 + nu_plus + A * nu_minus of the post-selected spectrum.
 
-    weak_regime is True when |nu_minus| <= 0.1 B and |tau| <= 0.01/B; outside
-    that window the value is still returned but the first-order formula is
-    not expected to track the full spectrum (the delay also rotates the
-    interference phase by 2 pi nu0 tau, which this expression ignores).
+    Exact at tau = 0, not first-order: both lobes and the interference term are
+    Gaussians of width B and nu_minus enters A only through gamma, so there the
+    weak_regime window (|nu_minus| <= 0.1 B, |tau| <= 0.01/B) is stricter than
+    needed. It ignores the phase 2 pi nu tau that a delay adds across the band.
     """
     a = amplification_factor(p.beta_rad, p.gamma_overlap, p.delta_rad)
     weak = abs(p.nu_minus) <= 0.1 * p.b_width and abs(p.tau_ps) <= 0.01 / p.b_width

@@ -286,6 +286,21 @@ class TestAmaxCurve:
         assert main(["amax-curve", "--g", "1.0", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["amax-curve", "--g", "1.0"], "argument --g: expected |g| < 1, got 1.0"),
+    # Both angles round to spectrum_beta_-40.00.csv.
+    (["sweep-beta", "--config", str(CONFIGS / "bench.json"), "--dump-spectra=-40,-40.001"],
+     "argument --dump-spectra: angles -40 and -40.001 both write spectrum_beta_-40.00.csv"),
+], ids=["g", "dump_spectra"])
+def test_input_rule_fails_before_the_run(tmp_path, capsys, argv, named):
+    """|g| < 1 and distinct dump file names are input rules: main returns 2
+    naming the flag, and no output directory is made."""
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestTheoryLines:
     def test_exact_slopes(self, tmp_path):
         run = tmp_path / "run"
@@ -429,6 +444,20 @@ class TestReplayResolvedValidation:
         path, replay = self._replay(tmp_path, manifest)
         with pytest.raises(ConfigError, match=re.escape(f"{path}: resolved.{key}: expected")):
             replay()
+
+    @pytest.mark.parametrize("command,key,value,expected", [
+        ("amax-curve", "g_list", [1.0], "expected |g| < 1, got 1.0"),
+        ("sweep-beta", "dump_spectra_deg", [-40.0, -40.001],
+         "angles -40 and -40.001 both write spectrum_beta_-40.00.csv"),
+    ], ids=["g_list", "dump_spectra_deg"])
+    def test_g_and_dump_rules_name_key(self, tmp_path, manifests, command, key, value,
+                                       expected):
+        manifest = manifests[command]
+        manifest = {**manifest, "resolved": {**manifest["resolved"], key: value}}
+        path, replay = self._replay(tmp_path, manifest)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: resolved.{key}: {expected}")):
+            replay()
+        assert not (tmp_path / "replay").exists()
 
     @pytest.mark.parametrize("command", list(COMMAND_ARGS))
     def test_recorded_manifest_replays(self, tmp_path, manifests, command):
@@ -624,11 +653,32 @@ class TestBadInputsExit2:
         ("source", "pulse_fwhm_ps", 3.2e-301, "source: b_thz must have a finite nonzero square"),
         # (span / half-width)^order overflows in the super-Gaussian gain.
         ("filter", "half_width_factor", 1.5e-300, "filter: "),
+        ("source", "pulse_fwhm_ps", -1, "source.pulse_fwhm_ps: must be > 0"),
+        ("source", "pulse_fwhm_ps", 0, "source.pulse_fwhm_ps: must be > 0"),
+        ("fbg1", "fwhm_nm", 0, "fbg1.fwhm_nm: must be > 0"),
+        ("fbg1", "side_lobe", [1], "fbg1.side_lobe: expected an object"),
+        ("filter", "enabled", 1, "filter.enabled: expected true/false"),
+        ("postselect", "beta_min_deg", -90.0,
+         "postselect: sweep spec needs beta_min_deg, beta_max_deg and step_deg"),
     ])
     def test_config_value_named(self, tmp_path, capsys, section, key, value, named):
         doc = base_doc()
         doc.setdefault(section, {})[key] = value
         cfg = write_config(tmp_path, doc)
+        assert exit_code(["dump-spectrum", "--config", cfg,
+                          "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("section,value,named", [
+        ("source", [], "source: expected an object"),
+        ("postselect", {}, "postselect: give beta_deg or a sweep spec"),
+        ("fbg1", {"center_nm": 1551.0, "fwhm_nm": 2.0, "efficiency": 0.14},
+         "fbg1.kappa_nm_per_c: required numeric field missing"),
+    ], ids=["source_list", "postselect_empty", "fbg1_no_kappa"])
+    def test_config_section_named(self, tmp_path, capsys, section, value, named):
+        cfg = write_config(tmp_path, {**base_doc(), section: value})
         assert exit_code(["dump-spectrum", "--config", cfg,
                           "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -769,3 +819,36 @@ def test_grating_narrower_than_float_range_runs(tmp_path):
                  "--out", str(out)]) == 0
     samples = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
     assert np.all(np.isfinite(samples))
+
+
+def _bench_with(section, key, value):
+    doc = json.loads((CONFIGS / "bench.json").read_text())
+    doc.setdefault(section, {})[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("argv,doc,code", [
+    # t2_ref_c = 20, so dt = 3000 puts the sensing grating's Bragg center off the grid.
+    (["sweep-temp", "--dt", "0,3000"], None, 2),
+    (["dump-spectrum", "--dt", "3000"], None, 2),
+    # Config values the kernel rejects when the run builds it.
+    (["dump-spectrum"], _bench_with("osa", "rbw_nm", 1e4), 2),
+    (["dump-spectrum"], _bench_with("filter", "half_width_factor", 1e-80), 2),
+    (["dump-spectrum"], _bench_with("grid", "span_thz", 1000.0), 2),
+    (["sweep-temp", "--dt", "5"], None, 3),
+    (["theory-lines", "--a", "1e308", "--kappa", "1e308", "--dt", "0,10"], None, 3),
+    (["sweep-beta", "--snr-min", "500"], None, 4),
+], ids=["sweep_temp_off_grid", "dump_off_grid", "rbw", "half_width", "span", "one_dt",
+        "inf_shift", "snr_min"])
+def test_failed_run_leaves_no_directory_it_made(tmp_path, argv, doc, code):
+    """A run that fails after its inputs passed removes the output directory
+    it made, and leaves one that already existed."""
+    if argv[0] != "theory-lines":
+        cfg = write_config(tmp_path, doc) if doc else str(CONFIGS / "bench.json")
+        argv = [*argv, "--config", cfg]
+    out = tmp_path / "out"
+    assert exit_code([*argv, "--out", str(out)]) == code
+    assert not out.exists()
+    out.mkdir()
+    assert exit_code([*argv, "--out", str(out)]) == code
+    assert out.is_dir() and not any(out.iterdir())
