@@ -44,7 +44,6 @@ from .scenario import (
     simulate_interrogation,
     sweep_beta,
     sweep_temperature,
-    temperature_points,
 )
 from .spectral import (
     SPEED_OF_LIGHT_NM_THZ,

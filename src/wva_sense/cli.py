@@ -35,7 +35,7 @@ from .errors import (
 )
 from .fbg import centroid_shift_model, fit_sensitivity
 from .osa import best_usable
-from .scenario import Scenario, SweepKernel, temperature_points
+from .scenario import Scenario, SweepKernel, sweep_temperature
 from .spectral import (Spectrum, inclusive_range, read_csv_rows, trapezoid_power, write_rows,
                        write_spectrum_csv)
 from .wva import amplification_factor
@@ -79,21 +79,16 @@ _dump_name = "spectrum_beta_{:+.2f}.csv".format  # the file of a dumped angle's 
 
 
 # ---------------------------------------------------------------------------
-# Command implementations. Each takes the fully resolved input dict, the
-# output directory and the parsed config scenario (None for commands without
-# a config), writes its files and returns {filename: sha256}. Its inputs were
-# checked before it runs; its docstring is the command's help.
+# Command implementations. Each takes the command's checked inputs, the output
+# directory and the scenario it measures (None without a config; _check has
+# applied --beta/--dt), writes its files and returns their paths, which
+# _execute hashes into the manifest. Its docstring is the command's help.
 # ---------------------------------------------------------------------------
 
 
-def run_sweep_beta(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str]:
+def run_sweep_beta(inputs: dict, out_dir: Path, sc: Scenario) -> list[Path]:
     """centroid shift vs post-selection angle"""
-    if resolved.get("dt_c") is not None:
-        sc = replace(sc, t1_c=sc.t2_c + resolved["dt_c"])
-    betas_deg = inclusive_range(
-        resolved["beta_min_deg"], resolved["beta_max_deg"], resolved["step_deg"]
-    )
-    dumps = {_dump_name(beta_deg): beta_deg for beta_deg in resolved["dump_spectra_deg"]}
+    betas_deg = inclusive_range(inputs["beta_min_deg"], inputs["beta_max_deg"], inputs["step_deg"])
     # Rows stream from one kernel; no angle's spectra outlive its row.
     kernel = SweepKernel(sc)
     ref = kernel.reference()
@@ -113,35 +108,33 @@ def run_sweep_beta(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str
                      point.raw_power / power_0, point.snr_db))
 
     footer = []
-    if resolved["snr_min_db"] is not None:
+    if inputs["snr_min_db"] is not None:
         beta_deg, a, snr_db = best_usable(
-            ((row[0], row[2], row[4]) for row in rows), resolved["snr_min_db"]
+            ((row[0], row[2], row[4]) for row in rows), inputs["snr_min_db"]
         )
         footer = [f"# max_usable: beta_deg={_fmt(beta_deg)} a={_fmt(a)} snr_db={_fmt(snr_db)}"]
 
     csv_path = out_dir / "sweep_beta.csv"
     header = ["beta_deg", "centroid_shift_nm", "a_effective", "total_power_rel", "snr_db"]
     write_rows(csv_path, header, rows, footer)
-    outputs = {csv_path.name: _sha256(csv_path)}
+    written = [csv_path]
 
-    for j, (name, beta_deg) in enumerate(dumps.items()):
+    for j, beta_deg in enumerate(inputs["dump_spectra_deg"]):
         trace = kernel.measure(kernel.raw(math.radians(beta_deg)), len(betas_deg) + 1 + j)
-        write_spectrum_csv(Spectrum(kernel.grid, kernel.filtered(trace)), out_dir / name)
-        outputs[name] = _sha256(out_dir / name)
+        written.append(out_dir / _dump_name(beta_deg))
+        write_spectrum_csv(Spectrum(kernel.grid, kernel.filtered(trace)), written[-1])
 
     print(f"sweep-beta: {len(rows)} points -> {csv_path}")
-    return outputs
+    return written
 
 
-def run_sweep_temp(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str]:
+def run_sweep_temp(inputs: dict, out_dir: Path, sc: Scenario) -> list[Path]:
     """centroid shift vs temperature difference"""
-    if resolved["beta_deg"] is not None:
-        sc = replace(sc, beta_rad=math.radians(resolved["beta_deg"]))
-    dt_list = resolved["dt_list_c"]
+    dt_list = inputs["dt_list_c"]
     if len(dt_list) < 2 or len(set(dt_list)) < 2:
         raise DegenerateFitError("temperature sweep needs >= 2 distinct dt values")
 
-    rows = [(dt, r.centroid_nm_shift) for dt, r in temperature_points(sc, dt_list)]
+    rows = [(dt, r.centroid_nm_shift) for dt, r in sweep_temperature(sc, dt_list)]
 
     # Fit on the values as written so the footer matches a later `calibrate`
     # run on this file exactly.
@@ -157,15 +150,13 @@ def run_sweep_temp(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str
     write_rows(csv_path, ["dt_c", "centroid_shift_nm"], rows, footer)
     print(f"sweep-temp: {len(rows)} points, slope "
           f"{fit.slope_nm_per_c:.6g} nm/degC -> {csv_path}")
-    return {csv_path.name: _sha256(csv_path)}
+    return [csv_path]
 
 
-def run_amax_curve(resolved: dict, out_dir: Path, sc: Optional[Scenario]) -> dict[str, str]:
+def run_amax_curve(inputs: dict, out_dir: Path, sc: Optional[Scenario]) -> list[Path]:
     """amplification factor vs angle for each g"""
-    g_list = resolved["g_list"]
-    betas_deg = inclusive_range(
-        resolved["beta_min_deg"], resolved["beta_max_deg"], resolved["step_deg"]
-    )
+    g_list = inputs["g_list"]
+    betas_deg = inclusive_range(inputs["beta_min_deg"], inputs["beta_max_deg"], inputs["step_deg"])
     rows = []
     peaks = []
     for g in g_list:
@@ -180,18 +171,18 @@ def run_amax_curve(resolved: dict, out_dir: Path, sc: Optional[Scenario]) -> dic
     csv_path = out_dir / "amax_curve.csv"
     write_rows(csv_path, ["beta_deg", "g", "a"], rows, peaks)
     print(f"amax-curve: {len(g_list)} curves x {len(betas_deg)} angles -> {csv_path}")
-    return {csv_path.name: _sha256(csv_path)}
+    return [csv_path]
 
 
-def run_theory_lines(resolved: dict, out_dir: Path, sc: Optional[Scenario]) -> dict[str, str]:
+def run_theory_lines(inputs: dict, out_dir: Path, sc: Optional[Scenario]) -> list[Path]:
     """first-order shift lines for fixed A"""
-    kappa = resolved["kappa_nm_per_c"]
+    kappa = inputs["kappa_nm_per_c"]
     rows = [(dt, a, centroid_shift_model(dt, kappa, a))
-            for a in resolved["a_list"] for dt in resolved["dt_list_c"]]
+            for a in inputs["a_list"] for dt in inputs["dt_list_c"]]
     csv_path = out_dir / "theory_lines.csv"
     write_rows(csv_path, ["dt_c", "a", "shift_nm"], rows)
     print(f"theory-lines: {len(rows)} rows -> {csv_path}")
-    return {csv_path.name: _sha256(csv_path)}
+    return [csv_path]
 
 
 def parse_calibration_csv(path) -> list[tuple[float, float]]:
@@ -206,10 +197,9 @@ def parse_calibration_csv(path) -> list[tuple[float, float]]:
     return points
 
 
-def run_calibrate(resolved: dict, out_dir: Path, sc: Optional[Scenario]) -> dict[str, str]:
+def run_calibrate(inputs: dict, out_dir: Path, sc: Optional[Scenario]) -> list[Path]:
     """least-squares fit of a measured CSV"""
-    points = [(float(dt), float(s)) for dt, s in resolved["points"]]
-    fit = fit_sensitivity(points)
+    fit = fit_sensitivity(inputs["points"])
     doc = {
         "slope_nm_per_c": fit.slope_nm_per_c,
         "intercept_nm": fit.intercept_nm,
@@ -223,16 +213,12 @@ def run_calibrate(resolved: dict, out_dir: Path, sc: Optional[Scenario]) -> dict
         f"intercept {fit.intercept_nm:.6g} nm, "
         f"residual rms {fit.residual_rms_nm:.3g} nm over {fit.n_points} points"
     )
-    return {json_path.name: _sha256(json_path)}
+    return [json_path]
 
 
-def run_dump_spectrum(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, str]:
+def run_dump_spectrum(inputs: dict, out_dir: Path, sc: Scenario) -> list[Path]:
     """write one simulated spectrum"""
-    if resolved["beta_deg"] is not None:
-        sc = replace(sc, beta_rad=math.radians(resolved["beta_deg"]))
-    if resolved["dt_c"] is not None:
-        sc = replace(sc, t1_c=sc.t2_c + resolved["dt_c"])
-    stage = resolved["stage"]
+    stage = inputs["stage"]
     kernel = SweepKernel(sc)
     samples = kernel.raw(sc.beta_rad)
     if stage != "raw":
@@ -242,10 +228,10 @@ def run_dump_spectrum(resolved: dict, out_dir: Path, sc: Scenario) -> dict[str, 
     csv_path = out_dir / "spectrum.csv"
     write_spectrum_csv(Spectrum(kernel.grid, samples), csv_path)
     print(f"dump-spectrum: {stage} spectrum -> {csv_path}")
-    return {csv_path.name: _sha256(csv_path)}
+    return [csv_path]
 
 
-_RUNNERS: dict[str, Callable[[dict, Path, Optional[Scenario]], dict[str, str]]] = {
+_RUNNERS: dict[str, Callable[[dict, Path, Optional[Scenario]], list[Path]]] = {
     "sweep-beta": run_sweep_beta,
     "sweep-temp": run_sweep_temp,
     "amax-curve": run_amax_curve,
@@ -356,11 +342,12 @@ _SWEEP = ("beta_min_deg", "beta_max_deg", "step_deg")  # the keys of a beta swee
 
 
 def _check(command: str, resolved: dict, name: Callable[[str], str],
-           checked: dict) -> Optional[Scenario]:
-    """The scenario of the command's config, if it reads one. Each key it reads
-    must be in `resolved` and pass its rule (keys in `checked` passed where they
-    were read), and a beta sweep the sweep rule; a failure raises ConfigError
-    naming the key as `name(key)`, a flag bare (`--step`) in a sweep message."""
+           checked: dict) -> tuple[dict, Optional[Scenario]]:
+    """The command's checked inputs and its config's scenario, if it reads one,
+    with the beta_deg/dt_c overrides applied. Each key it reads must be in
+    `resolved` and pass its rule (keys in `checked` passed where they were
+    read), and a beta sweep the sweep rule; a failure raises ConfigError naming
+    the key as `name(key)`, a flag bare (`--step`) in a sweep message."""
     for key, (rule, _, _) in _INPUTS[command].items():
         if key not in checked:
             if key not in resolved:
@@ -368,17 +355,27 @@ def _check(command: str, resolved: dict, name: Callable[[str], str],
             checked[key] = rule(resolved[key], name(key))
     if "step_deg" in checked:
         sweep(*(checked[k] for k in _SWEEP), [name(k).removeprefix("argument ") for k in _SWEEP])
-    return checked["config"].scenario if "config" in checked else None
+    sc = checked["config"].scenario if "config" in checked else None
+    if checked.get("beta_deg") is not None:
+        sc = replace(sc, beta_rad=math.radians(checked["beta_deg"]))
+    if checked.get("dt_c") is not None:
+        sc = replace(sc, t1_c=sc.t2_c + checked["dt_c"])
+    return checked, sc
 
 
-def _execute(command: str, resolved: dict, out_dir: Path, seed: Optional[int],
-             sc: Optional[Scenario]) -> None:
-    """Run the command into out_dir and write its manifest. A run that fails
+def _execute(command: str, resolved: dict, checked: dict, sc: Optional[Scenario],
+             out_dir: Path, seed: Optional[int]) -> None:
+    """Run the command into out_dir and write its manifest: `resolved` as
+    given, and the SHA-256 of each file the runner wrote. A run that fails
     removes out_dir if this call made it and it is still empty."""
     made = not out_dir.is_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        outputs = _RUNNERS[command](resolved, out_dir, sc)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{out_dir}: cannot make the output directory: "
+                          f"{exc.strerror}") from None
+    try:
+        written = _RUNNERS[command](checked, out_dir, sc)
     except WvaSenseError:
         if made and not any(out_dir.iterdir()):
             out_dir.rmdir()
@@ -392,7 +389,7 @@ def _execute(command: str, resolved: dict, out_dir: Path, seed: Optional[int],
         .isoformat(),
         "seed": seed,
         "resolved": resolved,
-        "outputs": outputs,
+        "outputs": {path.name: _sha256(path) for path in written},
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -403,9 +400,10 @@ def replay_manifest(manifest_path, out_dir) -> dict:
     """Re-run a recorded command; outputs are byte-identical to the original.
 
     A manifest that cannot be read, is not JSON, is not an object with
-    `command` and `resolved`, or whose `resolved` lacks a key the command
-    reads or holds a value the CLI would reject raises ConfigError naming
-    its path.
+    `command` and `resolved`, whose `resolved` lacks a key the command reads,
+    holds a key it does not read or a value the CLI would reject, or whose
+    `seed` is neither null nor a non-negative integer raises ConfigError
+    naming its path.
     """
     try:
         with open(manifest_path) as f:
@@ -415,14 +413,19 @@ def replay_manifest(manifest_path, out_dir) -> dict:
     if not (isinstance(manifest, dict) and isinstance(manifest.get("resolved"), dict)):
         raise ConfigError(f"{manifest_path}: a manifest is a JSON object with a "
                           "'resolved' object")
-    command = manifest.get("command")
+    command, resolved, seed = manifest.get("command"), manifest["resolved"], manifest.get("seed")
     if not (isinstance(command, str) and command in _RUNNERS):
         raise ConfigError(f"{manifest_path}: unknown command {command!r}")
     try:
-        sc = _check(command, manifest["resolved"], lambda key: f"resolved.{key}", {})
+        for key in resolved:
+            if key not in _INPUTS[command]:
+                raise ConfigError(f"resolved.{key}: unknown key, {command} does not read it")
+        if seed is not None:
+            count(seed, "seed")
+        checked, sc = _check(command, resolved, lambda key: f"resolved.{key}", {})
     except ConfigError as exc:
         raise ConfigError(f"{manifest_path}: {exc}") from None
-    _execute(command, manifest["resolved"], Path(out_dir), manifest.get("seed"), sc)
+    _execute(command, resolved, checked, sc, Path(out_dir), seed)
     return manifest
 
 
@@ -452,10 +455,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> tuple[dict, Optional[Scenario]]:
-    """The command's checked, fully resolved inputs and its config scenario,
-    if any: the flags under their resolved keys, plus what files give (the
-    config and its defaults, or calibration points), checked where read."""
+def _resolve(args: argparse.Namespace) -> tuple[dict, dict, Optional[Scenario]]:
+    """The command's resolved inputs, checked inputs and scenario (see _check):
+    the flags under their resolved keys, plus what files give (the config and
+    its defaults, or calibration points), checked where read."""
     inputs = _INPUTS[args.command]
     names = {key: f"argument {flag}" for key, (_, flag, _) in inputs.items() if flag}
     resolved = {key: getattr(args, key) for key in names}
@@ -482,14 +485,14 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, Optional[Scenario]]:
             if any(resolved[key] is None for key in _SWEEP):
                 raise ConfigError("sweep-beta needs --beta-min/--beta-max/--step or a "
                                   "config sweep spec")
-    return resolved, _check(args.command, resolved, names.__getitem__, checked)
+    return (resolved, *_check(args.command, resolved, names.__getitem__, checked))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        resolved, sc = _resolve(args)
-        _execute(args.command, resolved, Path(args.out), args.seed, sc)
+        resolved, checked, sc = _resolve(args)
+        _execute(args.command, resolved, checked, sc, Path(args.out), args.seed)
         return 0
     except WvaSenseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -368,7 +368,7 @@ def simulate_interrogation(
     return kernel.point(sc.beta_rad, stream, ref)
 
 
-def temperature_points(
+def sweep_temperature(
     sc: Scenario, dt_list: Sequence[float]
 ) -> Iterator[tuple[float, InterrogationResult]]:
     """(dt, result) at t1 = t2 + dt for each dt, one at a time, sharing one
@@ -377,13 +377,6 @@ def temperature_points(
     for i, dt in enumerate(dt_list):
         point = replace(sc, t1_c=sc.t2_c + dt)
         yield float(dt), simulate_interrogation(point, ref, stream=i + 1)
-
-
-def sweep_temperature(
-    sc: Scenario, dt_list: Sequence[float]
-) -> list[tuple[float, InterrogationResult]]:
-    """Interrogate at t1 = t2 + dt for each dt, sharing one reference."""
-    return list(temperature_points(sc, dt_list))
 
 
 def sweep_beta(

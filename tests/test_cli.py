@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -478,6 +479,47 @@ class TestReplayResolvedValidation:
         assert not (tmp_path / "replay").exists()
 
 
+    @pytest.mark.parametrize("command", list(COMMAND_ARGS))
+    def test_unknown_key_rejected(self, tmp_path, manifests, command):
+        """A key the command does not read, such as a misspelt one, is not
+        carried into the new manifest."""
+        manifest = manifests[command]
+        resolved = {**manifest["resolved"], "kapa_nm_per_c": 0.01}
+        path, replay = self._replay(tmp_path, {**manifest, "resolved": resolved})
+        expected = f"{path}: resolved.kapa_nm_per_c: unknown key, {command} does not read it"
+        with pytest.raises(ConfigError, match=re.escape(expected)):
+            replay()
+        assert not (tmp_path / "replay").exists()
+
+    @pytest.mark.parametrize("seed", ["x", -1, 1.5, True, [3]])
+    def test_bad_seed_rejected(self, tmp_path, manifests, seed):
+        path, replay = self._replay(tmp_path, {**manifests["amax-curve"], "seed": seed})
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{path}: seed: expected a non-negative integer")):
+            replay()
+        assert not (tmp_path / "replay").exists()
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+def test_manifest_outputs_are_the_files_written(tmp_path, command):
+    """The manifest of a run, and of its replay, lists exactly the other
+    files in its output directory, each with its SHA-256."""
+    args = COMMAND_ARGS[command]
+    if command == "calibrate":
+        data = tmp_path / "cal.csv"
+        data.write_text("dt_c,centroid_shift_nm\n0,0\n1,0.01\n2,0.02\n")
+        args = ["--input", str(data)]
+    elif command not in ("amax-curve", "theory-lines"):
+        doc = base_doc(osa={"rbw_nm": 0.01, "noise_floor": 1e-6, "seed": 3})
+        args = ["--config", write_config(tmp_path, doc), *args]
+    assert main([command, *args, "--out", str(tmp_path / "run")]) == 0
+    replay_manifest(tmp_path / "run" / "manifest.json", tmp_path / "replay")
+    for out in (tmp_path / "run", tmp_path / "replay"):
+        files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in out.iterdir() if p.name != "manifest.json"}
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == files
+
+
 class TestSweepRangeSource:
     """A sweep that breaks the sweep rule names the flag, config key or
     manifest key it came from, and no output directory is made."""
@@ -852,3 +894,24 @@ def test_failed_run_leaves_no_directory_it_made(tmp_path, argv, doc, code):
     out.mkdir()
     assert exit_code([*argv, "--out", str(out)]) == code
     assert out.is_dir() and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("entry", ["main", "replay"])
+@pytest.mark.parametrize("under,reason", [(False, "File exists"), (True, "Not a directory")],
+                         ids=["file", "under_file"])
+def test_out_at_a_file_exits_2(tmp_path, capsys, manifests, entry, under, reason):
+    """An output directory that names a file, or a path under one, is a usage
+    error naming the directory; the file is left as it was."""
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if under else afile
+    expected = f"{out}: cannot make the output directory: {reason}"
+    if entry == "main":
+        assert exit_code(["amax-curve", "--g", "0.9", "--step", "10", "--out", str(out)]) == 2
+        assert f"error: {expected}" in capsys.readouterr().err
+    else:
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifests["amax-curve"]))
+        with pytest.raises(ConfigError, match=re.escape(expected)):
+            replay_manifest(path, out)
+    assert afile.read_text() == "kept\n"

@@ -355,6 +355,39 @@ def test_cli_sweep_beta_keeps_no_per_angle_spectra(tmp_path):
     assert peak < 4e6
 
 
+def test_cli_sweep_temp_keeps_no_per_temperature_spectra(tmp_path):
+    # 121 temperatures of 4001 points: a list of results would hold each
+    # point's measured and filtered trace, about 8 MB.
+    argv = ["sweep-temp", "--config", str(CONFIGS / "bench.json"), "--dt", "0:60:0.5",
+            "--out", str(tmp_path / "run")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("case", ["bench", "sidelobe", "no_osa", "no_filter"])
+def test_sweep_temperature_equals_per_point_functions(tmp_path, case):
+    """Entry i is simulate_interrogation at t1 = t2 + dt on noise stream i+1,
+    referenced to the scenario's own beta = -90 deg centroid, bit for bit."""
+    doc, dt = CASES[case]
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(doc))
+    sc = load_scenario(cfg).scenario
+    ref = SweepKernel(sc).reference()
+    dt_list = [0.0, dt / 2, dt]
+    entries = list(sweep_temperature(sc, dt_list))
+    assert [d for d, _ in entries] == dt_list
+    for i, (d, got) in enumerate(entries):
+        want = simulate_interrogation(replace(sc, t1_c=sc.t2_c + d), ref, stream=i + 1)
+        for name in ("trace", "filtered_trace", "centroid_thz", "centroid_nm_shift",
+                     "a_effective", "raw_power", "snr_db", "reference_thz"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (d, name)
+
+
 def test_cli_sweep_temp_equals_sweep_temperature(tmp_path):
     cfg = CONFIGS / "bench.json"
     run = tmp_path / "run"
