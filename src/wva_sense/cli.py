@@ -441,13 +441,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweeps and calibration. Emits CSV data plus a replayable manifest.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.set_defaults(seed=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, inputs in _INPUTS.items():
         sp = sub.add_parser(command, help=_RUNNERS[command].__doc__)
-        if "config" in inputs:
+        if "config" in inputs:  # only a config's OSA draws noise to seed
             sp.add_argument("--config", required=True, help="scenario JSON file")
+            sp.add_argument("--seed", type=int, help="override the OSA noise seed")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, help="override the OSA noise seed")
         # Each flag's dest is its key in the manifest's `resolved` inputs.
         for key, (_, flag, options) in inputs.items():
             if flag is not None:

@@ -17,7 +17,8 @@ from .errors import ConfigError
 from .fbg import FbgParams, SideLobe, bandwidth_b_from_fwhm_nm
 from .osa import OsaParams
 from .scenario import FilterSettings, GridSettings, Scenario, SourceParams
-from .spectral import SPEED_OF_LIGHT_NM_THZ, UnitContext, check_sweep, wavelength_to_frequency
+from .spectral import (SPEED_OF_LIGHT_NM_THZ, UnitContext, check_sweep, frequency_to_wavelength,
+                       wavelength_to_frequency)
 from .wva import pulse_bandwidth
 
 
@@ -27,14 +28,15 @@ def _check_keys(section: Mapping[str, Any], allowed: set[str], path: str) -> Non
             raise ConfigError(f"{path}: unknown key {key!r}")
 
 
-def _section(doc: Mapping[str, Any], name: str, required: bool = True):
-    value = doc.get(name)
+def _section(doc: Mapping[str, Any], path: str, required: bool = True):
+    """The object under the last dotted part of `path` in doc; None if absent and not required."""
+    value = doc.get(path.rpartition(".")[2])
     if value is None:
         if required:
-            raise ConfigError(f"missing required section {name!r}")
+            raise ConfigError(f"missing required section {path!r}")
         return None
     if not isinstance(value, Mapping):
-        raise ConfigError(f"{name}: expected an object")
+        raise ConfigError(f"{path}: expected an object")
     return value
 
 
@@ -127,6 +129,28 @@ def _center_thz(section: Mapping[str, Any], path: str) -> float:
     return wavelength_to_frequency(value) if key == "center_nm" else value
 
 
+def _width_thz(section: Mapping[str, Any], keys: tuple, path: str, center_thz: float) -> float:
+    """A lobe's power 1/e half-width B (THz) from the one of `keys` given: a
+    pulse_fwhm_ps, a fwhm_nm at center_thz, or B itself as a *_thz key."""
+    key = _exactly_one(section, keys, path)
+    value = _number(section, key, path)
+    if value <= 0:
+        raise ConfigError(f"{path}.{key}: must be > 0")
+    if key == "pulse_fwhm_ps":
+        return pulse_bandwidth(value)
+    if key == "fwhm_nm":
+        return bandwidth_b_from_fwhm_nm(value, frequency_to_wavelength(center_thz))
+    return value
+
+
+def _build(cls, path: str, /, **kwargs):
+    """cls(**kwargs), its ValueError raised as a ConfigError naming `path`."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _parse_source(section: Mapping[str, Any]) -> SourceParams:
     _check_keys(
         section,
@@ -134,33 +158,17 @@ def _parse_source(section: Mapping[str, Any]) -> SourceParams:
         "source",
     )
     nu0 = _center_thz(section, "source")
-    key = _exactly_one(section, ("pulse_fwhm_ps", "bandwidth_thz", "fwhm_nm"), "source")
-    value = _number(section, key, "source")
-    if value <= 0:
-        raise ConfigError(f"source.{key}: must be > 0")
-    if key == "pulse_fwhm_ps":
-        b = pulse_bandwidth(value)
-    elif key == "bandwidth_thz":
-        b = value
-    else:
-        b = bandwidth_b_from_fwhm_nm(value, wavelength_to_frequency(nu0))
+    b = _width_thz(section, ("pulse_fwhm_ps", "bandwidth_thz", "fwhm_nm"), "source", nu0)
     amplitude = _number(section, "amplitude", "source", default=1.0)
-    try:
-        return SourceParams(nu0_thz=nu0, b_thz=b, amplitude=amplitude)
-    except ValueError as exc:
-        raise ConfigError(f"source: {exc}") from None
+    return _build(SourceParams, "source", nu0_thz=nu0, b_thz=b, amplitude=amplitude)
 
 
 def _parse_side_lobe(section: Mapping[str, Any], path: str, main_b: float) -> SideLobe:
     _check_keys(section, {"offset_thz", "rel_amplitude", "width_thz"}, path)
-    try:
-        return SideLobe(
-            offset_thz=_number(section, "offset_thz", path),
-            rel_amplitude=_number(section, "rel_amplitude", path),
-            width_thz=_number(section, "width_thz", path, default=main_b),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _build(SideLobe, path,
+                  offset_thz=_number(section, "offset_thz", path),
+                  rel_amplitude=_number(section, "rel_amplitude", path),
+                  width_thz=_number(section, "width_thz", path, default=main_b))
 
 
 def _parse_fbg(section: Mapping[str, Any], path: str) -> FbgParams:
@@ -171,30 +179,16 @@ def _parse_fbg(section: Mapping[str, Any], path: str) -> FbgParams:
         path,
     )
     center = _center_thz(section, path)
-    width_key = _exactly_one(section, ("fwhm_nm", "bandwidth_b_thz"), path)
-    width = _number(section, width_key, path)
-    if width <= 0:
-        raise ConfigError(f"{path}.{width_key}: must be > 0")
-    if width_key == "fwhm_nm":
-        b = bandwidth_b_from_fwhm_nm(width, wavelength_to_frequency(center))
-    else:
-        b = width
-    side = section.get("side_lobe")
-    side_lobe = None
-    if side is not None:
-        if not isinstance(side, Mapping):
-            raise ConfigError(f"{path}.side_lobe: expected an object")
-        side_lobe = _parse_side_lobe(side, f"{path}.side_lobe", b)
-    try:
-        return FbgParams(
-            center_ref_thz=center,
-            kappa_nm_per_c=_number(section, "kappa_nm_per_c", path),
-            bandwidth_b_thz=b,
-            reflect_efficiency=_number(section, "efficiency", path, default=1.0),
-            side_lobe=side_lobe,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    b = _width_thz(section, ("fwhm_nm", "bandwidth_b_thz"), path, center)
+    # The side lobe is checked before kappa_nm_per_c and efficiency.
+    side = _section(section, f"{path}.side_lobe", required=False)
+    side_lobe = None if side is None else _parse_side_lobe(side, f"{path}.side_lobe", b)
+    return _build(FbgParams, path,
+                  center_ref_thz=center,
+                  kappa_nm_per_c=_number(section, "kappa_nm_per_c", path),
+                  bandwidth_b_thz=b,
+                  reflect_efficiency=_number(section, "efficiency", path, default=1.0),
+                  side_lobe=side_lobe)
 
 
 def _parse_settings(cls, section: Mapping[str, Any], path: str):
@@ -215,10 +209,7 @@ def _parse_settings(cls, section: Mapping[str, Any], path: str):
             count(value, f"{path}.{key}")
         else:
             kwargs[key] = finite(value, f"{path}.{key}")
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _build(cls, path, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,7 @@ class SweepKernel:
 
     def __init__(self, sc: Scenario) -> None:
         self.sc = sc
+        self.osa = sc.osa or OsaParams()  # no OSA measures as the ideal default one
         self.field = scenario_field(sc)
         self.grid = grid = self.field.grid
         self.nu = grid.frequencies()
@@ -273,7 +274,7 @@ class SweepKernel:
             raise ConfigError(f"filter: a half-width of {half_width!r} THz overflows the "
                               f"order-{sc.filter.order} gain on a {grid.span:.9g} THz grid")
         self.half_width = half_width
-        self.rbw = None if sc.osa is None else rbw_kernel(sc.osa, sc.units, grid)
+        self.rbw = rbw_kernel(self.osa, sc.units, grid)
         b_eff = (sc.fbg1.bandwidth_b_thz + sc.fbg2.bandwidth_b_thz) / 2
         self.gamma = overlap_gamma((c1 - c2) / 2, b_eff)
 
@@ -282,10 +283,8 @@ class SweepKernel:
         return projected_power(self.field, beta_rad)
 
     def measure(self, raw: np.ndarray, stream: int) -> np.ndarray:
-        """`raw` through the scenario's OSA model on noise `stream`, if it has one."""
-        if self.sc.osa is None:
-            return raw
-        return measure_samples(raw, self.rbw, self.sc.osa, stream)
+        """`raw` through the scenario's OSA model on noise `stream`."""
+        return measure_samples(raw, self.rbw, self.osa, stream)
 
     def filter_center(self, samples: np.ndarray) -> float:
         """Main-lobe peak: the argmax within the window, so a residual side
@@ -309,7 +308,7 @@ class SweepKernel:
     def snr_db(self, peak: float) -> float:
         """Peak SNR (dB) of a measured trace whose largest sample is `peak`;
         +inf without an OSA, as with a noise-free one."""
-        return math.inf if self.sc.osa is None else snr_report(peak, self.sc.osa).snr_db
+        return snr_report(peak, self.osa).snr_db
 
     def peak(self, beta_rad: float, stream: int) -> float:
         """Largest sample of the measured trace at beta_rad."""

@@ -154,6 +154,14 @@ class TestCalibrate:
         assert named in capsys.readouterr().err
         assert not (out / "calibration.json").exists()
 
+    def test_header_only_exit_2_without_directory(self, tmp_path, capsys):
+        path = tmp_path / "header.csv"
+        path.write_text("dt_c,centroid_shift_nm\n")
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--input", str(path), "--out", str(out)]) == 2
+        assert f"{path}: no data rows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "none.csv"
         assert main(["calibrate", "--input", str(missing), "--out", str(tmp_path)]) == 2
@@ -292,7 +300,10 @@ class TestAmaxCurve:
     # Both angles round to spectrum_beta_-40.00.csv.
     (["sweep-beta", "--config", str(CONFIGS / "bench.json"), "--dump-spectra=-40,-40.001"],
      "argument --dump-spectra: angles -40 and -40.001 both write spectrum_beta_-40.00.csv"),
-], ids=["g", "dump_spectra"])
+    # The config's postselect gives beta_deg alone, no sweep spec.
+    (["sweep-beta", "--config", str(CONFIGS / "bench_sidelobe.json")],
+     "sweep-beta needs --beta-min/--beta-max/--step or a config sweep spec"),
+], ids=["g", "dump_spectra", "no_sweep"])
 def test_input_rule_fails_before_the_run(tmp_path, capsys, argv, named):
     """|g| < 1 and distinct dump file names are input rules: main returns 2
     naming the flag, and no output directory is made."""
@@ -616,6 +627,41 @@ def exit_code(argv):
 SWEEP = ["--beta-min", "-90", "--beta-max", "0", "--step", "5"]
 
 
+@pytest.mark.parametrize("command", ["amax-curve", "theory-lines", "calibrate"])
+def test_seed_only_where_there_is_noise(tmp_path, capsys, command):
+    """Commands that draw no OSA noise take no --seed."""
+    csv = tmp_path / "cal.csv"
+    csv.write_text("dt_c,centroid_shift_nm\n0,0\n1,0.01\n")
+    argv = {"amax-curve": ["--g", "0.9", "--step", "10"],
+            "theory-lines": ["--a", "1", "--kappa", "0.009"],
+            "calibrate": ["--input", str(csv)]}[command]
+    out = tmp_path / "out"
+    assert exit_code([command, *argv, "--seed", "5", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-beta", "--dt", "11", "--dump-spectra=-40"],
+    ["sweep-temp", "--beta", "-40"],
+    ["dump-spectrum", "--stage", "osa"],
+], ids=["sweep_beta", "sweep_temp", "dump_spectrum"])
+def test_no_osa_section_is_the_default_osa(tmp_path, argv):
+    """A config without an osa section and one with an empty osa object
+    write the same CSV bytes."""
+    doc = json.loads((CONFIGS / "bench.json").read_text())
+    written = []
+    for name in ("absent", "empty"):
+        doc.pop("osa", None)
+        if name == "empty":
+            doc["osa"] = {}
+        cfg = write_config(tmp_path, doc, f"{name}.json")
+        assert main([*argv, "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        written.append({p.name: p.read_bytes() for p in (tmp_path / name).glob("*.csv")})
+    assert written[0] == written[1]
+    assert len(written[0]) == (2 if argv[0] == "sweep-beta" else 1)
+
+
 class TestBadInputsExit2:
     @pytest.mark.parametrize("argv,named", [
         (["dump-spectrum", "--beta", "nan"], "--beta"),
@@ -653,6 +699,8 @@ class TestBadInputsExit2:
         (["sweep-temp", "--dt", ","], "--dt: expected at least one value"),
         (["sweep-beta", *SWEEP, "--dump-spectra=,"], "--dump-spectra: expected at least one"),
         (["dump-spectrum", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
+        (["theory-lines", "--a", "1", "--dt", "0:1", "--kappa", "0.009"],
+         "argument --dt: range spec needs start:stop:step"),
     ])
     def test_flag_named(self, tmp_path, capsys, argv, named):
         if argv[0] in ("dump-spectrum", "sweep-temp", "sweep-beta"):

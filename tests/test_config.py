@@ -70,6 +70,24 @@ class TestParsing:
         assert sc.fbg1.side_lobe.width_thz == pytest.approx(sc.fbg1.bandwidth_b_thz)
         assert sc.fbg2.side_lobe is None
 
+    def test_source_fwhm_nm_is_its_bandwidth_thz(self):
+        doc = base_doc()
+        del doc["source"]["pulse_fwhm_ps"]
+        doc["source"]["fwhm_nm"] = 10.0
+        by_nm = parse_scenario(doc).scenario.source
+        del doc["source"]["fwhm_nm"]
+        nu0 = w.wavelength_to_frequency(1549.0)
+        doc["source"]["bandwidth_thz"] = bandwidth_b_from_fwhm_nm(
+            10.0, w.spectral.SPEED_OF_LIGHT_NM_THZ / nu0)
+        assert parse_scenario(doc).scenario.source == by_nm
+
+    def test_grating_bandwidth_b_thz_is_its_fwhm_nm(self):
+        doc = base_doc()
+        by_nm = parse_scenario(doc).scenario.fbg1
+        del doc["fbg1"]["fwhm_nm"]
+        doc["fbg1"]["bandwidth_b_thz"] = bandwidth_b_from_fwhm_nm(2.0, 1551.0)
+        assert parse_scenario(doc).scenario.fbg1 == by_nm
+
     def test_sweep_spec(self):
         doc = base_doc()
         doc["postselect"] = {"beta_min_deg": -90.0, "beta_max_deg": 0.0, "step_deg": 0.5}

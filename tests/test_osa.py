@@ -141,6 +141,9 @@ class TestSnrEstimate:
         s = w.Spectrum(grid=g, samples=np.full(101, 5.0))
         assert snr_report(float(np.max(s.samples)), w.OsaParams()).snr_db == math.inf
 
+    def test_zero_peak_against_noise_reports_minus_infinite(self):
+        assert snr_report(0.0, w.OsaParams(noise_floor=1.0)).snr_db == -math.inf
+
     def test_rel_noise_quadrature(self):
         g = w.make_grid(193.29, 1.0, 101)
         s = w.Spectrum(grid=g, samples=np.full(101, 100.0))

@@ -11,6 +11,7 @@ from wva_sense.errors import ConfigError, NoSignalError, SingularPostSelectionEr
 from wva_sense.fbg import kappa_thz_per_c
 from wva_sense.scenario import (
     SweepKernel,
+    _refine_peak,
     scenario_centers,
     scenario_field,
     sweep_temperature,
@@ -185,6 +186,16 @@ class TestSideLobeHandling:
         center = kernel.filter_center(trace)
         assert abs(global_argmax - (NU_1551 - 0.37)) < 0.1  # side lobe wins globally
         assert abs(center - NU_1551) < 0.1  # windowed center stays on the main lobe
+
+
+@pytest.mark.parametrize("samples,i", [
+    ([3.0, 2.0, 1.0], 0),  # an edge node has one neighbor
+    ([1.0, 2.0, 3.0], 2),
+    ([4.0, 1.0, 4.0], 1),  # convex log samples have no peak to refine
+], ids=["first", "last", "non_concave"])
+def test_refine_peak_falls_back_to_the_node(samples, i):
+    nu = np.array([193.0, 193.1, 193.2])
+    assert _refine_peak(nu, np.array(samples), i, 0.1) == nu[i]
 
 
 class TestScenarioValidation:

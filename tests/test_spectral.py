@@ -331,6 +331,16 @@ class TestSpectrumCsv:
         with pytest.raises(SpectrumFormatError, match=named):
             w.read_spectrum_csv(path)
 
+    @pytest.mark.parametrize("rows,named", [
+        ("193.0,1\n", "fewer than 2 data rows"),
+        ("-1,1\n0,1\n1,1\n", "grid extends to non-positive frequency"),
+    ], ids=["one_row", "non_positive"])
+    def test_rows_that_make_no_grid_rejected(self, tmp_path, rows, named):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"frequency_thz,power\n{rows}")
+        with pytest.raises(SpectrumFormatError, match=f"bad.csv: {named}"):
+            w.read_spectrum_csv(path)
+
     def test_missing_file_is_format_error(self, tmp_path):
         with pytest.raises(SpectrumFormatError, match="none.csv"):
             w.read_spectrum_csv(tmp_path / "none.csv")
