@@ -402,8 +402,8 @@ def replay_manifest(manifest_path, out_dir) -> dict:
     A manifest that cannot be read, is not JSON, is not an object with
     `command` and `resolved`, whose `resolved` lacks a key the command reads,
     holds a key it does not read or a value the CLI would reject, or whose
-    `seed` is neither null nor a non-negative integer raises ConfigError
-    naming its path.
+    `seed` is neither null nor a non-negative integer, or is not null for a
+    command that reads no config, raises ConfigError naming its path.
     """
     try:
         with open(manifest_path) as f:
@@ -422,6 +422,9 @@ def replay_manifest(manifest_path, out_dir) -> dict:
                 raise ConfigError(f"resolved.{key}: unknown key, {command} does not read it")
         if seed is not None:
             count(seed, "seed")
+            if "config" not in _INPUTS[command]:  # only a config's OSA draws noise
+                raise ConfigError(f"seed: expected null, {command} draws no noise, "
+                                  f"got {seed!r}")
         checked, sc = _check(command, resolved, lambda key: f"resolved.{key}", {})
     except ConfigError as exc:
         raise ConfigError(f"{manifest_path}: {exc}") from None

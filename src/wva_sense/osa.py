@@ -88,9 +88,10 @@ def measure_samples(
         samples = np.convolve(samples, kernel, mode="same")
     if p.noise_floor > 0.0 or p.rel_noise > 0.0:
         rng = np.random.Generator(np.random.PCG64(sub_seed(p.seed, stream)))
-        sigma_per_sample = np.sqrt(p.noise_floor**2 + (p.rel_noise * samples) ** 2)
-        samples = samples + rng.standard_normal(samples.size) * sigma_per_sample
-        samples = np.clip(samples, 0.0, None)
+        noise = rng.standard_normal(samples.size)
+        noise *= np.sqrt(p.noise_floor**2 + (p.rel_noise * samples) ** 2)
+        noise += samples
+        samples = np.clip(noise, 0.0, None, out=noise)
     return samples
 
 

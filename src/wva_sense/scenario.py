@@ -9,6 +9,7 @@ at the conversion boundary in UnitContext.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
@@ -158,24 +159,31 @@ def scenario_centers(sc: Scenario) -> tuple[float, float]:
     return c1, c2
 
 
+def _check_on_grid(g: FrequencyGrid, name: str, center: float, t_c: float) -> None:
+    if not g.lo <= center <= g.hi:
+        raise ConfigError(
+            f"{name} Bragg center at {t_c:g} degC ({center:.9g} THz) lies outside "
+            f"the grid [{g.lo:.9g}, {g.hi:.9g}] THz"
+        )
+
+
+def _arm(sc: Scenario, f: FbgParams, center: float, g: FrequencyGrid) -> np.ndarray:
+    """Real field amplitude of one arm: the square root of the grating's
+    reflected power spectrum, halved by the 45-degree pre-selection."""
+    scale = sc.source.amplitude**2 / 2.0
+    return np.sqrt(scale * reflect(f, sc.source.b_thz, sc.source.nu0_thz, center, g).samples)
+
+
 def scenario_field(sc: Scenario) -> PolarizedFieldSpectrum:
     """Recombined field: each arm is the square root of its grating's
     reflected power spectrum (halved by the 45-degree pre-selection), with
     the delay/birefringence phase on the y arm."""
     g = scenario_grid(sc)
     c1, c2 = scenario_centers(sc)
-    for name, center, t_c in (("fbg1", c1, sc.t1_c), ("fbg2", c2, sc.t2_c)):
-        if not g.lo <= center <= g.hi:
-            raise ConfigError(
-                f"{name} Bragg center at {t_c:g} degC ({center:.9g} THz) lies outside "
-                f"the grid [{g.lo:.9g}, {g.hi:.9g}] THz"
-            )
-    s1 = reflect(sc.fbg1, sc.source.b_thz, sc.source.nu0_thz, c1, g)
-    s2 = reflect(sc.fbg2, sc.source.b_thz, sc.source.nu0_thz, c2, g)
-    scale = sc.source.amplitude**2 / 2.0
-    return two_arm_field(
-        g, np.sqrt(scale * s1.samples), np.sqrt(scale * s2.samples), sc.tau_ps, sc.delta_rad
-    )
+    _check_on_grid(g, "fbg1", c1, sc.t1_c)
+    _check_on_grid(g, "fbg2", c2, sc.t2_c)
+    return two_arm_field(g, _arm(sc, sc.fbg1, c1, g), _arm(sc, sc.fbg2, c2, g),
+                         sc.tau_ps, sc.delta_rad)
 
 
 def _refine_peak(nu: np.ndarray, y: np.ndarray, i: int, spacing: float) -> float:
@@ -243,6 +251,8 @@ class SweepKernel:
     runs on bare arrays (post-select, OSA, filter, centroid, A). Angle i of
     a sweep draws OSA noise stream i+1 and the reference draws stream 0, so
     every point equals the single-point pipeline on the same stream.
+    `at_temperature` gives the kernel at another t1, sharing every part that
+    does not depend on t1.
 
     Filter search window: the predicted Bragg centers widened by the wider
     grating's bandwidth, or the whole grid if no node falls inside.
@@ -255,12 +265,7 @@ class SweepKernel:
         self.field = scenario_field(sc)
         self.grid = grid = self.field.grid
         self.nu = grid.frequencies()
-        c1, c2 = scenario_centers(sc)
         w = max(sc.fbg1.bandwidth_b_thz, sc.fbg2.bandwidth_b_thz)
-        # nu ascends, so the nodes inside the window are contiguous.
-        inside = np.flatnonzero((self.nu >= min(c1, c2) - w) & (self.nu <= max(c1, c2) + w))
-        self.window = (slice(int(inside[0]), int(inside[-1]) + 1) if inside.size
-                       else slice(0, self.nu.size))
         half_width = sc.filter.half_width_thz
         if half_width is None:
             half_width = sc.filter.half_width_factor * w
@@ -275,8 +280,31 @@ class SweepKernel:
                               f"order-{sc.filter.order} gain on a {grid.span:.9g} THz grid")
         self.half_width = half_width
         self.rbw = rbw_kernel(self.osa, sc.units, grid)
+        self._place(*scenario_centers(sc))
+
+    def _place(self, c1: float, c2: float) -> None:
+        """Set the filter search window and gamma for Bragg centers c1, c2."""
+        sc = self.sc
+        w = max(sc.fbg1.bandwidth_b_thz, sc.fbg2.bandwidth_b_thz)
+        # nu ascends, so the nodes inside the window are one slice.
+        start = int(np.searchsorted(self.nu, min(c1, c2) - w, side="left"))
+        stop = int(np.searchsorted(self.nu, max(c1, c2) + w, side="right"))
+        self.window = slice(start, stop) if start < stop else slice(0, self.nu.size)
         b_eff = (sc.fbg1.bandwidth_b_thz + sc.fbg2.bandwidth_b_thz) / 2
         self.gamma = overlap_gamma((c1 - c2) / 2, b_eff)
+
+    def at_temperature(self, t1_c: float) -> SweepKernel:
+        """This kernel's scenario at t1 = t1_c, as a new kernel: it shares the
+        grid, RBW kernel, filter half-width and the phased y arm, and rebuilds
+        the x arm, the filter window and gamma. Raises ConfigError when fbg1's
+        Bragg center leaves the grid."""
+        kernel = copy.copy(self)
+        kernel.sc = sc = replace(self.sc, t1_c=t1_c)
+        c1, c2 = scenario_centers(sc)
+        _check_on_grid(self.grid, "fbg1", c1, t1_c)
+        kernel.field = replace(self.field, ex=_arm(sc, sc.fbg1, c1, self.grid))
+        kernel._place(c1, c2)
+        return kernel
 
     def raw(self, beta_rad: float) -> np.ndarray:
         """Ideal post-selected power samples at beta_rad."""
@@ -371,11 +399,19 @@ def sweep_temperature(
     sc: Scenario, dt_list: Sequence[float]
 ) -> Iterator[tuple[float, InterrogationResult]]:
     """(dt, result) at t1 = t2 + dt for each dt, one at a time, sharing one
-    reference; point i draws OSA noise stream i+1."""
-    ref = SweepKernel(sc).reference()
+    reference; point i draws OSA noise stream i+1.
+
+    One SweepKernel serves the sweep: the reference is measured at the
+    scenario's own t1 on stream 0, and each dt runs on the at_temperature
+    kernel of the one before, which replaces it, so only one x arm is held.
+    Entry i equals simulate_interrogation(replace(sc, t1_c=t2 + dt),
+    reference, stream=i + 1).
+    """
+    kernel = SweepKernel(sc)
+    ref = kernel.reference()
     for i, dt in enumerate(dt_list):
-        point = replace(sc, t1_c=sc.t2_c + dt)
-        yield float(dt), simulate_interrogation(point, ref, stream=i + 1)
+        kernel = kernel.at_temperature(sc.t2_c + dt)
+        yield float(dt), kernel.point(sc.beta_rad, i + 1, ref)
 
 
 def sweep_beta(

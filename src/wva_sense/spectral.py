@@ -203,7 +203,11 @@ def super_gaussian_gain(
     nu: np.ndarray, center: float, half_width: float, order: int
 ) -> np.ndarray:
     """exp[-((nu - center) / half_width)^order] at the frequencies nu."""
-    return np.exp(-(((nu - center) / half_width) ** order))
+    gain = nu - center
+    gain /= half_width
+    np.power(gain, order, out=gain)
+    np.negative(gain, out=gain)
+    return np.exp(gain, out=gain)
 
 
 _CSV_HEADER = ["frequency_thz", "power"]

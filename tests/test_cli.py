@@ -510,6 +510,16 @@ class TestReplayResolvedValidation:
             replay()
         assert not (tmp_path / "replay").exists()
 
+    @pytest.mark.parametrize("command", ["amax-curve", "theory-lines", "calibrate"])
+    def test_seed_rejected_where_no_noise_is_drawn(self, tmp_path, manifests, command):
+        """A command that reads no config draws no noise, so its manifest's
+        seed must be null."""
+        path, replay = self._replay(tmp_path, {**manifests[command], "seed": 5})
+        expected = f"{path}: seed: expected null, {command} draws no noise, got 5"
+        with pytest.raises(ConfigError, match=re.escape(expected)):
+            replay()
+        assert not (tmp_path / "replay").exists()
+
 
 @pytest.mark.parametrize("command", list(COMMAND_ARGS))
 def test_manifest_outputs_are_the_files_written(tmp_path, command):
@@ -915,6 +925,27 @@ def _bench_with(section, key, value):
     doc = json.loads((CONFIGS / "bench.json").read_text())
     doc.setdefault(section, {})[key] = value
     return doc
+
+
+_OFF_GRID = (r"error: fbg1 Bragg center at {} degC \([0-9.]+ THz\) lies outside the grid "
+             r"\[[0-9.]+, [0-9.]+\] THz\n")
+
+
+@pytest.mark.parametrize("argv,doc,t_c", [
+    # t2_ref_c = 20: of dt = 0, 1 and 5000 only the last is off the grid.
+    (["sweep-temp", "--dt", "0,1,5000"], None, "5020"),
+    (["dump-spectrum", "--dt", "5000"], None, "5020"),
+    # A grid centered 3 THz below the gratings holds neither: fbg1 is named.
+    (["sweep-temp"], _bench_with("grid", "center_thz", 190.0), "20"),
+], ids=["sweep_temp", "dump_spectrum", "both_off_grid"])
+def test_bragg_center_off_grid_message(tmp_path, capsys, argv, doc, t_c):
+    """A Bragg center off the grid exits 2 naming the grating, its temperature,
+    its center and the grid, and makes no output directory."""
+    cfg = CONFIGS / "bench.json" if doc is None else write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main([argv[0], "--config", str(cfg), *argv[1:], "--out", str(out)]) == 2
+    assert re.fullmatch(_OFF_GRID.format(t_c), capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,doc,code", [

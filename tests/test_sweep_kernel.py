@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wva_sense import cli, scenario
 from wva_sense.cli import main
-from wva_sense.config import load_scenario
+from wva_sense.config import load_scenario, parse_scenario
 from wva_sense.errors import DetectionLimitedError, NoSignalError, SingularPostSelectionError
 from wva_sense.osa import (
     OsaParams,
@@ -63,12 +64,21 @@ def _dark_port(doc):
     return doc
 
 
+def _delay(doc):
+    # A delay puts the phase 2 pi nu tau across the y arm; unequal efficiencies
+    # make the two arms unequal.
+    doc["interferometer"]["tau_ps"] = 0.2
+    doc["fbg2"]["efficiency"] = 0.3
+    return doc
+
+
 CASES = {
     "bench": (_bench_doc(), 11.0),
     "sidelobe": (_bench_doc("bench_sidelobe.json"), 8.0),
     "no_osa": (_no_osa(_bench_doc()), 11.0),
     "no_filter": (_no_filter(_bench_doc()), 11.0),
     "dark_port": (_dark_port(_bench_doc()), None),
+    "delay": (_delay(_bench_doc()), 11.0),
 }
 
 
@@ -369,7 +379,7 @@ def test_cli_sweep_temp_keeps_no_per_temperature_spectra(tmp_path):
     assert peak < 4e6
 
 
-@pytest.mark.parametrize("case", ["bench", "sidelobe", "no_osa", "no_filter"])
+@pytest.mark.parametrize("case", ["bench", "sidelobe", "no_osa", "no_filter", "delay"])
 def test_sweep_temperature_equals_per_point_functions(tmp_path, case):
     """Entry i is simulate_interrogation at t1 = t2 + dt on noise stream i+1,
     referenced to the scenario's own beta = -90 deg centroid, bit for bit."""
@@ -388,6 +398,26 @@ def test_sweep_temperature_equals_per_point_functions(tmp_path, case):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (d, name)
 
 
+@pytest.mark.parametrize("case", ["bench", "sidelobe", "delay"])
+def test_at_temperature_equals_a_fresh_kernel(case):
+    """The kernel at another t1 holds what a kernel built for that t1 holds,
+    bit for bit, at temperatures that move the filter window by ~180 nodes,
+    and leaves the kernel it came from as it was."""
+    sc = parse_scenario(CASES[case][0]).scenario
+    base = SweepKernel(sc)
+    ex = base.field.ex.copy()
+    for dt in (-100.0, 0.0, 11.0, 100.0):
+        got = base.at_temperature(sc.t2_c + dt)
+        want = SweepKernel(replace(sc, t1_c=sc.t2_c + dt))
+        assert got.sc == want.sc
+        assert (got.window, got.gamma, got.half_width) == (want.window, want.gamma,
+                                                           want.half_width)
+        for a, b in ((got.nu, want.nu), (got.rbw, want.rbw), (got.field.ex, want.field.ex),
+                     (got.field.ey, want.field.ey)):
+            assert a.tobytes() == b.tobytes(), dt
+    assert base.sc == sc and base.field.ex.tobytes() == ex.tobytes()
+
+
 def test_cli_sweep_temp_equals_sweep_temperature(tmp_path):
     cfg = CONFIGS / "bench.json"
     run = tmp_path / "run"
@@ -398,3 +428,32 @@ def test_cli_sweep_temp_equals_sweep_temperature(tmp_path):
                 for dt, r in sweep_temperature(sc, loaded.dt_list_c)]
     lines = (run / "sweep_temp.csv").read_text().splitlines()
     assert lines[1:1 + len(expected)] == expected
+
+
+def test_sweep_temp_builds_t1_independent_parts_once(tmp_path, monkeypatch):
+    """One sweep-temp on bench.json builds the RBW kernel once and reflects fbg2
+    once; fbg1 is reflected for the reference and for each temperature."""
+    scenarios, reflected, rbw_builds = [], [], []
+    sweep, reflect, rbw_kernel = cli.sweep_temperature, scenario.reflect, scenario.rbw_kernel
+
+    def record_sweep(sc, dt_list):
+        scenarios.append(sc)
+        return sweep(sc, dt_list)
+
+    def record_reflect(f, *args):
+        reflected.append(f)
+        return reflect(f, *args)
+
+    def record_rbw_kernel(*args):
+        rbw_builds.append(args)
+        return rbw_kernel(*args)
+
+    monkeypatch.setattr(cli, "sweep_temperature", record_sweep)
+    monkeypatch.setattr(scenario, "reflect", record_reflect)
+    monkeypatch.setattr(scenario, "rbw_kernel", record_rbw_kernel)
+    cfg = CONFIGS / "bench.json"
+    assert main(["sweep-temp", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    (sc,) = scenarios
+    assert len(rbw_builds) == 1
+    assert sum(f is sc.fbg2 for f in reflected) == 1
+    assert sum(f is sc.fbg1 for f in reflected) == len(load_scenario(cfg).dt_list_c) + 1

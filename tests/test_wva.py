@@ -285,3 +285,21 @@ class TestEnergyBudget:
             )
         assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
         assert ratios[0] == pytest.approx(1 - 0.5**2, rel=1e-6)
+
+
+@pytest.mark.parametrize("n_points,n_random", [(4001, 1000), (200001, 20)])
+def test_zero_delay_phase_equals_array_formula_bit_for_bit(n_points, n_random):
+    """At tau = 0 two_arm_field puts the scalar exp(i delta) on the y arm; the
+    bytes equal ey_amplitude * exp[i(2 pi nu tau + delta)] over the grid. All
+    1000 random delta run on a 4001-point grid and 20 on a 200001-point one,
+    where each array exp costs about 5 ms."""
+    g = w.make_grid(193.29, 2.5, n_points)
+    nu = g.frequencies()
+    rng = np.random.default_rng(n_points)
+    ex = rng.uniform(0.0, 1.0, n_points)
+    amplitude = np.exp(-(((nu - 193.3) / 0.2) ** 2))  # exact zeros far from the lobe
+    deltas = [0.0, -0.0, math.pi, -math.pi, *rng.uniform(-2 * math.pi, 2 * math.pi, n_random)]
+    for delta in deltas:
+        got = w.two_arm_field(g, ex, amplitude, 0.0, delta).ey
+        want = amplitude * np.exp(1j * (2.0 * math.pi * nu * 0.0 + delta))
+        assert got.tobytes() == want.tobytes(), delta
