@@ -79,6 +79,11 @@ def rbw_kernel(p: OsaParams, units: UnitContext, grid: FrequencyGrid) -> np.ndar
     return kernel
 
 
+def stream_normals(p: OsaParams, stream: int, n: int) -> np.ndarray:
+    """The n standard normals of noise sub-stream `stream` of p.seed."""
+    return np.random.Generator(np.random.PCG64(sub_seed(p.seed, stream))).standard_normal(n)
+
+
 def measure_samples(
     samples: np.ndarray, kernel: np.ndarray | None, p: OsaParams, stream: int
 ) -> np.ndarray:
@@ -87,9 +92,11 @@ def measure_samples(
     if kernel is not None:
         samples = np.convolve(samples, kernel, mode="same")
     if p.noise_floor > 0.0 or p.rel_noise > 0.0:
-        rng = np.random.Generator(np.random.PCG64(sub_seed(p.seed, stream)))
-        noise = rng.standard_normal(samples.size)
-        noise *= np.sqrt(p.noise_floor**2 + (p.rel_noise * samples) ** 2)
+        noise = stream_normals(p, stream, samples.size)
+        if p.rel_noise == 0.0:  # the per-sample scale is the floor alone
+            noise *= math.sqrt(p.noise_floor**2)
+        else:
+            noise *= np.sqrt(p.noise_floor**2 + (p.rel_noise * samples) ** 2)
         noise += samples
         samples = np.clip(noise, 0.0, None, out=noise)
     return samples
@@ -175,8 +182,9 @@ def max_usable_amplification(
     search stops at the first angle whose |A| does not have the
     same_magnitude as the smallest usable |A| found so far (it is below it,
     by the visit order). best_usable then scans the measured points in sweep
-    order. The cost is one measurement per angle from the largest |A| down
-    to the answer's tie band, plus the closed-form A at every angle.
+    order. The cost is one peak bound, and a measurement unless the bound
+    screens the angle (below), per angle from the largest |A| down to the
+    answer's tie band, plus the closed-form A at every angle.
 
     This equals best_usable over every angle. A skipped angle's |A| is below
     the smallest usable |A| measured and further from it than the tie
@@ -188,8 +196,18 @@ def max_usable_amplification(
     noise stream i+1 from its sweep index, so every SNR measured is the full
     scan's value, bit for bit.
 
-    When no angle clears the floor every angle is measured, as in a full
-    scan, and DetectionLimitedError is raised.
+    Before an angle is measured, SweepKernel.peak_bound gives an upper bound
+    on its measured peak from the ideal samples and the angle's own noise
+    draw, without the RBW convolution. When the SNR of that bound is below
+    the floor by more than the float rounding of snr_db, the angle is
+    screened: it is skipped as unusable, without a measurement. This changes
+    nothing. snr_db is non-decreasing in the peak, with rel_noise too (peak /
+    sqrt(floor^2 + (rel_noise * peak)^2) rises with the peak for rel_noise <
+    1), so the measured SNR is at most the bound's and the angle fails the
+    floor in the full scan too, where best_usable skips it.
+
+    When no angle clears the floor every angle is screened or measured, as
+    in a full scan, and DetectionLimitedError is raised.
     """
     from .scenario import SweepKernel
 
@@ -205,10 +223,13 @@ def max_usable_amplification(
         except SingularPostSelectionError:
             continue
     candidates.sort(key=lambda c: -abs(c[2]))
+    screen_db = snr_min_db - 1e-9 * max(1.0, abs(snr_min_db))  # below snr_db's rounding
     measured, smallest = [], None  # smallest: the last usable A, the least |A| so far
     for i, beta, a in candidates:
         if smallest is not None and not same_magnitude(a, smallest):
             break  # |A| has fallen below the smallest usable |A| and the tie band
+        if kernel.snr_db(kernel.peak_bound(beta, i + 1)) < screen_db:
+            continue  # certified unusable without measuring it
         snr = kernel.snr_db(kernel.peak(beta, i + 1))
         measured.append((i, beta, a, snr))
         if snr < snr_min_db:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, NoSignalError, SingularPostSelectionError
 from .fbg import FbgParams, bragg_center, check_width, reflect
-from .osa import OsaParams, measure_samples, rbw_kernel, snr_report
+from .osa import OsaParams, measure_samples, rbw_kernel, snr_report, stream_normals
 from .spectral import (
     MAX_RANGE_POINTS,
     FrequencyGrid,
@@ -341,6 +341,26 @@ class SweepKernel:
     def peak(self, beta_rad: float, stream: int) -> float:
         """Largest sample of the measured trace at beta_rad."""
         return float(np.max(self.measure(self.raw(beta_rad), stream)))
+
+    def peak_bound(self, beta_rad: float, stream: int) -> float:
+        """An upper bound on peak(beta_rad, stream) without the convolution;
+        +inf, drawing nothing, when the OSA adds no noise.
+
+        The RBW taps are non-negative and sum to 1 within n * eps, so no
+        convolved sample exceeds S = max(raw) * (1 + 1e-9): a kernel has at
+        most the grid's 1e6 taps. The noise scale rises with the sample, so
+        sigma at S bounds every sample's, and the stream's own normals bound
+        the draw; the clip at zero never raises a value. A final 1e-9 covers
+        the rounding.
+        """
+        raw = self.raw(beta_rad)
+        s = float(np.max(raw)) * (1.0 + 1e-9)
+        p = self.osa
+        sigma = math.sqrt(p.noise_floor**2 + (p.rel_noise * s) ** 2)
+        if sigma == 0.0:
+            return math.inf
+        z = float(np.max(stream_normals(p, stream, raw.size)))
+        return (s + sigma * max(0.0, z)) * (1.0 + 1e-9)
 
     def reference(self) -> float:
         """Filtered centroid (THz) at beta = -90 deg on noise stream 0."""

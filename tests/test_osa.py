@@ -7,7 +7,7 @@ import pytest
 
 import wva_sense as w
 from wva_sense.errors import ConfigError, DetectionLimitedError
-from wva_sense.osa import measure_samples, rbw_kernel, snr_report
+from wva_sense.osa import measure_samples, rbw_kernel, snr_report, sub_seed
 from wva_sense.scenario import SweepKernel, scenario_field
 
 from conftest import bench_scenario
@@ -111,6 +111,25 @@ class TestOsaTrace:
         out = osa_trace(s, w.OsaParams(noise_floor=0.5, seed=3))
         assert np.all(out.samples >= 0)
         assert np.any(out.samples > 0)
+
+    def test_floor_only_noise_scale_equals_the_per_sample_formula(self):
+        """At rel_noise = 0 the noise scale is one scalar; the trace is the
+        per-sample formula's bit for bit, for floors from 1e-300 to 1e100."""
+        rng = np.random.default_rng(11)
+        g = w.make_grid(193.29, 2.0, 401)
+        for case in range(300):
+            floor = 0.0 if case % 25 == 0 else float(10.0 ** rng.uniform(-300.0, 100.0))
+            p = w.OsaParams(rbw_nm=0.02 * (case % 2), noise_floor=floor, seed=case)
+            kernel = rbw_kernel(p, w.UnitContext(), g)
+            raw = gaussian(g, 193.29, 0.1, amplitude=float(rng.uniform(0.0, 2.0))).samples
+            samples = raw if kernel is None else np.convolve(raw, kernel, mode="same")
+            expected = samples
+            if floor > 0.0:
+                noise = np.random.Generator(np.random.PCG64(sub_seed(case, 5))).standard_normal(
+                    samples.size)
+                noise *= np.sqrt(floor**2 + (0.0 * samples) ** 2)
+                expected = np.clip(noise + samples, 0.0, None)
+            assert measure_samples(raw, kernel, p, 5).tobytes() == expected.tobytes(), case
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

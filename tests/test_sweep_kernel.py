@@ -258,6 +258,7 @@ def _search_on_table(monkeypatch, a_values, snr_values, snr_min=20.0):
     monkeypatch.setattr(SweepKernel, "__init__", lambda self, sc: None)
     monkeypatch.setattr(SweepKernel, "amplification", amplification)
     monkeypatch.setattr(SweepKernel, "peak", lambda self, beta, stream: snr_values[stream - 1])
+    monkeypatch.setattr(SweepKernel, "peak_bound", lambda self, beta, stream: math.inf)
     monkeypatch.setattr(SweepKernel, "snr_db", lambda self, peak: peak)
     points = [(beta, a, snr) for beta, a, snr in zip(betas, a_values, snr_values)
               if a is not None]
@@ -304,6 +305,56 @@ def test_max_usable_measures_only_angles_that_can_win(monkeypatch):
     monkeypatch.setattr(SweepKernel, "peak", counted)
     assert max_usable_amplification(sc, 20.0, -89.0, 0.0, 0.1) == expected
     assert 1 <= len(calls) <= 10
+
+
+@pytest.mark.parametrize("seed,floor,rel_noise", [
+    (1234, 1e-4, 0.0), (7, 1e-4, 0.0), (99, 1e-4, 0.0), (1234, 3e-4, 0.0), (1234, 1e-4, 0.001),
+])
+def test_max_usable_screens_angles_below_the_floor(monkeypatch, seed, floor, rel_noise):
+    """The c10 scenario at floor 1e-4 visits hundreds of angles in |A| order
+    before the answer, nearly all far below 20 dB: the peak bound screens
+    them, so at most 10 of the 891 are measured."""
+    sc = replace(load_scenario(CONFIGS / "bench.json").scenario, t1_c=31.0,
+                 osa=OsaParams(rbw_nm=0.01, noise_floor=floor, rel_noise=rel_noise, seed=seed))
+    expected = UsableAmplification(*best_usable(_full_scan(sc, -89.0, 0.0, 0.1), 20.0))
+    peak = SweepKernel.peak
+    calls = []
+
+    def counted(self, beta_rad, stream):
+        calls.append(stream)
+        return peak(self, beta_rad, stream)
+
+    monkeypatch.setattr(SweepKernel, "peak", counted)
+    assert max_usable_amplification(sc, 20.0, -89.0, 0.0, 0.1) == expected
+    assert 1 <= len(calls) <= 10
+
+
+def test_peak_bound_is_at_least_the_measured_peak(monkeypatch):
+    """300 angles, noise streams and OSA settings drawn from a fixed seed:
+    peak_bound is never below peak. A noise-free OSA, or none, bounds by
+    +inf without drawing noise."""
+    base = load_scenario(CONFIGS / "bench.json").scenario
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        osa = OsaParams(
+            rbw_nm=float(rng.choice([0.0, 0.01, 0.05])),
+            noise_floor=0.0 if rng.random() < 0.2 else float(10.0 ** rng.uniform(-8.0, -2.0)),
+            rel_noise=0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 0.5)),
+            seed=int(rng.integers(2**32)),
+        )
+        n_points = int(rng.choice([401, 4001]))
+        kernel = SweepKernel(replace(base, t1_c=31.0, osa=osa,
+                                     grid=replace(base.grid, n_points=n_points)))
+        beta, stream = math.radians(rng.uniform(-90.0, 0.0)), int(rng.integers(2**20))
+        assert kernel.peak_bound(beta, stream) >= kernel.peak(beta, stream), (osa, beta, stream)
+
+    def no_draw(p, stream, n):
+        raise AssertionError("a noise-free bound drew noise")
+
+    monkeypatch.setattr(scenario, "stream_normals", no_draw)
+    for osa in (None, OsaParams(), OsaParams(rbw_nm=0.05, seed=3)):
+        kernel = SweepKernel(replace(base, osa=osa))
+        assert kernel.peak_bound(math.radians(-40.0), 1) == math.inf
 
 
 def test_point_matches_the_pipeline_formulas():
