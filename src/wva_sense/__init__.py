@@ -59,15 +59,10 @@ from .spectral import (
     write_spectrum_csv,
 )
 from .wva import (
-    CentroidPrediction,
     MaxAmplification,
     PolarizedFieldSpectrum,
-    SetupParams,
     amplification_factor,
-    analytic_centroid,
-    jones_field,
     max_amplification,
-    output_spectrum_analytic,
     overlap_gamma,
     post_select,
     pulse_bandwidth,

@@ -186,6 +186,69 @@ def scenario_field(sc: Scenario) -> PolarizedFieldSpectrum:
                          sc.tau_ps, sc.delta_rad)
 
 
+def _exact_terms(sc: Scenario) -> tuple[float, ...]:
+    """(p1, p2, c1, c2, B1, B2, W2, m, G) of the closed form: lobe k is
+    p_k exp[-(nu - c_k)^2 / B_k^2], with p_k = E0^2/2 times the efficiency
+    and source weight, as in `reflect`, and the cross lobe sqrt(lobe1 lobe2)
+    is G exp[-(nu - m)^2 / W2]. Raises ValueError for a side lobe: its arm
+    sqrt(main + side) has no Gaussian cross term."""
+    for name, f in (("fbg1", sc.fbg1), ("fbg2", sc.fbg2)):
+        if f.side_lobe is not None:
+            raise ValueError(f"{name} has a side lobe: the exact closed form "
+                             "covers Gaussian lobes only")
+    src = sc.source
+    c1, c2 = scenario_centers(sc)
+    p1, p2 = (src.amplitude**2 / 2.0 * f.reflect_efficiency
+              * math.exp(-((c - src.nu0_thz) ** 2) / src.b_thz**2)
+              for f, c in ((sc.fbg1, c1), (sc.fbg2, c2)))
+    b1, b2 = sc.fbg1.bandwidth_b_thz, sc.fbg2.bandwidth_b_thz
+    s2 = b1**2 + b2**2
+    # 1/W2 = 1/(2 B1^2) + 1/(2 B2^2), which is B1^2 bit for bit at equal
+    # widths; m relative to c2, as the weighted mean loses ~10 bits at 200 THz.
+    return (p1, p2, c1, c2, b1, b2, b1**2 * (2.0 * b2**2 / s2),
+            c2 + (c1 - c2) * b2**2 / s2, math.exp(-((c1 - c2) ** 2) / (2.0 * s2)))
+
+
+def exact_spectrum(sc: Scenario, beta_rad: float) -> np.ndarray:
+    """Closed-form ideal post-selected power on scenario_grid(sc), clipped at 0:
+    c^2 p1 L1 + s^2 p2 L2 + 2cs sqrt(p1 p2) G exp[-(nu-m)^2/W2] cos(2 pi nu tau + delta),
+    with c = cos(beta), s = sin(beta) and L_k = exp[-(nu - c_k)^2 / B_k^2]."""
+    p1, p2, c1, c2, b1, b2, w2, m, g = _exact_terms(sc)
+    nu = scenario_grid(sc).frequencies()
+    c, s = math.cos(beta_rad), math.sin(beta_rad)
+    samples = (c * c * p1 * np.exp(-((nu - c1) ** 2) / b1**2)
+               + s * s * p2 * np.exp(-((nu - c2) ** 2) / b2**2)
+               + 2.0 * c * s * math.sqrt(p1 * p2) * g * np.exp(-((nu - m) ** 2) / w2)
+               * np.cos(2.0 * math.pi * nu * sc.tau_ps + sc.delta_rad))
+    return np.clip(samples, 0.0, None)
+
+
+def exact_centroid(sc: Scenario, beta_rad: float) -> float:
+    """Centroid (THz) of exact_spectrum over all frequencies, at any dt, beta
+    and tau; nu_plus + A nu_minus exactly at tau = 0 with equal lobes.
+
+    The lobes carry power c^2 p1 sqrt(pi) B1 and s^2 p2 sqrt(pi) B2, and the
+    cross term 2cs sqrt(p1 p2) G D cos(theta), where theta = 2 pi m tau + delta
+    and D = sqrt(pi W2) exp(-pi^2 tau^2 W2); its first moment has
+    m cos(theta) - pi tau W2 sin(theta) for cos(theta). Moments are taken
+    about c2. Raises NoSignalError where the power cancels to 1e-12 of the
+    lobes' (the dark port).
+    """
+    p1, p2, c1, c2, b1, b2, w2, m, g = _exact_terms(sc)
+    c, s, tau = math.cos(beta_rad), math.sin(beta_rad), sc.tau_ps
+    lobe1 = c * c * p1 * math.sqrt(math.pi) * b1
+    lobe2 = s * s * p2 * math.sqrt(math.pi) * b2
+    cross = (2.0 * c * s * math.sqrt(p1 * p2) * g
+             * math.sqrt(math.pi * w2) * math.exp(-((math.pi * tau) ** 2) * w2))
+    theta = 2.0 * math.pi * m * tau + sc.delta_rad
+    power = lobe1 + lobe2 + cross * math.cos(theta)
+    if abs(power) <= 1e-12 * (lobe1 + lobe2):
+        raise NoSignalError(f"post-selection at beta={beta_rad} rad extinguishes the power")
+    moment = lobe1 * (c1 - c2) + cross * ((m - c2) * math.cos(theta)
+                                          - math.pi * tau * w2 * math.sin(theta))
+    return c2 + moment / power
+
+
 def _refine_peak(nu: np.ndarray, y: np.ndarray, i: int, spacing: float) -> float:
     """Log-parabolic sub-sample peak position around discrete argmax i.
 

@@ -1,14 +1,14 @@
-"""Two-pulse polarization interferometer model with weak-value amplification.
+"""Two-arm polarization interferometer with weak-value amplification.
 
-The field is a pair of Gaussian spectral envelopes on orthogonal polarizations,
-offset by the two sensor-induced center shifts, with a path delay tau and a
-residual birefringence phase delta = phi - gamma_lcvr between the arms.
-Post-selecting onto cos(beta) x + sin(beta) y interferes the arms and
-amplifies the differential shift nu_minus by the factor
+`two_arm_field` recombines the real amplitudes of the x and y arms, with the
+delay tau and the residual birefringence phase delta = phi - gamma_lcvr on y.
+Projecting onto cos(beta) x + sin(beta) y (`post_select`) moves the centroid
+of two lobes at nu_plus +- nu_minus to nu_plus + A nu_minus, where
 
     A(beta) = cos(2 beta) / (1 + gamma * sin(2 beta) * cos(delta)),
 
-where gamma = exp(-nu_minus^2 / B^2) is the spectral overlap of the pulses.
+gamma = exp(-nu_minus^2 / B^2) is the arms' spectral overlap, and |A| peaks at
+(1 - g^2)^(-1/2) where sin(2 beta) = -g, g = gamma cos(delta).
 
 Conventions: frequencies in THz, delays in ps (so 2*pi*nu*tau is already in
 radians), angles in radians. B parametrizes the field envelope as
@@ -28,53 +28,6 @@ from .spectral import FrequencyGrid, Spectrum, records_equal
 
 # Below this |denominator| the post-selected mean is considered extinguished.
 _SINGULAR_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class SetupParams:
-    """All interferometer symbols in one immutable record.
-
-    nu1 and nu2 are the sensor-induced centroid offsets of the x- and
-    y-polarized pulses *relative to the carrier* nu0. amplitude is the field
-    scale E0 (the power spectrum scales as S0 = E0^2).
-    """
-
-    nu0: float
-    b_width: float
-    tau_ps: float = 0.0
-    phi_rad: float = 0.0
-    gamma_lcvr_rad: float = 0.0
-    beta_rad: float = 0.0
-    nu1: float = 0.0
-    nu2: float = 0.0
-    amplitude: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.nu0 <= 0:
-            raise ValueError(f"nu0 must be > 0, got {self.nu0}")
-        if self.b_width <= 0:
-            raise ValueError(f"b_width must be > 0, got {self.b_width}")
-        if not -math.pi / 2 <= self.beta_rad <= math.pi / 2:
-            raise ValueError(
-                f"beta_rad must lie in [-pi/2, pi/2], got {self.beta_rad}"
-            )
-
-    @property
-    def delta_rad(self) -> float:
-        """Residual uncompensated phase, birefringence minus retarder."""
-        return self.phi_rad - self.gamma_lcvr_rad
-
-    @property
-    def nu_plus(self) -> float:
-        return (self.nu1 + self.nu2) / 2
-
-    @property
-    def nu_minus(self) -> float:
-        return (self.nu1 - self.nu2) / 2
-
-    @property
-    def gamma_overlap(self) -> float:
-        return overlap_gamma(self.nu_minus, self.b_width)
 
 
 @dataclass(frozen=True)
@@ -127,20 +80,6 @@ def two_arm_field(
     return PolarizedFieldSpectrum(grid=grid, ex=ex, ey=ey)
 
 
-def jones_field(p: SetupParams, g: FrequencyGrid) -> PolarizedFieldSpectrum:
-    """Synthesize the recombined two-arm field of Gaussian envelopes on the grid.
-
-    ex(nu) = (E0/sqrt2) exp[-(nu - nu0 - nu1)^2 / (2 B^2)]
-    ey(nu) = (E0/sqrt2) exp[-(nu - nu0 - nu2)^2 / (2 B^2)] exp[i(2 pi nu tau + delta)]
-    """
-    nu = g.frequencies()
-    scale = p.amplitude / math.sqrt(2.0)
-    b2 = 2.0 * p.b_width**2
-    ex = scale * np.exp(-((nu - p.nu0 - p.nu1) ** 2) / b2)
-    ey = scale * np.exp(-((nu - p.nu0 - p.nu2) ** 2) / b2)
-    return two_arm_field(g, ex, ey, p.tau_ps, p.delta_rad)
-
-
 def projected_power(f: PolarizedFieldSpectrum, beta_rad: float) -> np.ndarray:
     """Power samples of the field projected onto cos(beta) x + sin(beta) y."""
     return np.abs(math.cos(beta_rad) * f.ex + math.sin(beta_rad) * f.ey) ** 2
@@ -149,29 +88,6 @@ def projected_power(f: PolarizedFieldSpectrum, beta_rad: float) -> np.ndarray:
 def post_select(f: PolarizedFieldSpectrum, beta_rad: float) -> Spectrum:
     """Project onto cos(beta) x + sin(beta) y and return the power spectrum."""
     return Spectrum(grid=f.grid, samples=projected_power(f, beta_rad))
-
-
-def output_spectrum_analytic(p: SetupParams, g: FrequencyGrid) -> Spectrum:
-    """Closed-form post-selected power spectrum.
-
-    Three-term form: the two projected Gaussian lobes plus the interference
-    term, whose cross weight 2 cos(beta) sin(beta) makes this identical to
-    |post_select(jones_field)|^2 at every node.
-    """
-    nu = g.frequencies()
-    u = nu - p.nu0
-    b2 = p.b_width**2
-    s0 = p.amplitude**2
-    cb, sb = math.cos(p.beta_rad), math.sin(p.beta_rad)
-    lobe1 = np.exp(-((u - p.nu1) ** 2) / b2)
-    lobe2 = np.exp(-((u - p.nu2) ** 2) / b2)
-    cross = p.gamma_overlap * np.exp(-((u - p.nu_plus) ** 2) / b2) * np.cos(
-        2.0 * math.pi * nu * p.tau_ps + p.delta_rad
-    )
-    samples = (s0 / 2.0) * (cb**2 * lobe1 + sb**2 * lobe2 + 2.0 * cb * sb * cross)
-    # Interference can undershoot zero by a few ulp where the terms cancel.
-    np.clip(samples, 0.0, None, out=samples)
-    return Spectrum(grid=g, samples=samples)
 
 
 def overlap_gamma(nu_minus: float, b_width: float) -> float:
@@ -228,28 +144,4 @@ def max_amplification(gamma: float, delta_rad: float) -> MaxAmplification:
     beta_star = -0.5 * math.asin(g)
     return MaxAmplification(
         a_max=a_max, beta_star=beta_star, beta_mirror=-math.pi / 2 - beta_star
-    )
-
-
-@dataclass(frozen=True)
-class CentroidPrediction:
-    """Analytic centroid with a validity flag for the weak-coupling premise."""
-
-    value_thz: float
-    a_factor: float
-    weak_regime: bool
-
-
-def analytic_centroid(p: SetupParams) -> CentroidPrediction:
-    """Centroid nu0 + nu_plus + A * nu_minus of the post-selected spectrum.
-
-    Exact at tau = 0, not first-order: both lobes and the interference term are
-    Gaussians of width B and nu_minus enters A only through gamma, so there the
-    weak_regime window (|nu_minus| <= 0.1 B, |tau| <= 0.01/B) is stricter than
-    needed. It ignores the phase 2 pi nu tau that a delay adds across the band.
-    """
-    a = amplification_factor(p.beta_rad, p.gamma_overlap, p.delta_rad)
-    weak = abs(p.nu_minus) <= 0.1 * p.b_width and abs(p.tau_ps) <= 0.01 / p.b_width
-    return CentroidPrediction(
-        value_thz=p.nu0 + p.nu_plus + a * p.nu_minus, a_factor=a, weak_regime=weak
     )

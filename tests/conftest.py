@@ -49,6 +49,18 @@ def bench_scenario(
     )
 
 
+def grating_pair(source, centers, widths, effs=(1.0, 1.0), **kw):
+    """Gaussian gratings at `centers` (THz, both at t2 = 20 degC, no side lobe)
+    with `widths` and efficiencies `effs`, lit by `source`; kw sets the other
+    Scenario fields."""
+    fbg1, fbg2 = (
+        w.FbgParams(center_ref_thz=c, kappa_nm_per_c=KAPPA, bandwidth_b_thz=b,
+                    reflect_efficiency=eff)
+        for c, b, eff in zip(centers, widths, effs)
+    )
+    return w.Scenario(source=source, fbg1=fbg1, fbg2=fbg2, t1_c=20.0, t2_c=20.0, **kw)
+
+
 @pytest.fixture
 def bench():
     return bench_scenario

@@ -9,19 +9,29 @@ import json
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wva_sense as w
 from wva_sense.cli import main, replay_manifest
+from wva_sense.config import load_scenario
 from wva_sense.errors import DetectionLimitedError
 from wva_sense.fbg import kappa_thz_per_c
-from wva_sense.scenario import scenario_field, sweep_temperature
+from wva_sense.scenario import (
+    SweepKernel,
+    exact_centroid,
+    exact_spectrum,
+    scenario_centers,
+    scenario_field,
+    sweep_temperature,
+)
 
-from conftest import FBG_B, KAPPA, bench_scenario
+from conftest import FBG_B, KAPPA, bench_scenario, grating_pair
 
 UNITS = w.UnitContext(reference_wavelength_nm=1551.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def report(name, detail=""):
@@ -29,100 +39,89 @@ def report(name, detail=""):
 
 
 def test_c01_equivalence_oracle():
-    # 200 randomized parameter sets: the closed-form spectrum equals the
-    # projected-field oracle pointwise to 1e-12 of the spectrum scale.
+    # 400 randomized two-grating scenarios: the closed-form spectrum
+    # (scenario.exact_spectrum) equals the field every CLI output is computed
+    # from (SweepKernel.raw) pointwise to 1e-12 of the trace peak. The first
+    # 200 have equal lobes at nu0 +- nu_minus under a source centered on nu0;
+    # the other 200 have unequal widths (x[0.6, 1.4]) and efficiencies, lobes
+    # at nu0 + nu_plus +- nu_minus, and the source offset by +-B from nu0.
     # (At interference nulls a pointwise-relative comparison is dominated by
     # float cancellation in *any* two formulations, so the tolerance is
     # anchored to the trace peak.)
     rng = np.random.default_rng(20240817)
     t0 = time.time()
     worst = 0.0
-    for _ in range(200):
-        b = rng.uniform(0.1, 1.0)
-        nu_minus = rng.uniform(0.0, 0.5) * b
-        nu_plus = rng.uniform(-0.2, 0.2) * b
-        p = w.SetupParams(
-            nu0=rng.uniform(150.0, 250.0),
-            b_width=b,
-            tau_ps=rng.uniform(0.0, 0.1) / b,
-            phi_rad=rng.uniform(0.0, math.pi),
-            beta_rad=math.radians(rng.uniform(-90.0, 0.0)),
-            nu1=nu_plus + nu_minus,
-            nu2=nu_plus - nu_minus,
-            amplitude=rng.uniform(0.5, 2.0),
-        )
-        grid = w.make_grid(p.nu0, 10 * b, 1501)
-        analytic = w.output_spectrum_analytic(p, grid)
-        oracle = w.post_select(w.jones_field(p, grid), p.beta_rad)
-        peak = float(np.max(oracle.samples))
-        worst = max(worst, float(np.max(np.abs(analytic.samples - oracle.samples))) / peak)
-    # The pipeline's field: two Gaussian gratings of equal bandwidth and
-    # efficiency at nu0 +- d get equal source weights, so the projected
-    # reflections are the closed form with amplitude E0 sqrt(eff * weight).
-    for _ in range(200):
+    for i in range(400):
         b = rng.uniform(0.1, 1.0)
         nu0 = rng.uniform(150.0, 250.0)
-        d = rng.uniform(0.0, 0.5) * b
-        source = w.SourceParams(nu0_thz=nu0, b_thz=rng.uniform(2.0, 5.0) * b,
+        nu_minus = rng.uniform(0.0, 0.5) * b
+        if i < 200:
+            eff = rng.uniform(0.05, 1.0)
+            centers, widths, effs = (nu0 + nu_minus, nu0 - nu_minus), (b, b), (eff, eff)
+            source_nu0 = nu0
+        else:
+            nu_plus = rng.uniform(-0.2, 0.2) * b
+            centers = (nu0 + nu_plus + nu_minus, nu0 + nu_plus - nu_minus)
+            widths = b * rng.uniform(0.6, 1.4, 2)
+            effs = rng.uniform(0.05, 1.0, 2)
+            source_nu0 = nu0 + rng.choice((-1.0, 1.0)) * b
+        source = w.SourceParams(nu0_thz=source_nu0, b_thz=rng.uniform(2.0, 5.0) * b,
                                 amplitude=rng.uniform(0.5, 2.0))
-        eff = rng.uniform(0.05, 1.0)
-        fbg1, fbg2 = (w.FbgParams(center_ref_thz=c, kappa_nm_per_c=KAPPA, bandwidth_b_thz=b,
-                                  reflect_efficiency=eff) for c in (nu0 + d, nu0 - d))
-        sc = w.Scenario(
-            source=source, fbg1=fbg1, fbg2=fbg2, t1_c=20.0, t2_c=20.0,
+        sc = grating_pair(
+            source, centers, widths, effs,
             tau_ps=rng.uniform(0.0, 0.1) / b, phi_rad=rng.uniform(0.0, math.pi),
-            beta_rad=math.radians(rng.uniform(-90.0, 0.0)),
             grid=w.GridSettings(n_points=1501, center_thz=nu0, span_thz=10 * b),
         )
-        pipeline = w.post_select(scenario_field(sc), sc.beta_rad)
-        weight = math.exp(-(d**2) / source.b_thz**2)
-        p = w.SetupParams(
-            nu0=nu0, b_width=b, tau_ps=sc.tau_ps, phi_rad=sc.phi_rad, beta_rad=sc.beta_rad,
-            nu1=d, nu2=-d,
-            amplitude=source.amplitude * math.sqrt(eff * weight),
-        )
-        analytic = w.output_spectrum_analytic(p, pipeline.grid)
-        peak = float(np.max(pipeline.samples))
-        worst = max(worst, float(np.max(np.abs(analytic.samples - pipeline.samples))) / peak)
+        beta = math.radians(rng.uniform(-90.0, 0.0))
+        oracle = SweepKernel(sc).raw(beta)
+        peak = float(np.max(oracle))
+        worst = max(worst, float(np.max(np.abs(exact_spectrum(sc, beta) - oracle))) / peak)
     elapsed = time.time() - t0
     assert worst <= 1e-12, f"worst deviation {worst:.2e}"
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
     report("criterion-1 equivalence oracle",
-           f"worst {worst:.2e} over 200 sets and 200 grating scenarios in {elapsed:.2f}s")
+           f"worst {worst:.2e} over 200 equal-lobe and 200 unequal-lobe scenarios "
+           f"in {elapsed:.2f}s")
 
 
 def test_c02_weak_regime_centroid():
-    # 20x20 (beta, nu_minus) grid with |nu_minus| <= 0.05 B and tau = 0
-    # (inside the |tau| <= 0.01/B window): numeric centroid of the output
-    # spectrum vs the first-order formula, within 1% of |A nu_minus|
-    # (1e-4 B absolute where A nu_minus = 0).
+    # 20x20 (beta, nu_minus) grid with |nu_minus| <= 0.05 B, delta = 0.2 and
+    # tau = 0, as scenarios with equal gratings at nu0 +- nu_minus under a
+    # source centered on nu0: the closed-form centroid and the kernel's
+    # numeric one (4001 points over 12 B, filter off) each lie within 1% of
+    # |A nu_minus| of the first-order nu_plus + A nu_minus (1e-4 B absolute
+    # where A nu_minus = 0).
     t0 = time.time()
     b = 0.265
     delta = 0.2
-    grid = w.make_grid(193.29, 12 * b, 4001)
+    nu0 = 193.29
+    source = w.SourceParams(nu0_thz=nu0, b_thz=4 * b)
     worst = 0.0
-    for beta_deg in np.linspace(-89.0, -1.0, 20):
-        for nu_minus in np.linspace(0.0, 0.05 * b, 20):
-            p = w.SetupParams(
-                nu0=193.29, b_width=b, phi_rad=delta,
-                beta_rad=math.radians(beta_deg),
-                nu1=nu_minus, nu2=-nu_minus,
-            )
-            pred = w.analytic_centroid(p)
-            assert pred.weak_regime
-            numeric = w.centroid(w.output_spectrum_analytic(p, grid))
-            err = abs(numeric - pred.value_thz)
-            scale = abs(pred.a_factor * nu_minus)
-            if scale == 0.0:
-                assert err < 1e-4 * b, f"absolute error {err:.2e} at A*nu_minus=0"
-            else:
-                # 1e-12*b guards the comparison against float dust at points
-                # where A*nu_minus is orders below the grid resolution.
-                assert err <= 0.01 * scale + 1e-12 * b, (
-                    f"beta={beta_deg:.1f} nu_minus={nu_minus:.2e}: "
-                    f"err {err:.2e} vs 1% of {scale:.2e}"
-                )
-                worst = max(worst, err / scale)
+    for nu_minus in np.linspace(0.0, 0.05 * b, 20):
+        sc = grating_pair(
+            source, (nu0 + nu_minus, nu0 - nu_minus), (b, b), phi_rad=delta,
+            filter=w.FilterSettings(enabled=False),
+            grid=w.GridSettings(n_points=4001, center_thz=nu0, span_thz=12 * b),
+        )
+        kernel = SweepKernel(sc)
+        c1, c2 = scenario_centers(sc)
+        for beta_deg in np.linspace(-89.0, -1.0, 20):
+            beta = math.radians(beta_deg)
+            a = w.amplification_factor(beta, w.overlap_gamma((c1 - c2) / 2, b), delta)
+            first_order = (c1 + c2) / 2 + a * (c1 - c2) / 2
+            scale = abs(a * (c1 - c2) / 2)
+            for centroid in (exact_centroid(sc, beta), kernel.centroid(kernel.raw(beta))):
+                err = abs(centroid - first_order)
+                if scale == 0.0:
+                    assert err < 1e-4 * b, f"absolute error {err:.2e} at A*nu_minus=0"
+                else:
+                    # 1e-12*b guards the comparison against float dust at points
+                    # where A*nu_minus is orders below the grid resolution.
+                    assert err <= 0.01 * scale + 1e-12 * b, (
+                        f"beta={beta_deg:.1f} nu_minus={nu_minus:.2e}: "
+                        f"err {err:.2e} vs 1% of {scale:.2e}"
+                    )
+                    worst = max(worst, err / scale)
     elapsed = time.time() - t0
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
     report("criterion-2 weak-regime centroid",
@@ -316,3 +315,37 @@ def test_c10_snr_tradeoff():
     report("criterion-10 snr tradeoff",
            f"5x5 grid monotone, |A| from {spread[0]:.2f} to {spread[-1]:.2f}; "
            f"zero-noise optimum {result.a:.4f} at {math.degrees(result.beta_rad):.2f} deg")
+
+
+def test_c11_exact_centroid():
+    # 200 random scenarios on configs/bench.json: each grating's width scaled
+    # by 0.6-1.4 and its efficiency in [0.05, 1], dt in [-50, 50] degC, tau in
+    # [-0.5, 0.5] ps, delta in [-pi, pi] and beta in [-89, 0] deg, with no
+    # filter and no OSA. The kernel's numeric centroid of SweepKernel.raw
+    # equals scenario.exact_centroid within 1e-9 of the wider lobe width B.
+    # The grid, 8001 points over 20x the wider FWHM, reaches >16 B from its
+    # center, so the truncated tails carry < 1e-100 of the power, and its
+    # spacing (~0.004 B) leaves the trapezoid error far below 1e-9 B.
+    base = load_scenario(CONFIGS / "bench.json").scenario
+    rng = np.random.default_rng(11)
+    t0 = time.time()
+    worst = 0.0
+    for _ in range(200):
+        fbg1, fbg2 = (replace(f, bandwidth_b_thz=f.bandwidth_b_thz * rng.uniform(0.6, 1.4),
+                              reflect_efficiency=rng.uniform(0.05, 1.0))
+                      for f in (base.fbg1, base.fbg2))
+        sc = replace(
+            base, fbg1=fbg1, fbg2=fbg2, t1_c=base.t2_c + rng.uniform(-50.0, 50.0),
+            tau_ps=rng.uniform(-0.5, 0.5), phi_rad=rng.uniform(-math.pi, math.pi),
+            gamma_lcvr_rad=0.0, filter=w.FilterSettings(enabled=False), osa=None,
+            grid=w.GridSettings(n_points=8001, span_factor=20.0),
+        )
+        beta = math.radians(rng.uniform(-89.0, 0.0))
+        kernel = SweepKernel(sc)
+        err = abs(kernel.centroid(kernel.raw(beta)) - exact_centroid(sc, beta))
+        worst = max(worst, err / max(fbg1.bandwidth_b_thz, fbg2.bandwidth_b_thz))
+    elapsed = time.time() - t0
+    assert worst <= 1e-9, f"worst deviation {worst:.2e} B"
+    assert elapsed < 2.0, f"took {elapsed:.1f}s"
+    report("criterion-11 exact centroid",
+           f"worst {worst:.2e} B over 200 scenarios in {elapsed:.2f}s")

@@ -12,6 +12,8 @@ from wva_sense.fbg import kappa_thz_per_c
 from wva_sense.scenario import (
     SweepKernel,
     _refine_peak,
+    exact_centroid,
+    exact_spectrum,
     scenario_centers,
     scenario_field,
     sweep_temperature,
@@ -186,6 +188,20 @@ class TestSideLobeHandling:
         center = kernel.filter_center(trace)
         assert abs(global_argmax - (NU_1551 - 0.37)) < 0.1  # side lobe wins globally
         assert abs(center - NU_1551) < 0.1  # windowed center stays on the main lobe
+
+
+class TestExactGuards:
+    def test_dark_port_has_no_centroid(self):
+        # Equal gratings at beta = -45 deg with g = 1: the power cancels to
+        # float dust, and a moment over it would read as a finite centroid.
+        with pytest.raises(NoSignalError):
+            exact_centroid(bench_scenario(g_target=1.0), math.radians(-45.0))
+
+    @pytest.mark.parametrize("exact", [exact_spectrum, exact_centroid])
+    def test_side_lobe_is_refused_by_name(self, exact):
+        sc = load_scenario(CONFIGS / "bench_sidelobe.json").scenario
+        with pytest.raises(ValueError, match="fbg1 has a side lobe"):
+            exact(sc, sc.beta_rad)
 
 
 @pytest.mark.parametrize("samples,i", [

@@ -4,15 +4,35 @@ import numpy as np
 import pytest
 
 import wva_sense as w
-from wva_sense.errors import SingularPostSelectionError, UnboundedAmplificationError
+from wva_sense.errors import (
+    NoSignalError,
+    SingularPostSelectionError,
+    UnboundedAmplificationError,
+)
+from wva_sense.scenario import (
+    SweepKernel,
+    exact_centroid,
+    exact_spectrum,
+    scenario_centers,
+    scenario_field,
+    scenario_grid,
+)
+from wva_sense.spectral import trapezoid_power
+
+from conftest import grating_pair
 
 LN2 = math.log(2.0)
+NU0 = 193.29
 
 
-def params(**overrides):
-    defaults = dict(nu0=193.29, b_width=0.265, amplitude=1.0)
-    defaults.update(overrides)
-    return w.SetupParams(**defaults)
+def two_gratings(nu1=0.0, nu2=0.0, b=0.265, amplitude=1.0, span=3.0, n_points=801, **kw):
+    """Gratings of width b at NU0 + nu1 and NU0 + nu2, lit by a source of width
+    4b centered on NU0, on a grid centered on NU0."""
+    return grating_pair(
+        w.SourceParams(nu0_thz=NU0, b_thz=4 * b, amplitude=amplitude),
+        (NU0 + nu1, NU0 + nu2), (b, b),
+        grid=w.GridSettings(n_points=n_points, center_thz=NU0, span_thz=span), **kw,
+    )
 
 
 class TestPulseBandwidth:
@@ -35,98 +55,77 @@ class TestPulseBandwidth:
 
 
 class TestJonesField:
+    """The two-arm field of a scenario, through scenario_field."""
+
     def test_matched_arms_identical(self):
-        p = params(nu1=0.02, nu2=0.02, tau_ps=0.0)
-        f = w.jones_field(p, w.make_grid(193.29, 3.0, 801))
+        f = scenario_field(two_gratings(nu1=0.02, nu2=0.02, tau_ps=0.0))
         assert np.allclose(f.ex, f.ey, rtol=0, atol=1e-15)
 
     def test_envelope_peaks(self):
-        p = params(nu1=0.05, nu2=-0.03)
-        g = w.make_grid(193.29, 2.0, 2001)  # spacing 1e-3 hits the peaks exactly
-        f = w.jones_field(p, g)
+        # spacing 1e-3 hits the peaks exactly
+        sc = two_gratings(nu1=0.05, nu2=-0.03, span=2.0, n_points=2001)
+        f = scenario_field(sc)
+        g = scenario_grid(sc)
         nu = g.frequencies()
         assert nu[np.argmax(np.abs(f.ex))] == pytest.approx(193.34, abs=g.spacing / 2)
         assert nu[np.argmax(np.abs(f.ey))] == pytest.approx(193.26, abs=g.spacing / 2)
 
     def test_power_at_carrier(self):
         b = 0.265
-        p = params(b_width=b, nu1=b / 10, nu2=-b / 10, amplitude=1.5)
-        g = w.make_grid(193.29, 2.0, 2001)
-        f = w.jones_field(p, g)
-        i0 = int(np.argmin(np.abs(g.frequencies() - 193.29)))
+        sc = two_gratings(b=b, nu1=b / 10, nu2=-b / 10, amplitude=1.5, span=2.0, n_points=2001)
+        f = scenario_field(sc)
+        i0 = int(np.argmin(np.abs(scenario_grid(sc).frequencies() - NU0)))
         total = abs(f.ex[i0]) ** 2 + abs(f.ey[i0]) ** 2
-        assert total == pytest.approx(1.5**2 * math.exp(-0.01), rel=1e-9)
+        weight = math.exp(-((b / 10) ** 2) / sc.source.b_thz**2)  # the source at each lobe
+        assert total == pytest.approx(1.5**2 * weight * math.exp(-0.01), rel=1e-9)
 
 
 class TestPostSelect:
     def test_beta_zero_keeps_x(self):
-        p = params(nu1=0.05, nu2=-0.05, tau_ps=0.03, phi_rad=0.4)
-        f = w.jones_field(p, w.make_grid(193.29, 3.0, 801))
+        f = scenario_field(two_gratings(nu1=0.05, nu2=-0.05, tau_ps=0.03, phi_rad=0.4))
         s = w.post_select(f, 0.0)
         assert np.allclose(s.samples, np.abs(f.ex) ** 2, rtol=1e-12, atol=1e-300)
 
     def test_beta_minus_90_keeps_y(self):
-        p = params(nu1=0.05, nu2=-0.05, tau_ps=0.03, phi_rad=0.4)
-        f = w.jones_field(p, w.make_grid(193.29, 3.0, 801))
+        f = scenario_field(two_gratings(nu1=0.05, nu2=-0.05, tau_ps=0.03, phi_rad=0.4))
         s = w.post_select(f, -math.pi / 2)
         assert np.allclose(s.samples, np.abs(f.ey) ** 2, rtol=1e-12, atol=1e-300)
 
     def test_dark_port(self):
-        p = params(nu1=0.02, nu2=0.02)
-        f = w.jones_field(p, w.make_grid(193.29, 3.0, 801))
+        f = scenario_field(two_gratings(nu1=0.02, nu2=0.02))
         s = w.post_select(f, -math.pi / 4)
         assert np.max(s.samples) < 1e-30
 
 
 class TestOutputSpectrumAnalytic:
+    """The closed-form post-selected spectrum, scenario.exact_spectrum."""
+
     def test_beta_zero_single_lobe(self):
         b = 0.265
-        p = params(b_width=b, nu1=0.05, nu2=-0.02)
-        g = w.make_grid(193.29, 4.0, 8001)
-        s = w.output_spectrum_analytic(p, g)
+        sc = two_gratings(b=b, nu1=0.05, nu2=-0.02, span=4.0, n_points=8001)
+        samples = exact_spectrum(sc, 0.0)
+        g = scenario_grid(sc)
         nu = g.frequencies()
-        peak = np.max(s.samples)
-        assert nu[np.argmax(s.samples)] == pytest.approx(193.34, abs=g.spacing)
-        above = nu[s.samples >= peak / 2]
+        peak = np.max(samples)
+        assert nu[np.argmax(samples)] == pytest.approx(193.34, abs=g.spacing)
+        above = nu[samples >= peak / 2]
         assert above[-1] - above[0] == pytest.approx(2 * b * math.sqrt(LN2), abs=2 * g.spacing)
 
     def test_complete_destructive_interference(self):
-        p = params(nu1=0.02, nu2=0.02, beta_rad=-math.pi / 4)
-        g = w.make_grid(193.29, 3.0, 801)
-        s = w.output_spectrum_analytic(p, g)
-        assert np.max(s.samples) < 1e-30
+        # The projected field cancels to below 1e-30; the closed form's three
+        # terms cancel to float dust of the lobe peak, which c01's 1e-12 bounds.
+        sc = two_gratings(nu1=0.02, nu2=0.02)
+        assert np.max(SweepKernel(sc).raw(-math.pi / 4)) < 1e-30
+        bright = np.max(exact_spectrum(sc, 0.0))
+        assert np.max(exact_spectrum(sc, -math.pi / 4)) <= 1e-12 * bright
 
     def test_matches_projection_oracle_generic(self):
         b = 0.265
-        p = params(
-            b_width=b, beta_rad=-0.6, tau_ps=0.05, phi_rad=0.2,
-            nu1=0.05 * b, nu2=-0.05 * b,
-        )
-        g = w.make_grid(193.29, 10 * b, 4001)
-        analytic = w.output_spectrum_analytic(p, g)
-        oracle = w.post_select(w.jones_field(p, g), p.beta_rad)
-        peak = np.max(oracle.samples)
-        assert np.max(np.abs(analytic.samples - oracle.samples)) <= 1e-12 * peak
-
-    def test_matches_projection_oracle_randomized(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(25):
-            b = rng.uniform(0.1, 1.0)
-            nm = rng.uniform(0, 0.5) * b
-            np_ = rng.uniform(-0.2, 0.2) * b
-            p = w.SetupParams(
-                nu0=rng.uniform(150, 250), b_width=b,
-                tau_ps=rng.uniform(0, 0.1) / b,
-                phi_rad=rng.uniform(0, math.pi),
-                beta_rad=math.radians(rng.uniform(-90, 0)),
-                nu1=np_ + nm, nu2=np_ - nm,
-                amplitude=rng.uniform(0.5, 2.0),
-            )
-            g = w.make_grid(p.nu0, 10 * b, 1501)
-            analytic = w.output_spectrum_analytic(p, g)
-            oracle = w.post_select(w.jones_field(p, g), p.beta_rad)
-            peak = np.max(oracle.samples)
-            assert np.max(np.abs(analytic.samples - oracle.samples)) <= 1e-12 * peak
+        sc = two_gratings(b=b, tau_ps=0.05, phi_rad=0.2, nu1=0.05 * b, nu2=-0.05 * b,
+                          span=10 * b, n_points=4001)
+        oracle = SweepKernel(sc).raw(-0.6)
+        peak = np.max(oracle)
+        assert np.max(np.abs(exact_spectrum(sc, -0.6) - oracle)) <= 1e-12 * peak
 
 
 class TestOverlapGamma:
@@ -218,22 +217,15 @@ class TestMaxAmplification:
 
 
 class TestAnalyticCentroid:
+    """The closed-form centroid, scenario.exact_centroid."""
+
     def test_beta_zero(self):
-        p = params(nu1=0.01, nu2=-0.02)
-        pred = w.analytic_centroid(p)
-        assert pred.value_thz == pytest.approx(193.29 + 0.01, rel=1e-12)
-        assert pred.weak_regime
+        sc = two_gratings(nu1=0.01, nu2=-0.02)
+        assert exact_centroid(sc, 0.0) == pytest.approx(193.29 + 0.01, rel=1e-12)
 
     def test_beta_minus_90(self):
-        p = params(nu1=0.01, nu2=-0.02, beta_rad=-math.pi / 2)
-        pred = w.analytic_centroid(p)
-        assert pred.value_thz == pytest.approx(193.29 - 0.02, rel=1e-12)
-
-    def test_weak_regime_flag(self):
-        b = 0.265
-        assert w.analytic_centroid(params(nu1=0.05 * b, nu2=-0.05 * b)).weak_regime
-        assert not w.analytic_centroid(params(nu1=0.3 * b, nu2=-0.3 * b)).weak_regime
-        assert not w.analytic_centroid(params(nu1=0.0, nu2=0.0, tau_ps=0.1 / b)).weak_regime
+        sc = two_gratings(nu1=0.01, nu2=-0.02)
+        assert exact_centroid(sc, -math.pi / 2) == pytest.approx(193.29 - 0.02, rel=1e-12)
 
     def test_amplified_offset_matches_numeric(self):
         # gamma*cos(delta) = 0.99 at beta = -40 deg amplifies nu_minus ~6.93x;
@@ -242,47 +234,44 @@ class TestAnalyticCentroid:
         nm = 0.01 * b
         gamma = w.overlap_gamma(nm, b)
         delta = math.acos(0.99 / gamma)
-        p = params(
-            b_width=b, beta_rad=math.radians(-40.0), phi_rad=delta,
-            nu1=nm, nu2=-nm,
-        )
-        pred = w.analytic_centroid(p)
-        assert pred.a_factor == pytest.approx(6.93474, abs=1e-4)
-        offset = pred.value_thz - p.nu0 - p.nu_plus
-        assert offset == pytest.approx(pred.a_factor * nm, rel=1e-12)
-        numeric = w.centroid(w.output_spectrum_analytic(p, w.make_grid(p.nu0, 12 * b, 8001)))
-        assert numeric - p.nu0 - p.nu_plus == pytest.approx(offset, rel=0.01)
+        beta = math.radians(-40.0)
+        sc = two_gratings(b=b, phi_rad=delta, nu1=nm, nu2=-nm, span=12 * b, n_points=8001)
+        a = w.amplification_factor(beta, gamma, delta)
+        assert a == pytest.approx(6.93474, abs=1e-4)
+        # Exact at tau = 0 with equal lobes, about the scenario's own centers.
+        c1, c2 = scenario_centers(sc)
+        nu_plus, nu_minus = (c1 + c2) / 2, (c1 - c2) / 2
+        offset = exact_centroid(sc, beta) - nu_plus
+        assert offset == pytest.approx(a * nu_minus, rel=1e-12)
+        kernel = SweepKernel(sc)
+        numeric = kernel.centroid(kernel.raw(beta))
+        assert numeric - nu_plus == pytest.approx(offset, rel=0.01)
 
     def test_singular_propagates(self):
-        p = params(nu1=0.0, nu2=0.0, beta_rad=-math.pi / 4)
-        with pytest.raises(SingularPostSelectionError):
-            w.analytic_centroid(p)
+        with pytest.raises(NoSignalError):
+            exact_centroid(two_gratings(), -math.pi / 4)
 
 
 class TestEnergyBudget:
     def test_dark_port_power(self):
-        p = params(nu1=0.02, nu2=0.02)
-        g = w.make_grid(193.29, 3.0, 2001)
-        p_dark = w.total_power(w.output_spectrum_analytic(
-            w.SetupParams(**{**p.__dict__, "beta_rad": -math.pi / 4}), g))
-        p_bright = w.total_power(w.output_spectrum_analytic(p, g))
+        sc = two_gratings(nu1=0.02, nu2=0.02, n_points=2001)
+        spacing = scenario_grid(sc).spacing
+        p_dark = trapezoid_power(exact_spectrum(sc, -math.pi / 4), spacing)
+        p_bright = trapezoid_power(exact_spectrum(sc, 0.0), spacing)
         assert p_dark <= 1e-10 * p_bright
 
     def test_attenuation_grows_with_g(self):
         # Transmitted power at the optimum angle, relative to beta=0, falls
         # monotonically as g -> 1: near-orthogonal post-selection pays in signal.
         b = 0.265
-        g = w.make_grid(193.29, 10 * b, 2001)
         ratios = []
         for gval in (0.5, 0.9, 0.99, 0.999):
             delta = math.acos(gval)
             beta_star = w.max_amplification(1.0, delta).beta_star
-            p0 = params(b_width=b, nu1=0.0, nu2=0.0, phi_rad=delta)
-            p_star = w.SetupParams(**{**p0.__dict__, "beta_rad": beta_star})
-            ratios.append(
-                w.total_power(w.output_spectrum_analytic(p_star, g))
-                / w.total_power(w.output_spectrum_analytic(p0, g))
-            )
+            sc = two_gratings(b=b, phi_rad=delta, span=10 * b, n_points=2001)
+            spacing = scenario_grid(sc).spacing
+            ratios.append(trapezoid_power(exact_spectrum(sc, beta_star), spacing)
+                          / trapezoid_power(exact_spectrum(sc, 0.0), spacing))
         assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
         assert ratios[0] == pytest.approx(1 - 0.5**2, rel=1e-6)
 
