@@ -29,7 +29,6 @@ from .fbg import (
 )
 from .osa import (
     OsaParams,
-    SnrReport,
     UsableAmplification,
     max_usable_amplification,
 )
@@ -41,8 +40,6 @@ from .scenario import (
     SourceParams,
     SweepKernel,
     scenario_grid,
-    simulate_interrogation,
-    sweep_beta,
     sweep_temperature,
 )
 from .spectral import (
@@ -64,7 +61,6 @@ from .wva import (
     amplification_factor,
     max_amplification,
     overlap_gamma,
-    post_select,
     pulse_bandwidth,
     two_arm_field,
 )

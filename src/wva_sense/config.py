@@ -280,7 +280,6 @@ def parse_scenario(doc: Mapping[str, Any]) -> LoadedScenario:
     t1_list = listed(temps.get("t1_list_c"), "temperatures.t1_list_c")
     t1_values = [finite(v, f"temperatures.t1_list_c[{i}]") for i, v in enumerate(t1_list)]
 
-    osa = _section(doc, "osa", required=False)
     scenario = Scenario(
         source=source,
         fbg1=fbg1,
@@ -293,7 +292,7 @@ def parse_scenario(doc: Mapping[str, Any]) -> LoadedScenario:
         beta_rad=beta.beta_rad,
         filter=_parse_settings(FilterSettings, _section(doc, "filter", False) or {}, "filter"),
         grid=_parse_settings(GridSettings, _section(doc, "grid", False) or {}, "grid"),
-        osa=None if osa is None else _parse_settings(OsaParams, osa, "osa"),
+        osa=_parse_settings(OsaParams, _section(doc, "osa", False) or {}, "osa"),
         units=units,
     )
     return LoadedScenario(

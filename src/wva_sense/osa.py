@@ -46,6 +46,11 @@ class OsaParams:
         if not 0.0 <= self.rel_noise < 1.0:
             raise ValueError(f"rel_noise must lie in [0, 1), got {self.rel_noise}")
 
+    def noise_sigma(self, signal: float | np.ndarray) -> float | np.ndarray:
+        """Noise standard deviation at `signal`, a number or an array of
+        samples: the floor and the signal-proportional term in quadrature."""
+        return np.sqrt(self.noise_floor**2 + (self.rel_noise * signal) ** 2)
+
 
 def sub_seed(seed: int, stream: int) -> int:
     """Deterministic 64-bit sub-seed for sweep point `stream`."""
@@ -93,39 +98,23 @@ def measure_samples(
         samples = np.convolve(samples, kernel, mode="same")
     if p.noise_floor > 0.0 or p.rel_noise > 0.0:
         noise = stream_normals(p, stream, samples.size)
-        if p.rel_noise == 0.0:  # the per-sample scale is the floor alone
-            noise *= math.sqrt(p.noise_floor**2)
-        else:
-            noise *= np.sqrt(p.noise_floor**2 + (p.rel_noise * samples) ** 2)
+        # At rel_noise = 0 the per-sample scale is the floor alone, one scalar.
+        noise *= p.noise_sigma(0.0 if p.rel_noise == 0.0 else samples)
         noise += samples
         samples = np.clip(noise, 0.0, None, out=noise)
     return samples
 
 
-@dataclass(frozen=True)
-class SnrReport:
-    peak_signal: float
-    noise_sigma: float
-    snr_db: float
-
-
-def snr_report(peak: float, p: OsaParams) -> SnrReport:
-    """SNR of a trace whose largest sample is `peak`, against the noise model.
-
-    noise_sigma combines the floor with the signal-proportional term in
-    quadrature at the peak. Zero noise reports snr_db = +inf as the
-    distinguished noise-free value.
-    """
-    noise_sigma = math.sqrt(p.noise_floor**2 + (p.rel_noise * peak) ** 2)
-    if noise_sigma == 0.0:
-        return SnrReport(peak_signal=peak, noise_sigma=0.0, snr_db=math.inf)
+def snr_db(peak: float, p: OsaParams) -> float:
+    """Peak SNR (dB) of a trace whose largest sample is `peak`, against the
+    noise sigma at the peak. Zero noise gives +inf, the distinguished
+    noise-free value, and a zero peak against noise gives -inf."""
+    sigma = p.noise_sigma(peak)
+    if sigma == 0.0:
+        return math.inf
     if peak <= 0.0:
-        return SnrReport(peak_signal=peak, noise_sigma=noise_sigma, snr_db=-math.inf)
-    return SnrReport(
-        peak_signal=peak,
-        noise_sigma=noise_sigma,
-        snr_db=10.0 * math.log10(peak / noise_sigma),
-    )
+        return -math.inf
+    return 10.0 * math.log10(peak / sigma)
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,13 @@ import numpy as np
 
 from .errors import ConfigError, NoSignalError, SingularPostSelectionError
 from .fbg import FbgParams, bragg_center, check_width, reflect
-from .osa import OsaParams, measure_samples, rbw_kernel, snr_report, stream_normals
+from .osa import OsaParams, measure_samples, rbw_kernel, snr_db, stream_normals
 from .spectral import (
     MAX_RANGE_POINTS,
     FrequencyGrid,
-    Spectrum,
     UnitContext,
-    frequency_to_wavelength,
     make_grid,
     power_centroid,
-    records_equal,
     super_gaussian_gain,
     trapezoid_power,
 )
@@ -119,7 +116,7 @@ class Scenario:
     beta_rad: float = 0.0
     filter: FilterSettings = field(default_factory=FilterSettings)
     grid: GridSettings = field(default_factory=GridSettings)
-    osa: Optional[OsaParams] = None
+    osa: OsaParams = field(default_factory=OsaParams)
     units: UnitContext = field(default_factory=UnitContext)
 
     def __post_init__(self) -> None:
@@ -271,19 +268,13 @@ def _refine_peak(nu: np.ndarray, y: np.ndarray, i: int, spacing: float) -> float
 
 @dataclass(frozen=True)
 class InterrogationResult:
-    """One measurement on bare arrays on the kernel's grid.
+    """The numbers of one measurement at beta_rad. `raw_power` is the total
+    power of the ideal post-selected spectrum, before the OSA, and `snr_db`
+    the peak SNR of the measured trace (+inf with a noise-free OSA). The
+    centroid is that of the filtered trace, and its shift is referenced to
+    `reference_thz`; `a_effective` is the closed-form A at beta_rad."""
 
-    `trace` is the measured trace before the filter and `filtered_trace` the
-    trace after it; `raw` and `filtered` are their Spectrum views, built
-    when read. `raw_power` is the total power of the ideal post-selected
-    spectrum, before the OSA, and `snr_db` the peak SNR of the trace (+inf
-    without an OSA). The centroid shift is referenced to `reference_thz`.
-    """
-
-    grid: FrequencyGrid = field(repr=False)
     beta_rad: float
-    trace: np.ndarray = field(repr=False)
-    filtered_trace: np.ndarray = field(repr=False)
     raw_power: float
     snr_db: float
     centroid_thz: float
@@ -291,31 +282,17 @@ class InterrogationResult:
     reference_thz: float
     a_effective: float
 
-    __eq__ = records_equal
-
-    @property
-    def raw(self) -> Spectrum:
-        return Spectrum(self.grid, self.trace)
-
-    @property
-    def filtered(self) -> Spectrum:
-        return Spectrum(self.grid, self.filtered_trace)
-
-    @property
-    def reference_nm(self) -> float:
-        return frequency_to_wavelength(self.reference_thz)
-
 
 class SweepKernel:
     """A scenario's measurement with every beta-independent part built once.
 
     The two-arm field, grid frequencies, RBW kernel, overlap gamma and the
     filter's search window and half-width are computed here; each angle then
-    runs on bare arrays (post-select, OSA, filter, centroid, A). Angle i of
-    a sweep draws OSA noise stream i+1 and the reference draws stream 0, so
-    every point equals the single-point pipeline on the same stream.
-    `at_temperature` gives the kernel at another t1, sharing every part that
-    does not depend on t1.
+    runs on bare arrays (post-select, OSA, filter, centroid, A). This is the
+    package's one measurement path: `reference` measures beta = -90 deg on
+    noise stream 0, `point` one angle on a given stream, and `rows` angle i
+    of a sweep on stream i+1. `at_temperature` gives the kernel at another
+    t1, sharing every part that does not depend on t1.
 
     Filter search window: the predicted Bragg centers widened by the wider
     grating's bandwidth, or the whole grid if no node falls inside.
@@ -324,7 +301,6 @@ class SweepKernel:
 
     def __init__(self, sc: Scenario) -> None:
         self.sc = sc
-        self.osa = sc.osa or OsaParams()  # no OSA measures as the ideal default one
         self.field = scenario_field(sc)
         self.grid = grid = self.field.grid
         self.nu = grid.frequencies()
@@ -342,11 +318,17 @@ class SweepKernel:
             raise ConfigError(f"filter: a half-width of {half_width!r} THz overflows the "
                               f"order-{sc.filter.order} gain on a {grid.span:.9g} THz grid")
         self.half_width = half_width
-        self.rbw = rbw_kernel(self.osa, sc.units, grid)
+        self.rbw = rbw_kernel(sc.osa, sc.units, grid)
         self._place(*scenario_centers(sc))
 
     def _place(self, c1: float, c2: float) -> None:
-        """Set the filter search window and gamma for Bragg centers c1, c2."""
+        """Set the filter search window and gamma for Bragg centers c1, c2.
+
+        gamma is exp(-(c1 - c2)^2 / (4 b^2)), with b the arithmetic mean of
+        the two widths. The G of _exact_terms has 2 (B1^2 + B2^2) in place of
+        4 b^2: the two agree bit for bit at equal widths and differ at
+        unequal ones.
+        """
         sc = self.sc
         w = max(sc.fbg1.bandwidth_b_thz, sc.fbg2.bandwidth_b_thz)
         # nu ascends, so the nodes inside the window are one slice.
@@ -375,7 +357,7 @@ class SweepKernel:
 
     def measure(self, raw: np.ndarray, stream: int) -> np.ndarray:
         """`raw` through the scenario's OSA model on noise `stream`."""
-        return measure_samples(raw, self.rbw, self.osa, stream)
+        return measure_samples(raw, self.rbw, self.sc.osa, stream)
 
     def filter_center(self, samples: np.ndarray) -> float:
         """Main-lobe peak: the argmax within the window, so a residual side
@@ -398,8 +380,8 @@ class SweepKernel:
 
     def snr_db(self, peak: float) -> float:
         """Peak SNR (dB) of a measured trace whose largest sample is `peak`;
-        +inf without an OSA, as with a noise-free one."""
-        return snr_report(peak, self.osa).snr_db
+        +inf with a noise-free OSA."""
+        return snr_db(peak, self.sc.osa)
 
     def peak(self, beta_rad: float, stream: int) -> float:
         """Largest sample of the measured trace at beta_rad."""
@@ -414,12 +396,13 @@ class SweepKernel:
         most the grid's 1e6 taps. The noise scale rises with the sample, so
         sigma at S bounds every sample's, and the stream's own normals bound
         the draw; the clip at zero never raises a value. A final 1e-9 covers
-        the rounding.
+        the rounding. The bound holds because sigma is OsaParams.noise_sigma,
+        the rule measure_samples draws the noise with.
         """
         raw = self.raw(beta_rad)
         s = float(np.max(raw)) * (1.0 + 1e-9)
-        p = self.osa
-        sigma = math.sqrt(p.noise_floor**2 + (p.rel_noise * s) ** 2)
+        p = self.sc.osa
+        sigma = p.noise_sigma(s)
         if sigma == 0.0:
             return math.inf
         z = float(np.max(stream_normals(p, stream, raw.size)))
@@ -435,10 +418,9 @@ class SweepKernel:
         SingularPostSelectionError."""
         raw = self.raw(beta_rad)
         trace = self.measure(raw, stream)
-        filtered = self.filtered(trace)
-        centroid_thz = self.centroid(filtered)
+        centroid_thz = self.centroid(self.filtered(trace))
         return InterrogationResult(
-            self.grid, beta_rad, trace, filtered,
+            beta_rad,
             raw_power=trapezoid_power(raw, self.grid.spacing),
             snr_db=self.snr_db(float(np.max(trace))),
             centroid_thz=centroid_thz,
@@ -461,23 +443,6 @@ class SweepKernel:
             yield beta, point
 
 
-def simulate_interrogation(
-    sc: Scenario,
-    reference_thz: Optional[float] = None,
-    stream: int = 1,
-) -> InterrogationResult:
-    """Full pipeline at the scenario's beta and t1.
-
-    Builds both reflections, recombines and post-selects, applies the OSA
-    model when configured, filters, and reports the centroid shift in nm
-    against the beta = -90 deg reference centroid (computed here when not
-    supplied). Propagates no-signal and singular-post-selection errors.
-    """
-    kernel = SweepKernel(sc)
-    ref = kernel.reference() if reference_thz is None else reference_thz
-    return kernel.point(sc.beta_rad, stream, ref)
-
-
 def sweep_temperature(
     sc: Scenario, dt_list: Sequence[float]
 ) -> Iterator[tuple[float, InterrogationResult]]:
@@ -487,8 +452,8 @@ def sweep_temperature(
     One SweepKernel serves the sweep: the reference is measured at the
     scenario's own t1 on stream 0, and each dt runs on the at_temperature
     kernel of the one before, which replaces it, so only one x arm is held.
-    Entry i equals simulate_interrogation(replace(sc, t1_c=t2 + dt),
-    reference, stream=i + 1).
+    Entry i equals SweepKernel(replace(sc, t1_c=t2 + dt)).point(sc.beta_rad,
+    i + 1, reference).
     """
     kernel = SweepKernel(sc)
     ref = kernel.reference()
@@ -496,16 +461,3 @@ def sweep_temperature(
         kernel = kernel.at_temperature(sc.t2_c + dt)
         yield float(dt), kernel.point(sc.beta_rad, i + 1, ref)
 
-
-def sweep_beta(
-    sc: Scenario, beta_rad_list: Sequence[float]
-) -> list[tuple[float, Optional[InterrogationResult]]]:
-    """Interrogate at each post-selection angle, sharing one reference.
-
-    One SweepKernel serves the sweep and angle i draws OSA noise stream i+1,
-    so entry i equals simulate_interrogation(replace(sc, beta_rad=beta),
-    reference, stream=i + 1). Dark-port and singular points are recorded as
-    None rather than aborting the sweep.
-    """
-    kernel = SweepKernel(sc)
-    return list(kernel.rows(beta_rad_list, kernel.reference()))

@@ -2,7 +2,7 @@
 
 `two_arm_field` recombines the real amplitudes of the x and y arms, with the
 delay tau and the residual birefringence phase delta = phi - gamma_lcvr on y.
-Projecting onto cos(beta) x + sin(beta) y (`post_select`) moves the centroid
+Projecting onto cos(beta) x + sin(beta) y (`projected_power`) moves the centroid
 of two lobes at nu_plus +- nu_minus to nu_plus + A nu_minus, where
 
     A(beta) = cos(2 beta) / (1 + gamma * sin(2 beta) * cos(delta)),
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularPostSelectionError, UnboundedAmplificationError
-from .spectral import FrequencyGrid, Spectrum, records_equal
+from .spectral import FrequencyGrid, records_equal
 
 # Below this |denominator| the post-selected mean is considered extinguished.
 _SINGULAR_EPS = 1e-12
@@ -83,11 +83,6 @@ def two_arm_field(
 def projected_power(f: PolarizedFieldSpectrum, beta_rad: float) -> np.ndarray:
     """Power samples of the field projected onto cos(beta) x + sin(beta) y."""
     return np.abs(math.cos(beta_rad) * f.ex + math.sin(beta_rad) * f.ey) ** 2
-
-
-def post_select(f: PolarizedFieldSpectrum, beta_rad: float) -> Spectrum:
-    """Project onto cos(beta) x + sin(beta) y and return the power spectrum."""
-    return Spectrum(grid=f.grid, samples=projected_power(f, beta_rad))
 
 
 def overlap_gamma(nu_minus: float, b_width: float) -> float:

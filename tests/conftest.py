@@ -19,7 +19,7 @@ def bench_scenario(
     half_width_factor=1.5,
     n_points=4001,
     tau_ps=0.0,
-    osa=None,
+    osa=w.OsaParams(),
     t1_c=20.0,
     t2_c=20.0,
     fwhm_nm=2.0,

@@ -24,9 +24,9 @@ from wva_sense.scenario import (
     exact_centroid,
     exact_spectrum,
     scenario_centers,
-    scenario_field,
     sweep_temperature,
 )
+from wva_sense.spectral import trapezoid_power
 
 from conftest import FBG_B, KAPPA, bench_scenario, grating_pair
 
@@ -197,8 +197,9 @@ def test_c05_temperature_sweep_slopes():
 
 def test_c06_dark_port():
     sc = bench_scenario()
-    p_dark = w.total_power(w.post_select(scenario_field(sc), math.radians(-45.0)))
-    p_bright = w.total_power(w.post_select(scenario_field(sc), 0.0))
+    kernel = SweepKernel(sc)
+    p_dark = trapezoid_power(kernel.raw(math.radians(-45.0)), kernel.grid.spacing)
+    p_bright = trapezoid_power(kernel.raw(0.0), kernel.grid.spacing)
     ratio = p_dark / p_bright
     assert ratio <= 1e-10
     report("criterion-6 dark port", f"power ratio {ratio:.2e}")
@@ -321,7 +322,7 @@ def test_c11_exact_centroid():
     # 200 random scenarios on configs/bench.json: each grating's width scaled
     # by 0.6-1.4 and its efficiency in [0.05, 1], dt in [-50, 50] degC, tau in
     # [-0.5, 0.5] ps, delta in [-pi, pi] and beta in [-89, 0] deg, with no
-    # filter and no OSA. The kernel's numeric centroid of SweepKernel.raw
+    # filter and the ideal OSA. The kernel's numeric centroid of SweepKernel.raw
     # equals scenario.exact_centroid within 1e-9 of the wider lobe width B.
     # The grid, 8001 points over 20x the wider FWHM, reaches >16 B from its
     # center, so the truncated tails carry < 1e-100 of the power, and its
@@ -337,7 +338,7 @@ def test_c11_exact_centroid():
         sc = replace(
             base, fbg1=fbg1, fbg2=fbg2, t1_c=base.t2_c + rng.uniform(-50.0, 50.0),
             tau_ps=rng.uniform(-0.5, 0.5), phi_rad=rng.uniform(-math.pi, math.pi),
-            gamma_lcvr_rad=0.0, filter=w.FilterSettings(enabled=False), osa=None,
+            gamma_lcvr_rad=0.0, filter=w.FilterSettings(enabled=False), osa=w.OsaParams(),
             grid=w.GridSettings(n_points=8001, span_factor=20.0),
         )
         beta = math.radians(rng.uniform(-89.0, 0.0))

@@ -45,7 +45,7 @@ class TestParsing:
         doc["source"] = {"center_nm": 1549.0, "bandwidth_thz": 0.83}
         sc = parse_scenario(doc).scenario
         assert sc.filter.enabled and sc.filter.order == 4
-        assert sc.osa is None
+        assert sc.osa == w.OsaParams()
         assert sc.tau_ps == 0.0
         assert sc.grid.n_points == 4001
         assert sc.units.reference_wavelength_nm == 1551.0

@@ -7,8 +7,9 @@ import pytest
 
 import wva_sense as w
 from wva_sense.errors import ConfigError, DetectionLimitedError
-from wva_sense.osa import measure_samples, rbw_kernel, snr_report, sub_seed
-from wva_sense.scenario import SweepKernel, scenario_field
+from wva_sense.osa import measure_samples, rbw_kernel, snr_db, sub_seed
+from wva_sense.scenario import SweepKernel
+from wva_sense.spectral import trapezoid_power
 
 from conftest import bench_scenario
 
@@ -144,30 +145,29 @@ class TestSnrEstimate:
     def test_20_db(self):
         g = w.make_grid(193.29, 1.0, 101)
         s = w.Spectrum(grid=g, samples=np.full(101, 100.0))
-        report = snr_report(float(np.max(s.samples)), w.OsaParams(noise_floor=1.0))
-        assert report.snr_db == pytest.approx(20.0, rel=1e-12)
-        assert report.peak_signal == 100.0
-        assert report.noise_sigma == 1.0
+        p = w.OsaParams(noise_floor=1.0)
+        assert snr_db(float(np.max(s.samples)), p) == pytest.approx(20.0, rel=1e-12)
+        assert p.noise_sigma(100.0) == 1.0
 
     def test_doubling_peak_adds_3db(self):
         p = w.OsaParams(noise_floor=1.0)
-        s1 = snr_report(50.0, p)
-        s2 = snr_report(100.0, p)
-        assert s2.snr_db - s1.snr_db == pytest.approx(10 * math.log10(2), abs=1e-9)
+        s1 = snr_db(50.0, p)
+        s2 = snr_db(100.0, p)
+        assert s2 - s1 == pytest.approx(10 * math.log10(2), abs=1e-9)
 
     def test_zero_noise_reports_infinite(self):
         g = w.make_grid(193.29, 1.0, 101)
         s = w.Spectrum(grid=g, samples=np.full(101, 5.0))
-        assert snr_report(float(np.max(s.samples)), w.OsaParams()).snr_db == math.inf
+        assert snr_db(float(np.max(s.samples)), w.OsaParams()) == math.inf
 
     def test_zero_peak_against_noise_reports_minus_infinite(self):
-        assert snr_report(0.0, w.OsaParams(noise_floor=1.0)).snr_db == -math.inf
+        assert snr_db(0.0, w.OsaParams(noise_floor=1.0)) == -math.inf
 
     def test_rel_noise_quadrature(self):
         g = w.make_grid(193.29, 1.0, 101)
         s = w.Spectrum(grid=g, samples=np.full(101, 100.0))
-        report = snr_report(float(np.max(s.samples)), w.OsaParams(noise_floor=3.0, rel_noise=0.04))
-        assert report.noise_sigma == pytest.approx(5.0, rel=1e-12)
+        p = w.OsaParams(noise_floor=3.0, rel_noise=0.04)
+        assert p.noise_sigma(float(np.max(s.samples))) == pytest.approx(5.0, rel=1e-12)
 
     def test_snr_drop_equals_power_attenuation(self):
         # Matched gratings keep the output shape beta-independent, so the
@@ -176,14 +176,12 @@ class TestSnrEstimate:
         sc = bench_scenario(osa=osa)
         kernel = SweepKernel(sc)
 
-        snr_0 = snr_report(
-            float(np.max(kernel.measure(kernel.raw(0.0), 1))), osa
-        ).snr_db
-        snr_44 = snr_report(
+        snr_0 = snr_db(float(np.max(kernel.measure(kernel.raw(0.0), 1))), osa)
+        snr_44 = snr_db(
             float(np.max(kernel.measure(kernel.raw(math.radians(-44.0)), 2))), osa
-        ).snr_db
-        p_0 = w.total_power(w.post_select(scenario_field(sc), 0.0))
-        p_44 = w.total_power(w.post_select(scenario_field(sc), math.radians(-44.0)))
+        )
+        p_0 = trapezoid_power(kernel.raw(0.0), kernel.grid.spacing)
+        p_44 = trapezoid_power(kernel.raw(math.radians(-44.0)), kernel.grid.spacing)
         attenuation_db = 10 * math.log10(p_44 / p_0)
         assert snr_44 - snr_0 == pytest.approx(attenuation_db, abs=0.1)
 

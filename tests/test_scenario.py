@@ -18,6 +18,7 @@ from wva_sense.scenario import (
     scenario_field,
     sweep_temperature,
 )
+from wva_sense.spectral import frequency_to_wavelength
 
 from conftest import FBG_B, KAPPA, NU_1549, NU_1551, bench_scenario
 
@@ -30,39 +31,48 @@ def dt_for_nu_minus(frac_of_b):
     return 2 * frac_of_b * FBG_B / abs(kappa_thz_per_c(KAPPA, UNITS))
 
 
+def measure(sc):
+    """The measurement at the scenario's beta on noise stream 1, referenced to
+    its own beta = -90 deg centroid."""
+    kernel = SweepKernel(sc)
+    return kernel.point(sc.beta_rad, 1, kernel.reference())
+
+
 class TestSimulateInterrogation:
+    """One measurement, SweepKernel.point at the scenario's beta."""
+
     def test_beta_zero_shift_is_kappa_dt(self):
         dt = dt_for_nu_minus(0.01)
         sc = bench_scenario(beta_deg=0.0, t1_c=20.0 + dt)
-        result = w.simulate_interrogation(sc)
+        result = measure(sc)
         assert result.centroid_nm_shift == pytest.approx(KAPPA * dt, rel=0.01)
         assert result.a_effective == pytest.approx(1.0, rel=1e-9)
 
     def test_reference_angle_shift_is_zero(self):
         sc = bench_scenario(beta_deg=-90.0, t1_c=26.0)
-        result = w.simulate_interrogation(sc)
+        result = measure(sc)
         assert abs(result.centroid_nm_shift) < 1e-9
 
     def test_reference_consistency(self):
         # beta=0 minus beta=-90 reproduces nu1 - nu2 in nm.
         dt = dt_for_nu_minus(0.03)
         sc = bench_scenario(beta_deg=0.0, t1_c=20.0 + dt)
-        result = w.simulate_interrogation(sc)
+        result = measure(sc)
         c1, c2 = scenario_centers(sc)
         expected_nm = UNITS.frequency_shift_to_nm(c1 - c2)
         assert result.centroid_nm_shift == pytest.approx(expected_nm, rel=0.01)
 
     def test_reference_nm_value(self):
         sc = bench_scenario()
-        result = w.simulate_interrogation(sc)
-        assert result.reference_nm == pytest.approx(1551.0, abs=0.05)
+        result = measure(sc)
+        assert frequency_to_wavelength(result.reference_thz) == pytest.approx(1551.0, abs=0.05)
 
     def test_dark_port_raises(self):
         # Complete extinction: the singular-post-selection guard fires (the
         # no-signal path would fire were the mean still defined).
         sc = bench_scenario(beta_deg=-45.0)
         with pytest.raises((NoSignalError, SingularPostSelectionError)):
-            w.simulate_interrogation(sc)
+            measure(sc)
 
     def test_efficiency_scale_invariance(self):
         dt = dt_for_nu_minus(0.02)
@@ -72,17 +82,21 @@ class TestSimulateInterrogation:
             fbg1=replace(sc.fbg1, reflect_efficiency=0.7),
             fbg2=replace(sc.fbg2, reflect_efficiency=0.7),
         )
-        r1 = w.simulate_interrogation(sc)
-        r2 = w.simulate_interrogation(boosted)
+        r1 = measure(sc)
+        r2 = measure(boosted)
         assert r2.centroid_thz == pytest.approx(r1.centroid_thz, abs=1e-9)
         assert r2.centroid_nm_shift == pytest.approx(r1.centroid_nm_shift, abs=1e-6)
 
 
 # Records that hold arrays, built twice from the same scenario, and the
 # array field each one compares sample by sample.
+def measured_spectrum(sc):
+    kernel = SweepKernel(sc)
+    return w.Spectrum(kernel.grid, kernel.measure(kernel.raw(sc.beta_rad), 1))
+
+
 RECORDS = {
-    "result": (lambda sc: w.simulate_interrogation(sc), "trace"),
-    "spectrum": (lambda sc: w.simulate_interrogation(sc).raw, "samples"),
+    "spectrum": (measured_spectrum, "samples"),
     "field": (scenario_field, "ey"),
 }
 
@@ -100,28 +114,33 @@ def test_array_records_compare_to_one_bool(kind):
     assert (a == replace(a, **{name: changed})) is False
     assert (a != replace(a, **{name: changed})) is True
 
-    other_kind = RECORDS["field" if kind != "field" else "result"][0](sc)
+    other_kind = RECORDS["field" if kind != "field" else "spectrum"][0](sc)
     assert (a == other_kind) is False
     assert (a == None) is False  # noqa: E711
     assert (a != "record") is True
 
 
 class TestSweepBeta:
+    """An angle sweep, SweepKernel.rows."""
+
     def test_entries_equal_single_interrogations(self):
         # The sweep builds its field once; entry i must still be the single
         # point pipeline on noise stream i+1, bit for bit.
         osa = w.OsaParams(rbw_nm=0.01, noise_floor=1e-5, rel_noise=0.01, seed=5)
         sc = bench_scenario(g_target=0.99, t1_c=31.0, osa=osa)
         betas = [math.radians(b) for b in (-60.0, -40.0, -25.0, 0.0)]
-        ref = SweepKernel(sc).reference()
-        sweep = w.sweep_beta(sc, betas)
+        kernel = SweepKernel(sc)
+        ref = kernel.reference()
+        sweep = list(kernel.rows(betas, ref))
         assert [b for b, _ in sweep] == betas
         for i, (beta, result) in enumerate(sweep):
-            single = w.simulate_interrogation(replace(sc, beta_rad=beta), ref, stream=i + 1)
-            assert np.array_equal(result.filtered.samples, single.filtered.samples)
-            assert result.centroid_thz == single.centroid_thz
-            assert result.a_effective == single.a_effective
-            assert result.raw_power == single.raw_power
+            single = SweepKernel(replace(sc, beta_rad=beta))
+            assert np.array_equal(kernel.filtered(kernel.measure(kernel.raw(beta), i + 1)),
+                                  single.filtered(single.measure(single.raw(beta), i + 1)))
+            want = single.point(beta, i + 1, ref)
+            assert result.centroid_thz == want.centroid_thz
+            assert result.a_effective == want.a_effective
+            assert result.raw_power == want.raw_power
 
 
 class TestPipelineLinearity:
@@ -221,10 +240,11 @@ class TestScenarioValidation:
 
     def test_raw_spectrum_beta_zero_is_half_reflection(self):
         sc = bench_scenario()
-        raw = w.post_select(scenario_field(sc), 0.0)
+        kernel = SweepKernel(sc)
+        raw = kernel.raw(0.0)
         s1 = w.reflect(sc.fbg1, sc.source.b_thz, sc.source.nu0_thz, NU_1551,
-                       raw.grid)
-        assert np.allclose(raw.samples, s1.samples / 2, rtol=1e-12, atol=1e-300)
+                       kernel.grid)
+        assert np.allclose(raw, s1.samples / 2, rtol=1e-12, atol=1e-300)
 
     def test_setup_params_mapping(self):
         sc = bench_scenario(beta_deg=-30.0, t1_c=31.0)

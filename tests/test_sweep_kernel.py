@@ -1,11 +1,11 @@
-"""The streamed sweep kernel against the public per-point functions.
+"""The streamed sweep kernel against kernels built per point and the pipeline formulas.
 
-CLI sweep-beta rows must be the bytes that simulate_interrogation gives on
-the same noise streams; --dump-spectra and dump-spectrum files must be
-write_spectrum_csv of the kernel's raw, measured and filtered arrays on the
-documented streams; the kernel's single point must match the pipeline
+CLI sweep-beta rows must be the bytes that a kernel built for each angle
+gives on the same noise streams; --dump-spectra and dump-spectrum files must
+be write_spectrum_csv of the kernel's raw, measured and filtered arrays on
+the documented streams; the kernel's single point must match the pipeline
 formulas written out independently; and max_usable_amplification must pick
-what best_usable picks over per-point snr_report values.
+what best_usable picks over per-point snr_db values.
 """
 
 import json
@@ -27,17 +27,18 @@ from wva_sense.osa import (
     best_usable,
     max_usable_amplification,
     same_magnitude,
-    snr_report,
+    snr_db,
 )
 from wva_sense.scenario import (
+    GridSettings,
     SweepKernel,
+    _exact_terms,
     scenario_centers,
     scenario_field,
-    simulate_interrogation,
     sweep_temperature,
 )
-from wva_sense.spectral import Spectrum, inclusive_range, total_power, write_spectrum_csv
-from wva_sense.wva import amplification_factor, overlap_gamma, post_select
+from wva_sense.spectral import Spectrum, inclusive_range, trapezoid_power, write_spectrum_csv
+from wva_sense.wva import amplification_factor, overlap_gamma, projected_power
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 STEP = 7.5  # 13 angles from -90 to 0, -45 among them
@@ -87,20 +88,21 @@ def _fmt(x):
 
 
 def _expected_rows(sc, betas_deg):
-    """sweep_beta.csv rows from the per-point public functions, and the
+    """sweep_beta.csv rows from a kernel built for each angle, and the
     angles they skip."""
     ref = SweepKernel(sc).reference()
-    power_0 = total_power(post_select(scenario_field(sc), 0.0))
+    f = scenario_field(sc)
+    power_0 = trapezoid_power(projected_power(f, 0.0), f.grid.spacing)
     rows, skipped = [], []
     for i, beta_deg in enumerate(betas_deg):
         point = replace(sc, beta_rad=math.radians(beta_deg))
+        kernel = SweepKernel(point)
         try:
-            r = simulate_interrogation(point, ref, stream=i + 1)
+            r = kernel.point(point.beta_rad, i + 1, ref)
         except (NoSignalError, SingularPostSelectionError):
             skipped.append(beta_deg)
             continue
-        snr = math.inf if sc.osa is None else snr_report(float(np.max(r.raw.samples)),
-                                                           sc.osa).snr_db
+        snr = snr_db(float(np.max(kernel.measure(kernel.raw(point.beta_rad), i + 1))), sc.osa)
         rows.append(",".join(_fmt(v) for v in (
             beta_deg, r.centroid_nm_shift, r.a_effective, r.raw_power / power_0, snr)))
     return rows, skipped
@@ -180,8 +182,7 @@ def _full_scan(sc, lo, hi, step):
         except SingularPostSelectionError:
             continue
         trace = kernel.measure(kernel.raw(point.beta_rad), i + 1)
-        points.append((point.beta_rad, a,
-                       snr_report(float(np.max(trace)), sc.osa or OsaParams()).snr_db))
+        points.append((point.beta_rad, a, snr_db(float(np.max(trace)), sc.osa)))
     return points
 
 
@@ -207,7 +208,7 @@ FLOORS = [10.0 ** (k / 10.0) for k in range(-70, -29)]
     pytest.param(OsaParams(rbw_nm=0.01, noise_floor=1e-4, seed=1234), (10.0, 20.0), id="osa0"),
     pytest.param(OsaParams(rbw_nm=0.01, noise_floor=1e-6, rel_noise=0.001, seed=7),
                  (10.0, 20.0), id="osa1"),
-    pytest.param(None, (10.0, 20.0, 30.0), id="None"),
+    pytest.param(OsaParams(), (10.0, 20.0, 30.0), id="ideal"),
     *(pytest.param(OsaParams(rbw_nm=0.01, noise_floor=f, seed=1234), (10.0,), id=f"floor{f:.3g}")
       for f in FLOORS),
 ])
@@ -331,8 +332,8 @@ def test_max_usable_screens_angles_below_the_floor(monkeypatch, seed, floor, rel
 
 def test_peak_bound_is_at_least_the_measured_peak(monkeypatch):
     """300 angles, noise streams and OSA settings drawn from a fixed seed:
-    peak_bound is never below peak. A noise-free OSA, or none, bounds by
-    +inf without drawing noise."""
+    peak_bound is never below peak. A noise-free OSA bounds by +inf without
+    drawing noise."""
     base = load_scenario(CONFIGS / "bench.json").scenario
     rng = np.random.default_rng(15)
     for _ in range(300):
@@ -352,7 +353,7 @@ def test_peak_bound_is_at_least_the_measured_peak(monkeypatch):
         raise AssertionError("a noise-free bound drew noise")
 
     monkeypatch.setattr(scenario, "stream_normals", no_draw)
-    for osa in (None, OsaParams(), OsaParams(rbw_nm=0.05, seed=3)):
+    for osa in (OsaParams(), OsaParams(rbw_nm=0.05, seed=3)):
         kernel = SweepKernel(replace(base, osa=osa))
         assert kernel.peak_bound(math.radians(-40.0), 1) == math.inf
 
@@ -395,8 +396,9 @@ def test_point_matches_the_pipeline_formulas():
 
     kernel = SweepKernel(sc)
     point = kernel.point(beta, stream, kernel.reference())
-    assert np.array_equal(point.trace, trace)
-    assert np.array_equal(point.filtered_trace, filtered)
+    measured = kernel.measure(kernel.raw(beta), stream)
+    assert np.array_equal(measured, trace)
+    assert np.array_equal(kernel.filtered(measured), filtered)
     assert point.centroid_thz == centroid
     assert point.raw_power == float(np.trapezoid(raw, dx=g.spacing))
 
@@ -432,8 +434,9 @@ def test_cli_sweep_temp_keeps_no_per_temperature_spectra(tmp_path):
 
 @pytest.mark.parametrize("case", ["bench", "sidelobe", "no_osa", "no_filter", "delay"])
 def test_sweep_temperature_equals_per_point_functions(tmp_path, case):
-    """Entry i is simulate_interrogation at t1 = t2 + dt on noise stream i+1,
-    referenced to the scenario's own beta = -90 deg centroid, bit for bit."""
+    """Entry i is the point of a kernel built at t1 = t2 + dt, on noise
+    stream i+1, referenced to the scenario's own beta = -90 deg centroid,
+    bit for bit."""
     doc, dt = CASES[case]
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(doc))
@@ -443,10 +446,8 @@ def test_sweep_temperature_equals_per_point_functions(tmp_path, case):
     entries = list(sweep_temperature(sc, dt_list))
     assert [d for d, _ in entries] == dt_list
     for i, (d, got) in enumerate(entries):
-        want = simulate_interrogation(replace(sc, t1_c=sc.t2_c + d), ref, stream=i + 1)
-        for name in ("trace", "filtered_trace", "centroid_thz", "centroid_nm_shift",
-                     "a_effective", "raw_power", "snr_db", "reference_thz"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), (d, name)
+        want = SweepKernel(replace(sc, t1_c=sc.t2_c + d)).point(sc.beta_rad, i + 1, ref)
+        assert got == want, d
 
 
 @pytest.mark.parametrize("case", ["bench", "sidelobe", "delay"])
@@ -467,6 +468,25 @@ def test_at_temperature_equals_a_fresh_kernel(case):
                      (got.field.ey, want.field.ey)):
             assert a.tobytes() == b.tobytes(), dt
     assert base.sc == sc and base.field.ex.tobytes() == ex.tobytes()
+
+
+def test_gamma_is_the_exact_overlap_at_equal_widths():
+    """At equal widths the kernel's gamma is the G of _exact_terms bit for bit,
+    for its own t1 and at_temperature's. 200 bench.json scenarios: one width
+    scaled by 0.6-1.4 for both gratings, efficiencies in [0.05, 1], and dt in
+    [-50, 50] degC, which moves fbg1's center off fbg2's."""
+    base = load_scenario(CONFIGS / "bench.json").scenario
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        b = base.fbg1.bandwidth_b_thz * rng.uniform(0.6, 1.4)
+        fbg1, fbg2 = (replace(f, bandwidth_b_thz=b, reflect_efficiency=rng.uniform(0.05, 1.0))
+                      for f in (base.fbg1, base.fbg2))
+        sc = replace(base, fbg1=fbg1, fbg2=fbg2, t1_c=base.t2_c + rng.uniform(-50.0, 50.0),
+                     grid=GridSettings(n_points=401, span_factor=20.0))
+        kernel = SweepKernel(sc)
+        assert kernel.gamma == _exact_terms(sc)[-1], sc.t1_c
+        t1 = sc.t2_c + rng.uniform(-50.0, 50.0)
+        assert kernel.at_temperature(t1).gamma == _exact_terms(replace(sc, t1_c=t1))[-1], t1
 
 
 def test_cli_sweep_temp_equals_sweep_temperature(tmp_path):
