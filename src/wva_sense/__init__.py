@@ -49,7 +49,6 @@ from .spectral import (
     UnitContext,
     centroid,
     frequency_to_wavelength,
-    make_grid,
     read_spectrum_csv,
     total_power,
     wavelength_to_frequency,

@@ -36,13 +36,13 @@ from .errors import (
 from .fbg import centroid_shift_model, fit_sensitivity
 from .osa import best_usable
 from .scenario import Scenario, SweepKernel, sweep_temperature
-from .spectral import (Spectrum, inclusive_range, read_csv_rows, trapezoid_power, write_rows,
-                       write_spectrum_csv)
+from .spectral import (VALUE_FORMAT, Spectrum, inclusive_range, read_csv_rows, trapezoid_power,
+                       write_rows, write_spectrum_csv)
 from .wva import amplification_factor
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+    return VALUE_FORMAT % x
 
 
 def _sha256(path: Path) -> str:
@@ -144,7 +144,7 @@ def run_sweep_temp(inputs: dict, out_dir: Path, sc: Scenario) -> list[Path]:
         f"# fit_slope_nm_per_c={_fmt(fit.slope_nm_per_c)}",
         f"# fit_intercept_nm={_fmt(fit.intercept_nm)}",
         f"# fit_residual_rms_nm={_fmt(fit.residual_rms_nm)}",
-        f"# fit_n_points={fit.n_points}",
+        f"# fit_n_points={_fmt(fit.n_points)}",
     ]
     csv_path = out_dir / "sweep_temp.csv"
     write_rows(csv_path, ["dt_c", "centroid_shift_nm"], rows, footer)
@@ -402,8 +402,9 @@ def replay_manifest(manifest_path, out_dir) -> dict:
     A manifest that cannot be read, is not JSON, is not an object with
     `command` and `resolved`, whose `resolved` lacks a key the command reads,
     holds a key it does not read or a value the CLI would reject, or whose
-    `seed` is neither null nor a non-negative integer, or is not null for a
-    command that reads no config, raises ConfigError naming its path.
+    `seed` is neither null nor a non-negative integer, is not null for a
+    command that reads no config or differs from the config's osa.seed (the
+    seed the noise is drawn with), raises ConfigError naming its path.
     """
     try:
         with open(manifest_path) as f:
@@ -426,6 +427,9 @@ def replay_manifest(manifest_path, out_dir) -> dict:
                 raise ConfigError(f"seed: expected null, {command} draws no noise, "
                                   f"got {seed!r}")
         checked, sc = _check(command, resolved, lambda key: f"resolved.{key}", {})
+        if seed is not None and seed != sc.osa.seed:
+            raise ConfigError(f"seed: {seed!r} differs from resolved.config.osa.seed, "
+                              f"{sc.osa.seed!r}, which replay draws noise with")
     except ConfigError as exc:
         raise ConfigError(f"{manifest_path}: {exc}") from None
     _execute(command, resolved, checked, sc, Path(out_dir), seed)

@@ -71,11 +71,6 @@ class FbgParams:
         return _FWHM_PER_B * self.bandwidth_b_thz
 
 
-def kappa_thz_per_c(kappa_nm_per_c: float, units: UnitContext) -> float:
-    """Thermal sensitivity in THz/degC (sign-flipped from the nm/degC value)."""
-    return units.nm_shift_to_frequency(kappa_nm_per_c)
-
-
 def bandwidth_b_from_fwhm_nm(fwhm_nm: float, center_nm: float) -> float:
     """Power 1/e half-width (THz) of a lobe with the given FWHM in nm."""
     if fwhm_nm <= 0 or center_nm <= 0:
@@ -88,7 +83,7 @@ def bragg_center(
     f: FbgParams, t_c: float, t_ref_c: float, units: UnitContext
 ) -> float:
     """Bragg center frequency (THz) at temperature t_c, linear in t_c."""
-    return f.center_ref_thz + kappa_thz_per_c(f.kappa_nm_per_c, units) * (t_c - t_ref_c)
+    return f.center_ref_thz + units.nm_shift_to_frequency(f.kappa_nm_per_c) * (t_c - t_ref_c)
 
 
 def reflect(

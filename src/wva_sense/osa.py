@@ -57,15 +57,17 @@ def sub_seed(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence((seed, stream)).generate_state(1, np.uint64)[0])
 
 
-def rbw_kernel(p: OsaParams, units: UnitContext, grid: FrequencyGrid) -> np.ndarray | None:
-    """Normalized Gaussian RBW kernel at the grid's spacing; None at rbw_nm = 0.
+def rbw_kernel(p: OsaParams, units: UnitContext, grid: FrequencyGrid) -> np.ndarray:
+    """Normalized Gaussian RBW kernel at the grid's spacing. At rbw_nm = 0 it is
+    the one-tap identity [1.0], whose "same" convolution returns the samples
+    bit for bit.
 
     Raises ConfigError naming osa.rbw_nm, before allocating, when the kernel
     would have more taps than the grid has points (the convolution would
     change the trace length) or would not be finite (sigma^2 underflows).
     """
     if p.rbw_nm <= 0.0:
-        return None
+        return np.ones(1)
     spacing = grid.spacing
     rbw_thz = abs(units.nm_shift_to_frequency(p.rbw_nm))
     sigma = rbw_thz / (2.0 * math.sqrt(2.0 * math.log(2.0)))
@@ -90,12 +92,11 @@ def stream_normals(p: OsaParams, stream: int, n: int) -> np.ndarray:
 
 
 def measure_samples(
-    samples: np.ndarray, kernel: np.ndarray | None, p: OsaParams, stream: int
+    samples: np.ndarray, kernel: np.ndarray, p: OsaParams, stream: int
 ) -> np.ndarray:
     """Measured samples: convolution with `kernel` (from rbw_kernel), seeded
     noise on sub-stream `stream` of p.seed, clamp at zero."""
-    if kernel is not None:
-        samples = np.convolve(samples, kernel, mode="same")
+    samples = np.convolve(samples, kernel, mode="same")
     if p.noise_floor > 0.0 or p.rel_noise > 0.0:
         noise = stream_normals(p, stream, samples.size)
         # At rel_noise = 0 the per-sample scale is the floor alone, one scalar.

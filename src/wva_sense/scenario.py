@@ -23,7 +23,6 @@ from .spectral import (
     MAX_RANGE_POINTS,
     FrequencyGrid,
     UnitContext,
-    make_grid,
     power_centroid,
     super_gaussian_gain,
     trapezoid_power,
@@ -140,7 +139,7 @@ def scenario_grid(sc: Scenario) -> FrequencyGrid:
     if span is None:
         span = sc.grid.span_factor * max(sc.fbg1.fwhm_thz, sc.fbg2.fwhm_thz)
     try:
-        return make_grid(center, span, sc.grid.n_points)
+        return FrequencyGrid(center, span, sc.grid.n_points)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from None
 

@@ -97,11 +97,6 @@ def check_sweep(lo: float, hi: float, step: float,
         raise ValueError(f"{names[2]}: range exceeds {MAX_RANGE_POINTS} points")
 
 
-def make_grid(center: float, span: float, n_points: int) -> FrequencyGrid:
-    """Build a uniform grid covering [center - span/2, center + span/2]."""
-    return FrequencyGrid(center=center, span=span, n_points=n_points)
-
-
 def records_equal(self, other) -> bool:
     """`__eq__` for a dataclass that holds arrays: array fields compare with
     np.array_equal, the others with ==, and the answer is one bool."""
@@ -212,23 +207,26 @@ def super_gaussian_gain(
 
 _CSV_HEADER = ["frequency_thz", "power"]
 
+# The one format of every CSV value and every footer number.
+VALUE_FORMAT = "%.12g"
+
 
 def write_rows(path, header: Sequence[str], rows, footer: Sequence[str] = (),
                newline: str = "\n") -> None:
-    """Write a CSV: header, row tuples with every value as "%.12g", footer; each
+    """Write a CSV: header, row tuples with every value as VALUE_FORMAT, footer; each
     line ends in `newline` on every platform. Rows are written 4096 at a time.
 
     A NaN, or an infinity outside an `snr_db` column (where inf means no
     noise), raises NumericalError naming the file and column, and removes
     the partly written file.
     """
-    line = ",".join(["%.12g"] * len(header)) + newline
+    line = ",".join([VALUE_FORMAT] * len(header)) + newline
     lines = map(line.__mod__, rows)
     try:
         with open(path, "w", newline="") as f:
             f.write(",".join(header) + newline)
             while chunk := "".join(islice(lines, 4096)):
-                # Finite "%.12g" text has no "n"; "nan" and "inf" do.
+                # Finite VALUE_FORMAT text has no "n"; "nan" and "inf" do.
                 if "n" in chunk:
                     _check_finite(path, header, chunk.split(newline))
                 f.write(chunk)

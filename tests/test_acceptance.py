@@ -18,7 +18,6 @@ import wva_sense as w
 from wva_sense.cli import main, replay_manifest
 from wva_sense.config import load_scenario
 from wva_sense.errors import DetectionLimitedError
-from wva_sense.fbg import kappa_thz_per_c
 from wva_sense.scenario import (
     SweepKernel,
     exact_centroid,

@@ -394,6 +394,22 @@ class TestReplayManifestErrors:
             replay_manifest(path, tmp_path / "replay")
         assert not (tmp_path / "replay").exists()
 
+    def test_seed_other_than_config_seed_rejected(self, tmp_path):
+        """Replay draws noise with resolved.config's osa.seed, so a manifest
+        whose seed names another one is refused before anything is written."""
+        osa = {"rbw_nm": 0.0, "noise_floor": 1e-4, "rel_noise": 0.0, "seed": 1}
+        cfg = write_config(tmp_path, base_doc(beta_deg=-30.0, t1_list=[25.0], osa=osa))
+        run = tmp_path / "run"
+        assert main(["sweep-temp", "--config", cfg, "--dt", "0,5",
+                     "--seed", "42", "--out", str(run)]) == 0
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**json.loads((run / "manifest.json").read_text()),
+                                    "seed": 7}))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: seed: 7 differs from "
+                                                        "resolved.config.osa.seed, 42")):
+            replay_manifest(path, tmp_path / "replay")
+        assert not (tmp_path / "replay").exists()
+
 
 # One small run of every command, for manifests that replay_manifest accepts.
 COMMAND_ARGS = {
@@ -760,6 +776,9 @@ class TestBadInputsExit2:
         ("filter", "enabled", 1, "filter.enabled: expected true/false"),
         ("postselect", "beta_min_deg", -90.0,
          "postselect: sweep spec needs beta_min_deg, beta_max_deg and step_deg"),
+        ("filter", "half_width_factor", 0, "filter: half_width_factor must be > 0"),
+        ("grid", "span_factor", 0, "grid: span_factor must be > 0"),
+        ("grid", "span_thz", 0, "grid: span_thz must be > 0"),
     ])
     def test_config_value_named(self, tmp_path, capsys, section, key, value, named):
         doc = base_doc()

@@ -100,7 +100,7 @@ def test_snr_db_may_be_infinite(tmp_path):
 
 
 def test_write_spectrum_csv_bytes(tmp_path):
-    grid = w.make_grid(193.414489032, 2.0, 4097)
+    grid = w.FrequencyGrid(193.414489032, 2.0, 4097)
     nu = grid.frequencies()
     s = w.Spectrum(grid=grid, samples=np.exp(-((nu - 193.4) / 0.2) ** 2))
     reference_spectrum(tmp_path / "ref.csv", SPECTRUM_HEADER, zip(nu, s.samples))

@@ -14,7 +14,7 @@ from wva_sense.spectral import trapezoid_power
 from conftest import bench_scenario
 
 
-def osa_trace(s, p, stream=0):
+def measured_trace(s, p, stream=0):
     """The measured trace of spectrum s through the OSA model p on noise stream."""
     kernel = rbw_kernel(p, w.UnitContext(), s.grid)
     return w.Spectrum(grid=s.grid, samples=measure_samples(s.samples, kernel, p, stream))
@@ -27,76 +27,88 @@ def gaussian(grid, center, b, amplitude=1.0):
 
 class TestOsaTrace:
     def test_identity_when_off(self):
-        g = w.make_grid(193.29, 2.0, 1001)
+        g = w.FrequencyGrid(193.29, 2.0, 1001)
         s = gaussian(g, 193.29, 0.1)
-        out = osa_trace(s, w.OsaParams())
+        out = measured_trace(s, w.OsaParams())
         assert np.array_equal(out.samples, s.samples)
 
+    @pytest.mark.parametrize("n_points", [4001, 200001])
+    def test_zero_rbw_is_the_one_tap_identity(self, n_points):
+        """At rbw_nm = 0 the kernel is [1.0], and a noise-free OSA returns
+        the samples bit for bit through it."""
+        g = w.FrequencyGrid(193.29, 2.5, n_points)
+        p = w.OsaParams()
+        kernel = rbw_kernel(p, w.UnitContext(), g)
+        assert kernel.tolist() == [1.0]
+        raw = gaussian(g, 193.29, 0.1).samples * np.random.default_rng(n_points).uniform(
+            0.5, 2.0, n_points)
+        assert measure_samples(raw, kernel, p, 1).tobytes() == raw.tobytes()
+
     def test_same_seed_bit_identical(self):
-        g = w.make_grid(193.29, 2.0, 1001)
+        g = w.FrequencyGrid(193.29, 2.0, 1001)
         s = gaussian(g, 193.29, 0.1)
         p = w.OsaParams(rbw_nm=0.02, noise_floor=0.01, rel_noise=0.02, seed=99)
-        a = osa_trace(s, p)
-        b = osa_trace(s, p)
+        a = measured_trace(s, p)
+        b = measured_trace(s, p)
         assert np.array_equal(a.samples, b.samples)
 
     def test_different_seeds_differ_almost_everywhere(self):
         # Keep the signal well above the floor so zero-clamping cannot make
         # the two traces agree in the dark tails.
-        g = w.make_grid(193.29, 2.0, 1001)
+        g = w.FrequencyGrid(193.29, 2.0, 1001)
         nu = g.frequencies()
         s = w.Spectrum(grid=g, samples=1.0 + np.exp(-((nu - 193.29) ** 2) / 0.1**2))
-        a = osa_trace(s, w.OsaParams(noise_floor=0.01, seed=1))
-        b = osa_trace(s, w.OsaParams(noise_floor=0.01, seed=2))
+        a = measured_trace(s, w.OsaParams(noise_floor=0.01, seed=1))
+        b = measured_trace(s, w.OsaParams(noise_floor=0.01, seed=2))
         frac = np.mean(a.samples != b.samples)
         assert frac >= 0.99
 
     def test_stream_isolation(self):
-        g = w.make_grid(193.29, 2.0, 1001)
+        g = w.FrequencyGrid(193.29, 2.0, 1001)
         s = gaussian(g, 193.29, 0.1)
         p = w.OsaParams(noise_floor=0.01, seed=5)
-        a = osa_trace(s, p, stream=1)
-        b = osa_trace(s, p, stream=2)
-        again = osa_trace(s, p, stream=1)
+        a = measured_trace(s, p, stream=1)
+        b = measured_trace(s, p, stream=2)
+        again = measured_trace(s, p, stream=1)
         assert np.array_equal(a.samples, again.samples)
         assert not np.array_equal(a.samples, b.samples)
 
     def test_convolution_conserves_power(self):
         b = 0.05
-        g = w.make_grid(193.29, 3.0, 12001)
+        g = w.FrequencyGrid(193.29, 3.0, 12001)
         s = gaussian(g, 193.29, b)
         p = w.OsaParams(rbw_nm=0.1)  # ~12.5 GHz FWHM at 1551 nm
-        out = osa_trace(s, p)
+        out = measured_trace(s, p)
         assert w.total_power(out) == pytest.approx(w.total_power(s), rel=1e-9)
 
     def test_broad_kernel_preserves_symmetric_centroid(self):
         b = 0.01
-        g = w.make_grid(193.29, 3.0, 12001)
+        g = w.FrequencyGrid(193.29, 3.0, 12001)
         s = gaussian(g, 193.29, b)
         p = w.OsaParams(rbw_nm=0.8)  # kernel ~10x wider than the feature
-        out = osa_trace(s, p)
+        out = measured_trace(s, p)
         assert abs(w.centroid(out) - 193.29) < g.spacing
 
     @pytest.mark.parametrize("reach,fits", [(49.5, True), (50.5, False)])
     def test_kernel_no_longer_than_the_grid(self, reach, fits):
         # 7 sigma = reach grid steps gives 2 ceil(reach) + 1 taps: 101 fit
         # the 101-point grid, 103 would make the trace longer than the grid.
-        g = w.make_grid(193.29, 1.0, 101)
+        g = w.FrequencyGrid(193.29, 1.0, 101)
         fwhm_thz = reach * g.spacing / 7.0 * 2.0 * math.sqrt(2.0 * math.log(2.0))
         p = w.OsaParams(rbw_nm=abs(w.UnitContext().frequency_shift_to_nm(fwhm_thz)))
         s = gaussian(g, 193.29, 0.1)
         if fits:
-            assert osa_trace(s, p).samples.shape == (101,)
+            assert measured_trace(s, p).samples.shape == (101,)
         else:
             with pytest.raises(ConfigError, match="osa.rbw_nm: .* wider than the 101-point grid"):
-                osa_trace(s, p)
+                measured_trace(s, p)
 
     @pytest.mark.parametrize("rbw_nm,problem", [
         (1e6, "wider than"), (1e160, "wider than"), (1e300, "wider than"),
         (1e-300, "too narrow"),
     ])
     def test_bad_kernel_rejected_before_allocating(self, rbw_nm, problem):
-        g = w.make_grid(193.29, 2.5, 4001)
+        g = w.FrequencyGrid(193.29, 2.5, 4001)
         tracemalloc.start()
         try:
             with pytest.raises(ConfigError, match=f"osa.rbw_nm: .* {problem}"):
@@ -107,9 +119,9 @@ class TestOsaTrace:
         assert peak < 1e5
 
     def test_clamped_at_zero(self):
-        g = w.make_grid(193.29, 2.0, 2001)
+        g = w.FrequencyGrid(193.29, 2.0, 2001)
         s = w.Spectrum(grid=g, samples=np.zeros(2001))
-        out = osa_trace(s, w.OsaParams(noise_floor=0.5, seed=3))
+        out = measured_trace(s, w.OsaParams(noise_floor=0.5, seed=3))
         assert np.all(out.samples >= 0)
         assert np.any(out.samples > 0)
 
@@ -117,13 +129,13 @@ class TestOsaTrace:
         """At rel_noise = 0 the noise scale is one scalar; the trace is the
         per-sample formula's bit for bit, for floors from 1e-300 to 1e100."""
         rng = np.random.default_rng(11)
-        g = w.make_grid(193.29, 2.0, 401)
+        g = w.FrequencyGrid(193.29, 2.0, 401)
         for case in range(300):
             floor = 0.0 if case % 25 == 0 else float(10.0 ** rng.uniform(-300.0, 100.0))
             p = w.OsaParams(rbw_nm=0.02 * (case % 2), noise_floor=floor, seed=case)
             kernel = rbw_kernel(p, w.UnitContext(), g)
             raw = gaussian(g, 193.29, 0.1, amplitude=float(rng.uniform(0.0, 2.0))).samples
-            samples = raw if kernel is None else np.convolve(raw, kernel, mode="same")
+            samples = np.convolve(raw, kernel, mode="same")
             expected = samples
             if floor > 0.0:
                 noise = np.random.Generator(np.random.PCG64(sub_seed(case, 5))).standard_normal(
@@ -143,7 +155,7 @@ class TestOsaTrace:
 
 class TestSnrEstimate:
     def test_20_db(self):
-        g = w.make_grid(193.29, 1.0, 101)
+        g = w.FrequencyGrid(193.29, 1.0, 101)
         s = w.Spectrum(grid=g, samples=np.full(101, 100.0))
         p = w.OsaParams(noise_floor=1.0)
         assert snr_db(float(np.max(s.samples)), p) == pytest.approx(20.0, rel=1e-12)
@@ -156,7 +168,7 @@ class TestSnrEstimate:
         assert s2 - s1 == pytest.approx(10 * math.log10(2), abs=1e-9)
 
     def test_zero_noise_reports_infinite(self):
-        g = w.make_grid(193.29, 1.0, 101)
+        g = w.FrequencyGrid(193.29, 1.0, 101)
         s = w.Spectrum(grid=g, samples=np.full(101, 5.0))
         assert snr_db(float(np.max(s.samples)), w.OsaParams()) == math.inf
 
@@ -164,7 +176,7 @@ class TestSnrEstimate:
         assert snr_db(0.0, w.OsaParams(noise_floor=1.0)) == -math.inf
 
     def test_rel_noise_quadrature(self):
-        g = w.make_grid(193.29, 1.0, 101)
+        g = w.FrequencyGrid(193.29, 1.0, 101)
         s = w.Spectrum(grid=g, samples=np.full(101, 100.0))
         p = w.OsaParams(noise_floor=3.0, rel_noise=0.04)
         assert p.noise_sigma(float(np.max(s.samples))) == pytest.approx(5.0, rel=1e-12)

@@ -8,7 +8,6 @@ import pytest
 import wva_sense as w
 from wva_sense.config import load_scenario
 from wva_sense.errors import ConfigError, NoSignalError, SingularPostSelectionError
-from wva_sense.fbg import kappa_thz_per_c
 from wva_sense.scenario import (
     SweepKernel,
     _refine_peak,
@@ -28,7 +27,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def dt_for_nu_minus(frac_of_b):
     """Temperature difference putting nu_minus at frac_of_b * FBG bandwidth."""
-    return 2 * frac_of_b * FBG_B / abs(kappa_thz_per_c(KAPPA, UNITS))
+    return 2 * frac_of_b * FBG_B / abs(UNITS.nm_shift_to_frequency(KAPPA))
 
 
 def measure(sc):
@@ -38,7 +37,7 @@ def measure(sc):
     return kernel.point(sc.beta_rad, 1, kernel.reference())
 
 
-class TestSimulateInterrogation:
+class TestKernelPoint:
     """One measurement, SweepKernel.point at the scenario's beta."""
 
     def test_beta_zero_shift_is_kappa_dt(self):
@@ -120,7 +119,7 @@ def test_array_records_compare_to_one_bool(kind):
     assert (a != "record") is True
 
 
-class TestSweepBeta:
+class TestKernelRows:
     """An angle sweep, SweepKernel.rows."""
 
     def test_entries_equal_single_interrogations(self):
@@ -246,12 +245,12 @@ class TestScenarioValidation:
                        kernel.grid)
         assert np.allclose(raw, s1.samples / 2, rtol=1e-12, atol=1e-300)
 
-    def test_setup_params_mapping(self):
+    def test_scenario_centers_and_angle(self):
         sc = bench_scenario(beta_deg=-30.0, t1_c=31.0)
         c1, c2 = scenario_centers(sc)
         assert sc.source.nu0_thz == NU_1549
         assert c2 - sc.source.nu0_thz == pytest.approx(NU_1551 - NU_1549, rel=1e-12)
         assert c1 - c2 == pytest.approx(
-            kappa_thz_per_c(KAPPA, UNITS) * 11.0, rel=1e-12
+            UNITS.nm_shift_to_frequency(KAPPA) * 11.0, rel=1e-12
         )
         assert sc.beta_rad == pytest.approx(math.radians(-30.0))

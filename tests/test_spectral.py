@@ -15,16 +15,16 @@ def gaussian_spectrum(grid, center, b, amplitude=1.0):
 
 class TestMakeGrid:
     def test_three_point_nodes(self):
-        g = w.make_grid(193.29, 2.0, 3)
+        g = w.FrequencyGrid(193.29, 2.0, 3)
         assert np.allclose(g.frequencies(), [192.29, 193.29, 194.29])
 
     def test_spacing(self):
-        g = w.make_grid(193.29, 2.0, 2001)
+        g = w.FrequencyGrid(193.29, 2.0, 2001)
         assert g.spacing == pytest.approx(0.001, rel=1e-12)
 
     def test_rejects_non_positive_frequencies(self):
         with pytest.raises(ValueError, match="non-positive frequency"):
-            w.make_grid(1.0, 4.0, 5)
+            w.FrequencyGrid(1.0, 4.0, 5)
 
     @pytest.mark.parametrize("center,span,n", [
         (193.0, 0.0, 11), (193.0, -1.0, 11), (193.0, math.inf, 11),
@@ -32,11 +32,11 @@ class TestMakeGrid:
     ])
     def test_rejects_bad_span(self, center, span, n):
         with pytest.raises(ValueError):
-            w.make_grid(center, span, n)
+            w.FrequencyGrid(center, span, n)
 
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
-            w.make_grid(193.0, 1.0, 1)
+            w.FrequencyGrid(193.0, 1.0, 1)
 
 
 class TestInclusiveRange:
@@ -63,19 +63,19 @@ class TestInclusiveRange:
 
 class TestSpectrumInvariants:
     def test_length_mismatch(self):
-        g = w.make_grid(193.0, 1.0, 11)
+        g = w.FrequencyGrid(193.0, 1.0, 11)
         with pytest.raises(ValueError):
             w.Spectrum(grid=g, samples=np.zeros(10))
 
     def test_negative_samples_rejected(self):
-        g = w.make_grid(193.0, 1.0, 11)
+        g = w.FrequencyGrid(193.0, 1.0, 11)
         samples = np.zeros(11)
         samples[3] = -1e-9
         with pytest.raises(ValueError):
             w.Spectrum(grid=g, samples=samples)
 
     def test_non_finite_rejected(self):
-        g = w.make_grid(193.0, 1.0, 11)
+        g = w.FrequencyGrid(193.0, 1.0, 11)
         samples = np.zeros(11)
         samples[3] = np.nan
         with pytest.raises(ValueError):
@@ -84,12 +84,12 @@ class TestSpectrumInvariants:
 
 class TestCentroid:
     def test_symmetric_gaussian(self):
-        g = w.make_grid(193.29, 4.0, 4001)
+        g = w.FrequencyGrid(193.29, 4.0, 4001)
         s = gaussian_spectrum(g, 193.29, 0.1)
         assert w.centroid(s) == pytest.approx(193.29, abs=1e-9)
 
     def test_two_identical_lobes(self):
-        g = w.make_grid(193.29, 4.0, 4001)
+        g = w.FrequencyGrid(193.29, 4.0, 4001)
         nu = g.frequencies()
         samples = np.exp(-((nu - 193.19) ** 2) / 0.05**2) + np.exp(
             -((nu - 193.39) ** 2) / 0.05**2
@@ -102,7 +102,7 @@ class TestCentroid:
         # Closed-form first moment of an equal-width Gaussian mixture:
         # amplitudes 3:1 at center -+ d put the centroid at center - d/2.
         center, d = 193.29, 0.1
-        g = w.make_grid(center, 4.0, 8001)
+        g = w.FrequencyGrid(center, 4.0, 8001)
         nu = g.frequencies()
         samples = 3.0 * np.exp(-((nu - (center - d)) ** 2) / 0.05**2) + np.exp(
             -((nu - (center + d)) ** 2) / 0.05**2
@@ -112,13 +112,13 @@ class TestCentroid:
         )
 
     def test_zero_power_raises(self):
-        g = w.make_grid(193.0, 1.0, 101)
+        g = w.FrequencyGrid(193.0, 1.0, 101)
         with pytest.raises(NoSignalError):
             w.centroid(w.Spectrum(grid=g, samples=np.zeros(101)))
 
     def test_scale_invariance_and_bounds(self):
         rng = np.random.default_rng(7)
-        g = w.make_grid(193.0, 2.0, 501)
+        g = w.FrequencyGrid(193.0, 2.0, 501)
         for _ in range(20):
             samples = rng.random(501)
             s = w.Spectrum(grid=g, samples=samples)
@@ -129,7 +129,7 @@ class TestCentroid:
 
     def test_mirror_symmetric_spectrum(self):
         rng = np.random.default_rng(11)
-        g = w.make_grid(193.0, 2.0, 501)
+        g = w.FrequencyGrid(193.0, 2.0, 501)
         half = rng.random(250)
         samples = np.concatenate([half, [rng.random()], half[::-1]])
         c = w.centroid(w.Spectrum(grid=g, samples=samples))
@@ -138,7 +138,7 @@ class TestCentroid:
     def test_discretization_convergence(self):
         # Doubling n_points moves a smooth mixture centroid by < 1e-6 of the span.
         def c_at(n):
-            g = w.make_grid(193.29, 4.0, n)
+            g = w.FrequencyGrid(193.29, 4.0, n)
             nu = g.frequencies()
             samples = np.exp(-((nu - 193.2) ** 2) / 0.07**2) + 0.4 * np.exp(
                 -((nu - 193.45) ** 2) / 0.11**2
@@ -150,18 +150,18 @@ class TestCentroid:
 
 class TestTotalPower:
     def test_zero(self):
-        g = w.make_grid(193.0, 1.0, 101)
+        g = w.FrequencyGrid(193.0, 1.0, 101)
         assert w.total_power(w.Spectrum(grid=g, samples=np.zeros(101))) == 0.0
 
     def test_gaussian_integral(self):
         b = 0.1
-        g = w.make_grid(193.0, 12 * b, 4001)
+        g = w.FrequencyGrid(193.0, 12 * b, 4001)
         s = gaussian_spectrum(g, 193.0, b)
         assert w.total_power(s) == pytest.approx(b * math.sqrt(math.pi), rel=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
-        g = w.make_grid(193.0, 1.0, 301)
+        g = w.FrequencyGrid(193.0, 1.0, 301)
         a = rng.random(301)
         b = rng.random(301)
         pa = w.total_power(w.Spectrum(grid=g, samples=a))
@@ -175,7 +175,7 @@ class TestTotalPower:
 
 class TestSuperGaussianFilter:
     def test_gain_at_center_and_half_width(self):
-        g = w.make_grid(193.0, 2.0, 2001)
+        g = w.FrequencyGrid(193.0, 2.0, 2001)
         s = w.Spectrum(grid=g, samples=np.ones(2001))
         nu = g.frequencies()
         out = s.samples * super_gaussian_gain(nu, 193.0, 0.5, 4)
@@ -196,14 +196,14 @@ class TestSuperGaussianFilter:
 
     def test_never_increases_samples(self):
         rng = np.random.default_rng(5)
-        g = w.make_grid(193.0, 2.0, 401)
+        g = w.FrequencyGrid(193.0, 2.0, 401)
         s = w.Spectrum(grid=g, samples=rng.random(401))
         out = s.samples * super_gaussian_gain(g.frequencies(), 192.7, 0.3, 6)
         assert np.all(out <= s.samples + 1e-15)
 
     def test_wide_filter_is_identity(self):
         rng = np.random.default_rng(6)
-        g = w.make_grid(193.0, 2.0, 401)
+        g = w.FrequencyGrid(193.0, 2.0, 401)
         s = w.Spectrum(grid=g, samples=rng.random(401))
         out = s.samples * super_gaussian_gain(g.frequencies(), 193.0, 1e9, 4)
         assert np.allclose(out, s.samples, rtol=0, atol=1e-12)
@@ -213,7 +213,7 @@ class TestSuperGaussianFilter:
         # 3x the filter half-width: after order-4 filtering the centroid
         # sits within 0.01 half-widths of the main lobe center.
         center, hw = 193.29, 0.2
-        g = w.make_grid(center, 4.0, 16001)
+        g = w.FrequencyGrid(center, 4.0, 16001)
         nu = g.frequencies()
         main = np.exp(-((nu - center) ** 2) / 0.08**2)
         side = 0.2 * np.exp(-((nu - center - 3 * hw) ** 2) / 0.08**2)
@@ -256,7 +256,7 @@ class TestUnitConversions:
 class TestSpectrumCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
-        g = w.make_grid(193.29, 2.0, 257)
+        g = w.FrequencyGrid(193.29, 2.0, 257)
         s = w.Spectrum(grid=g, samples=rng.random(257))
         path = tmp_path / "s.csv"
         w.write_spectrum_csv(s, path)
@@ -303,7 +303,7 @@ class TestSpectrumCsv:
             w.read_spectrum_csv(path)
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
-        g = w.make_grid(193.29, 2.0, 5)
+        g = w.FrequencyGrid(193.29, 2.0, 5)
         s = w.Spectrum(grid=g, samples=np.arange(5.0))
         path = tmp_path / "s.csv"
         w.write_spectrum_csv(s, path)

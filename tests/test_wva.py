@@ -283,7 +283,7 @@ def test_zero_delay_phase_equals_array_formula_bit_for_bit(n_points, n_random):
     bytes equal ey_amplitude * exp[i(2 pi nu tau + delta)] over the grid. All
     1000 random delta run on a 4001-point grid and 20 on a 200001-point one,
     where each array exp costs about 5 ms."""
-    g = w.make_grid(193.29, 2.5, n_points)
+    g = w.FrequencyGrid(193.29, 2.5, n_points)
     nu = g.frequencies()
     rng = np.random.default_rng(n_points)
     ex = rng.uniform(0.0, 1.0, n_points)
