@@ -36,8 +36,8 @@ from .errors import (
 from .fbg import centroid_shift_model, fit_sensitivity
 from .osa import best_usable
 from .scenario import Scenario, SweepKernel, sweep_temperature
-from .spectral import (VALUE_FORMAT, Spectrum, inclusive_range, read_csv_rows, trapezoid_power,
-                       write_rows, write_spectrum_csv)
+from .spectral import (SWEEP_KEYS, VALUE_FORMAT, Spectrum, inclusive_range, read_csv_rows,
+                       trapezoid_power, write_rows, write_spectrum_csv)
 from .wva import amplification_factor
 
 
@@ -338,7 +338,6 @@ _INPUTS: dict[str, dict[str, tuple]] = {
                         choices=_STAGES, default="filtered"),
     },
 }
-_SWEEP = ("beta_min_deg", "beta_max_deg", "step_deg")  # the keys of a beta sweep
 
 
 def _check(command: str, resolved: dict, name: Callable[[str], str],
@@ -354,7 +353,8 @@ def _check(command: str, resolved: dict, name: Callable[[str], str],
                 raise ConfigError(f"{name(key)}: missing, {command} reads it")
             checked[key] = rule(resolved[key], name(key))
     if "step_deg" in checked:
-        sweep(*(checked[k] for k in _SWEEP), [name(k).removeprefix("argument ") for k in _SWEEP])
+        sweep(*(checked[k] for k in SWEEP_KEYS),
+              [name(k).removeprefix("argument ") for k in SWEEP_KEYS])
     sc = checked["config"].scenario if "config" in checked else None
     if checked.get("beta_deg") is not None:
         sc = replace(sc, beta_rad=math.radians(checked["beta_deg"]))
@@ -367,33 +367,41 @@ def _execute(command: str, resolved: dict, checked: dict, sc: Optional[Scenario]
              out_dir: Path, seed: Optional[int]) -> None:
     """Run the command into out_dir and write its manifest: `resolved` as
     given, and the SHA-256 of each file the runner wrote. A run that fails
-    removes out_dir if this call made it and it is still empty."""
+    removes the files it created, and out_dir if this call made it and it is
+    then empty; a file it cannot write raises ConfigError naming the file."""
     made = not out_dir.is_dir()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"{out_dir}: cannot make the output directory: "
                           f"{exc.strerror}") from None
+    before = set(out_dir.iterdir())
     try:
         written = _RUNNERS[command](checked, out_dir, sc)
-    except WvaSenseError:
+        manifest = {
+            "tool": "wva-sense",
+            "version": __version__,
+            "command": command,
+            "created_utc": datetime.datetime.now(datetime.timezone.utc)
+            .replace(microsecond=0)
+            .isoformat(),
+            "seed": seed,
+            "resolved": resolved,
+            "outputs": {path.name: _sha256(path) for path in written},
+        }
+        (out_dir / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        )
+    except (WvaSenseError, OSError) as exc:
+        for path in set(out_dir.iterdir()) - before:
+            if path.is_file():
+                path.unlink()
         if made and not any(out_dir.iterdir()):
             out_dir.rmdir()
+        if isinstance(exc, OSError):
+            raise ConfigError(f"{exc.filename or out_dir}: cannot write: "
+                              f"{exc.strerror}") from None
         raise
-    manifest = {
-        "tool": "wva-sense",
-        "version": __version__,
-        "command": command,
-        "created_utc": datetime.datetime.now(datetime.timezone.utc)
-        .replace(microsecond=0)
-        .isoformat(),
-        "seed": seed,
-        "resolved": resolved,
-        "outputs": {path.name: _sha256(path) for path in written},
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
 
 
 def replay_manifest(manifest_path, out_dir) -> dict:
@@ -487,10 +495,10 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, dict, Optional[Scenario]]:
         if args.command == "sweep-beta":
             spec = loaded.beta
             defaults = (spec.sweep_min_deg, spec.sweep_max_deg, spec.sweep_step_deg)
-            for key, default in zip(_SWEEP, defaults):
+            for key, default in zip(SWEEP_KEYS, defaults):
                 if resolved[key] is None:
                     resolved[key], names[key] = default, f"postselect.{key}"
-            if any(resolved[key] is None for key in _SWEEP):
+            if any(resolved[key] is None for key in SWEEP_KEYS):
                 raise ConfigError("sweep-beta needs --beta-min/--beta-max/--step or a "
                                   "config sweep spec")
     return (resolved, *_check(args.command, resolved, names.__getitem__, checked))

@@ -17,8 +17,8 @@ from .errors import ConfigError
 from .fbg import FbgParams, SideLobe, bandwidth_b_from_fwhm_nm
 from .osa import OsaParams
 from .scenario import FilterSettings, GridSettings, Scenario, SourceParams
-from .spectral import (SPEED_OF_LIGHT_NM_THZ, UnitContext, check_sweep, frequency_to_wavelength,
-                       wavelength_to_frequency)
+from .spectral import (SPEED_OF_LIGHT_NM_THZ, SWEEP_KEYS, UnitContext, check_sweep,
+                       frequency_to_wavelength, wavelength_to_frequency)
 from .wva import pulse_bandwidth
 
 
@@ -214,30 +214,29 @@ def _parse_settings(cls, section: Mapping[str, Any], path: str):
 
 @dataclass(frozen=True)
 class BetaSpec:
-    """Post-selection: a single angle, with optional sweep-range defaults."""
+    """The config's beta sweep range, the defaults of sweep-beta; None without one."""
 
-    beta_rad: float
     sweep_min_deg: Optional[float] = None
     sweep_max_deg: Optional[float] = None
     sweep_step_deg: Optional[float] = None
 
 
-def _parse_postselect(section: Mapping[str, Any]) -> BetaSpec:
-    sweep_keys = ("beta_min_deg", "beta_max_deg", "step_deg")
-    _check_keys(section, {"beta_deg", *sweep_keys}, "postselect")
-    has_sweep = any(k in section for k in sweep_keys)
-    if has_sweep and not all(k in section for k in sweep_keys):
+def _parse_postselect(section: Mapping[str, Any]) -> tuple[float, BetaSpec]:
+    """The operating angle (rad) and the sweep range of a postselect section."""
+    _check_keys(section, {"beta_deg", *SWEEP_KEYS}, "postselect")
+    has_sweep = any(k in section for k in SWEEP_KEYS)
+    if has_sweep and not all(k in section for k in SWEEP_KEYS):
         raise ConfigError("postselect: sweep spec needs beta_min_deg, beta_max_deg and step_deg")
     if "beta_deg" not in section and not has_sweep:
         raise ConfigError("postselect: give beta_deg or a sweep spec")
     if not has_sweep:
-        return BetaSpec(math.radians(angle(section["beta_deg"], "postselect.beta_deg")))
-    names = [f"postselect.{k}" for k in sweep_keys]
+        return math.radians(angle(section["beta_deg"], "postselect.beta_deg")), BetaSpec()
+    names = [f"postselect.{k}" for k in SWEEP_KEYS]
     lo, hi = angle(section["beta_min_deg"], names[0]), angle(section["beta_max_deg"], names[1])
     step = finite(section["step_deg"], names[2])
     sweep(lo, hi, step, names)
     beta_deg = angle(section.get("beta_deg", lo), "postselect.beta_deg")
-    return BetaSpec(math.radians(beta_deg), lo, hi, step)
+    return math.radians(beta_deg), BetaSpec(lo, hi, step)
 
 
 @dataclass(frozen=True)
@@ -272,7 +271,7 @@ def parse_scenario(doc: Mapping[str, Any]) -> LoadedScenario:
     phi = _number(interf, "phi_rad", "interferometer", default=0.0)
     lcvr = _number(interf, "lcvr_rad", "interferometer", default=0.0)
 
-    beta = _parse_postselect(_section(doc, "postselect"))
+    beta_rad, beta = _parse_postselect(_section(doc, "postselect"))
 
     temps = _section(doc, "temperatures")
     _check_keys(temps, {"t2_ref_c", "t1_list_c"}, "temperatures")
@@ -289,7 +288,7 @@ def parse_scenario(doc: Mapping[str, Any]) -> LoadedScenario:
         tau_ps=tau,
         phi_rad=phi,
         gamma_lcvr_rad=lcvr,
-        beta_rad=beta.beta_rad,
+        beta_rad=beta_rad,
         filter=_parse_settings(FilterSettings, _section(doc, "filter", False) or {}, "filter"),
         grid=_parse_settings(GridSettings, _section(doc, "grid", False) or {}, "grid"),
         osa=_parse_settings(OsaParams, _section(doc, "osa", False) or {}, "osa"),

@@ -293,8 +293,8 @@ class SweepKernel:
     of a sweep on stream i+1. `at_temperature` gives the kernel at another
     t1, sharing every part that does not depend on t1.
 
-    Filter search window: the predicted Bragg centers widened by the wider
-    grating's bandwidth, or the whole grid if no node falls inside.
+    Filter search window: the predicted Bragg centers widened by search_width,
+    the wider grating's bandwidth, or the whole grid if no node falls inside.
     Half-width: half_width_thz, or half_width_factor times that bandwidth.
     """
 
@@ -303,10 +303,10 @@ class SweepKernel:
         self.field = scenario_field(sc)
         self.grid = grid = self.field.grid
         self.nu = grid.frequencies()
-        w = max(sc.fbg1.bandwidth_b_thz, sc.fbg2.bandwidth_b_thz)
+        self.search_width = max(sc.fbg1.bandwidth_b_thz, sc.fbg2.bandwidth_b_thz)
         half_width = sc.filter.half_width_thz
         if half_width is None:
-            half_width = sc.filter.half_width_factor * w
+            half_width = sc.filter.half_width_factor * self.search_width
         # The gain raises |nu - center| / half_width, at most span / half_width,
         # to the order.
         try:
@@ -328,8 +328,7 @@ class SweepKernel:
         4 b^2: the two agree bit for bit at equal widths and differ at
         unequal ones.
         """
-        sc = self.sc
-        w = max(sc.fbg1.bandwidth_b_thz, sc.fbg2.bandwidth_b_thz)
+        w, sc = self.search_width, self.sc
         # nu ascends, so the nodes inside the window are one slice.
         start = int(np.searchsorted(self.nu, min(c1, c2) - w, side="left"))
         stop = int(np.searchsorted(self.nu, max(c1, c2) + w, side="right"))

@@ -21,12 +21,10 @@ from .errors import NoSignalError, NumericalError, SpectrumFormatError
 # Exact value in nm*THz, equivalent to c = 299792458 m/s.
 SPEED_OF_LIGHT_NM_THZ = 299792.458
 
-# Ascending frequency columns may carry this much relative spacing jitter
-# (from decimal round-tripping) and still count as uniform.
-_UNIFORM_RTOL = 1e-6
-
 # Most points a range may expand to; checked before anything is allocated.
 MAX_RANGE_POINTS = 10**6
+
+SWEEP_KEYS = ("beta_min_deg", "beta_max_deg", "step_deg")  # a beta sweep: first, last, step
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,7 @@ def inclusive_range(start: float, stop: float, step: float) -> list[float]:
     return [start + k * step for k in range(int(count) + 1)]
 
 
-def check_sweep(lo: float, hi: float, step: float,
-                names: Sequence[str] = ("beta_min_deg", "beta_max_deg", "step_deg")) -> None:
+def check_sweep(lo: float, hi: float, step: float, names: Sequence[str] = SWEEP_KEYS) -> None:
     """The sweep rule: ValueError naming the field unless step > 0, hi > lo
     and inclusive_range(lo, hi, step) has at most MAX_RANGE_POINTS points."""
     if not step > 0:
@@ -207,8 +204,9 @@ def super_gaussian_gain(
 
 _CSV_HEADER = ["frequency_thz", "power"]
 
+_VALUE_DIGITS = 12  # significant digits; read_spectrum_csv's tolerance relies on them
 # The one format of every CSV value and every footer number.
-VALUE_FORMAT = "%.12g"
+VALUE_FORMAT = f"%.{_VALUE_DIGITS}g"
 
 
 def write_rows(path, header: Sequence[str], rows, footer: Sequence[str] = (),
@@ -244,7 +242,7 @@ def _check_finite(path, header: Sequence[str], lines: Sequence[str]) -> None:
 
 
 def write_spectrum_csv(s: Spectrum, path) -> None:
-    """Write `frequency_thz,power` rows at 12 significant digits, CRLF-ended."""
+    """Write `frequency_thz,power` rows as VALUE_FORMAT, CRLF-ended."""
     nu = s.grid.frequencies()
     write_rows(path, _CSV_HEADER, zip(nu.tolist(), s.samples.tolist()), newline="\r\n")
 
@@ -310,7 +308,11 @@ def read_spectrum_csv(path) -> Spectrum:
             raise SpectrumFormatError(f"{path}: line {lines[bad.argmax()]}: {problem}")
     mean_spacing = float(np.mean(spacings))
     worst = int(np.argmax(np.abs(spacings - mean_spacing)))
-    if abs(spacings[worst] - mean_spacing) > _UNIFORM_RTOL * mean_spacing:
+    # Uniform to two units in the last written digit of the largest frequency:
+    # rounding both ends moves a spacing by at most one unit, and the mean,
+    # (last - first) / (n - 1), by at most 1/(n - 1) of a unit more.
+    digit = math.floor(math.log10(max(abs(freqs[0]), abs(freqs[-1])))) + 1 - _VALUE_DIGITS
+    if abs(spacings[worst] - mean_spacing) > 2.0 * 10.0**digit:
         raise SpectrumFormatError(
             f"{path}: line {lines[worst + 1]}: non-uniform frequency spacing "
             f"({spacings[worst]:.12g} vs mean {mean_spacing:.12g})"

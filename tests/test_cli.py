@@ -1013,3 +1013,29 @@ def test_out_at_a_file_exits_2(tmp_path, capsys, manifests, entry, under, reason
         with pytest.raises(ConfigError, match=re.escape(expected)):
             replay_manifest(path, out)
     assert afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("entry", ["main", "replay"])
+@pytest.mark.parametrize("argv,blocked", [
+    (["sweep-temp", "--config", str(CONFIGS / "bench.json")], "sweep_temp.csv"),
+    (["amax-curve", "--g", "0.9", "--step", "10"], "manifest.json"),
+    # sweep_beta.csv is written before the dump that fails.
+    (["sweep-beta", "--config", str(CONFIGS / "bench.json"), "--dump-spectra=-40"],
+     "spectrum_beta_-40.00.csv"),
+], ids=["sweep_temp_csv", "amax_manifest", "sweep_beta_dump"])
+def test_unwritable_output_file_exits_2(tmp_path, capsys, entry, argv, blocked):
+    """An output file that cannot be written, here because a directory has its
+    name, is a usage error naming the file: the run removes the files it
+    wrote, writes no manifest and leaves the directory that was there."""
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    expected = f"{out / blocked}: cannot write: Is a directory"
+    if entry == "main":
+        assert exit_code([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(f"error: {expected}\n")
+    else:
+        assert main([*argv, "--out", str(tmp_path / "orig")]) == 0
+        with pytest.raises(ConfigError, match=re.escape(expected)):
+            replay_manifest(tmp_path / "orig" / "manifest.json", out)
+    assert [p.name for p in out.iterdir()] == [blocked]
+    assert not any((out / blocked).iterdir())

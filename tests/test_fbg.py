@@ -146,6 +146,12 @@ class TestFitSensitivity:
         with pytest.raises(DegenerateFitError, match="not finite"):
             w.fit_sensitivity([(0.0, 1e308), (1.0, -1e308)])
 
+    def test_failed_least_squares_rejected(self):
+        # Subnormal dt: np.polyfit's scaling divides by zero and its SVD
+        # raises LinAlgError, which the fit reports as not finite.
+        with pytest.raises(DegenerateFitError, match="not finite"):
+            w.fit_sensitivity([(0.0, 0.0), (1e-320, 1.0)])
+
 
 class TestParamValidation:
     def test_side_lobe_amplitude_range(self):
@@ -161,3 +167,12 @@ class TestParamValidation:
     def test_bandwidth_positive(self):
         with pytest.raises(ValueError):
             fbg(bandwidth_b_thz=0.0)
+
+    def test_center_positive(self):
+        with pytest.raises(ValueError, match="center_ref_thz must be > 0"):
+            fbg(center_ref_thz=0.0)
+
+    @pytest.mark.parametrize("fwhm_nm,center_nm", [(0.0, 1551.0), (2.0, -1551.0)])
+    def test_fwhm_conversion_rejects_non_positive(self, fwhm_nm, center_nm):
+        with pytest.raises(ValueError, match="must be > 0"):
+            bandwidth_b_from_fwhm_nm(fwhm_nm, center_nm)

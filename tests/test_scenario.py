@@ -237,6 +237,10 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="smaller"):
             bench_scenario(fwhm_nm=25.0)
 
+    def test_source_center_positive(self):
+        with pytest.raises(ValueError, match="nu0_thz must be > 0"):
+            w.SourceParams(nu0_thz=0.0, b_thz=1.0)
+
     def test_raw_spectrum_beta_zero_is_half_reflection(self):
         sc = bench_scenario()
         kernel = SweepKernel(sc)

@@ -1,11 +1,23 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wva_sense as w
+from wva_sense.config import load_scenario
 from wva_sense.errors import NoSignalError, SpectrumFormatError
 from wva_sense.spectral import super_gaussian_gain
+
+BENCH_JSON = Path(__file__).resolve().parent.parent / "configs" / "bench.json"
+
+
+def bench_span_spectrum(n_points):
+    """A random spectrum on configs/bench.json's grid span at n_points."""
+    sc = load_scenario(BENCH_JSON).scenario
+    grid = w.scenario_grid(replace(sc, grid=w.GridSettings(n_points=n_points)))
+    return w.Spectrum(grid=grid, samples=np.random.default_rng(9).random(n_points))
 
 
 def gaussian_spectrum(grid, center, b, amplitude=1.0):
@@ -13,7 +25,7 @@ def gaussian_spectrum(grid, center, b, amplitude=1.0):
     return w.Spectrum(grid=grid, samples=amplitude * np.exp(-((nu - center) ** 2) / b**2))
 
 
-class TestMakeGrid:
+class TestFrequencyGrid:
     def test_three_point_nodes(self):
         g = w.FrequencyGrid(193.29, 2.0, 3)
         assert np.allclose(g.frequencies(), [192.29, 193.29, 194.29])
@@ -264,6 +276,30 @@ class TestSpectrumCsv:
         assert back.grid.n_points == 257
         assert np.allclose(back.grid.frequencies(), g.frequencies(), rtol=1e-9)
         assert np.allclose(back.samples, s.samples, rtol=1e-9)
+
+    @pytest.mark.parametrize("n_points", [4001, 4501, 10001, 200001])
+    def test_round_trip_on_the_bench_span(self, tmp_path, n_points):
+        # Written frequencies carry VALUE_FORMAT's 12 digits, so spacings on
+        # this ~2.5 THz span jitter by up to ~1e-9 THz whatever the size.
+        s = bench_span_spectrum(n_points)
+        path = tmp_path / "s.csv"
+        w.write_spectrum_csv(s, path)
+        back = w.read_spectrum_csv(path)
+        assert back.grid.n_points == n_points
+        assert np.allclose(back.grid.frequencies(), s.grid.frequencies(), rtol=1e-11, atol=0)
+        assert np.allclose(back.samples, s.samples, rtol=1e-11, atol=0)
+
+    def test_three_units_in_the_last_digit_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        w.write_spectrum_csv(bench_span_spectrum(4001), path)
+        lines = path.read_text().splitlines()
+        k = 2000  # file line k + 1
+        nu, power = lines[k].split(",")
+        moved = float(nu) + 3 * 10.0 ** (math.floor(math.log10(float(nu))) - 11)
+        lines[k] = f"{moved:.12g},{power}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SpectrumFormatError, match=f"line {k + 1}: non-uniform"):
+            w.read_spectrum_csv(path)
 
     def test_negative_power_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

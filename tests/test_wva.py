@@ -80,6 +80,14 @@ class TestJonesField:
         weight = math.exp(-((b / 10) ** 2) / sc.source.b_thz**2)  # the source at each lobe
         assert total == pytest.approx(1.5**2 * weight * math.exp(-0.01), rel=1e-9)
 
+    @pytest.mark.parametrize("ey,problem", [
+        (np.ones(4), "length does not match grid"),
+        (np.r_[1.0, np.nan, 1.0, 1.0, 1.0], "must be finite"),
+    ], ids=["short", "nan"])
+    def test_rejects_bad_arm(self, ey, problem):
+        with pytest.raises(ValueError, match=problem):
+            w.PolarizedFieldSpectrum(w.FrequencyGrid(NU0, 1.0, 5), np.ones(5), ey)
+
 
 class TestPostSelect:
     def test_beta_zero_keeps_x(self):
@@ -215,6 +223,11 @@ class TestMaxAmplification:
     def test_unbounded_guard(self):
         with pytest.raises(UnboundedAmplificationError):
             w.max_amplification(1.0, 0.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.5])
+    def test_rejects_gamma_outside_unit_interval(self, gamma):
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+            w.max_amplification(gamma, 0.5)
 
 
 class TestAnalyticCentroid:
