@@ -367,9 +367,10 @@ def _execute(command: str, resolved: dict, checked: dict, sc: Optional[Scenario]
              out_dir: Path, seed: Optional[int]) -> None:
     """Run the command into out_dir and write its manifest: `resolved` as
     given, and the SHA-256 of each file the runner wrote. A run that fails
-    removes the files it created, and out_dir if this call made it and it is
-    then empty; a file it cannot write raises ConfigError naming the file."""
-    made = not out_dir.is_dir()
+    removes the files it created, then each directory this call made, out_dir
+    and its new parents, that is empty; a file it cannot write raises
+    ConfigError naming the file."""
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -396,8 +397,9 @@ def _execute(command: str, resolved: dict, checked: dict, sc: Optional[Scenario]
         for path in set(out_dir.iterdir()) - before:
             if path.is_file():
                 path.unlink()
-        if made and not any(out_dir.iterdir()):
-            out_dir.rmdir()
+        for d in made:
+            if not any(d.iterdir()):
+                d.rmdir()
         if isinstance(exc, OSError):
             raise ConfigError(f"{exc.filename or out_dir}: cannot write: "
                               f"{exc.strerror}") from None

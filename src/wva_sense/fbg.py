@@ -10,6 +10,7 @@ temperature.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -144,9 +145,11 @@ class CalibrationResult:
 def fit_sensitivity(points: Sequence[tuple[float, float]]) -> CalibrationResult:
     """Least-squares slope/intercept of shift (nm) versus dt (degC).
 
-    Requires at least two distinct dt values; otherwise the line is
-    unconstrained and DegenerateFitError is raised, as it is when the fit
-    fails or overflows.
+    Raises DegenerateFitError when the line cannot be fitted: fewer than two
+    distinct dt values; dt values whose sum of squares, which np.polyfit
+    scales by, is 0 or not finite (checked before polyfit runs, as its LAPACK
+    call would print to stdout); dt values too close together for polyfit to
+    resolve their spread (its RankWarning); or a fit that overflows.
     """
     if len(points) < 2:
         raise DegenerateFitError(f"need >= 2 points, got {len(points)}")
@@ -154,11 +157,17 @@ def fit_sensitivity(points: Sequence[tuple[float, float]]) -> CalibrationResult:
     shift = np.asarray([p[1] for p in points], dtype=float)
     if np.ptp(dt) == 0.0:
         raise DegenerateFitError("all dt values identical, slope unconstrained")
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        dt_squares = float(np.sum(dt * dt))
+        if not 0.0 < dt_squares < math.inf:
+            raise DegenerateFitError(f"dt values cannot be fitted: their sum of squares, "
+                                     f"{dt_squares!r}, is 0 or not finite")
+        warnings.simplefilter("error", np.exceptions.RankWarning)
         try:
             slope, intercept = np.polyfit(dt, shift, 1)
-        except np.linalg.LinAlgError:
-            slope = intercept = math.nan
+        except np.exceptions.RankWarning:
+            raise DegenerateFitError("dt values cannot be fitted: their spread is too "
+                                     "small for their size, the fit is rank deficient") from None
         rms = float(np.sqrt(np.mean((shift - (slope * dt + intercept)) ** 2)))
     if not np.all(np.isfinite([slope, intercept, rms])):
         raise DegenerateFitError("fit failed or overflowed: result not finite")

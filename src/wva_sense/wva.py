@@ -69,14 +69,9 @@ def two_arm_field(
     """The recombined field from the real amplitudes of the two arms.
 
     ex is the x arm as given; the y arm is ey_amplitude times the delay and
-    birefringence phase exp[i(2 pi nu tau + delta)]. At tau = 0 the phase is
-    the scalar exp(i delta), which gives the same bytes as the array.
+    birefringence phase exp[i(2 pi nu tau + delta)] at every node of the grid.
     """
-    if tau_ps == 0.0:
-        phase = np.exp(1j * delta_rad)
-    else:
-        phase = np.exp(1j * (2.0 * math.pi * grid.frequencies() * tau_ps + delta_rad))
-    ey = ey_amplitude * phase
+    ey = ey_amplitude * np.exp(1j * (2.0 * math.pi * grid.frequencies() * tau_ps + delta_rad))
     return PolarizedFieldSpectrum(grid=grid, ex=ex, ey=ey)
 
 

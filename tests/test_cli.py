@@ -136,6 +136,24 @@ class TestCalibrate:
         path.write_text("dt_c,centroid_shift_nm\n5,0.01\n5,0.02\n")
         assert main(["calibrate", "--input", str(path), "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("rows", [
+        ("0,0", "1e200,1"),  # the sum of squares overflows; polyfit gave slope 0
+        ("1e10,0", "10000000000.00001,1"),  # rank deficient; polyfit gave 2.5e-11
+        ("0,0", "1e-300,1"),  # the sum of squares underflows; LAPACK printed to stdout
+        ("0,0", "1e-320,1"),
+    ], ids=["overflow", "rank", "underflow", "subnormal"])
+    def test_unfittable_dt_exit_3_silently(self, tmp_path, capfd, rows):
+        """dt values that np.polyfit cannot fit exit 3 with one error line, and
+        nothing from polyfit or LAPACK on stdout or stderr, and no output."""
+        path = tmp_path / "cal.csv"
+        path.write_text("dt_c,centroid_shift_nm\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--input", str(path), "--out", str(out)]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: dt values cannot be fitted: [^\n]*\n", captured.err)
+        assert not out.exists()
+
     def test_parser_accepts_comment_footer(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("dt_c,centroid_shift_nm\n1,0.01\n2,0.02\n# fit_slope=x\n")
@@ -992,6 +1010,33 @@ def test_failed_run_leaves_no_directory_it_made(tmp_path, argv, doc, code):
     out.mkdir()
     assert exit_code([*argv, "--out", str(out)]) == code
     assert out.is_dir() and not any(out.iterdir())
+
+
+def test_sweep_temp_unfittable_dt_exit_3_silently(tmp_path, capfd):
+    """sweep-temp fits its rows with calibrate's rule: dt values whose sum of
+    squares underflows exit 3 before LAPACK prints to stdout, with no output."""
+    out = tmp_path / "out"
+    argv = ["sweep-temp", "--config", str(CONFIGS / "bench.json"), "--dt", "0,1e-300"]
+    assert main([*argv, "--out", str(out)]) == 3
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: dt values cannot be fitted: their sum of squares, "
+                            "0.0, is 0 or not finite\n")
+    assert not out.exists()
+
+
+def test_failed_run_removes_the_parents_it_made(tmp_path, monkeypatch):
+    """A failed run into a nested --out removes each directory it made for it,
+    and keeps a parent that existed before the run."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["theory-lines", "--a", "1e308", "--kappa", "1e308", "--dt", "0,10",
+            "--out", "n1/n2/n3"]
+    assert exit_code(argv) == 3
+    assert not any(tmp_path.iterdir())
+    (tmp_path / "n1").mkdir()
+    assert exit_code(argv) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["n1"]
+    assert not any((tmp_path / "n1").iterdir())
 
 
 @pytest.mark.parametrize("entry", ["main", "replay"])

@@ -147,8 +147,8 @@ class TestFitSensitivity:
             w.fit_sensitivity([(0.0, 1e308), (1.0, -1e308)])
 
     def test_failed_least_squares_rejected(self):
-        # Subnormal dt: np.polyfit's scaling divides by zero and its SVD
-        # raises LinAlgError, which the fit reports as not finite.
+        # Subnormal dt: the sum of squares that np.polyfit scales by underflows
+        # to 0, which the fit rejects as 0 or not finite before polyfit runs.
         with pytest.raises(DegenerateFitError, match="not finite"):
             w.fit_sensitivity([(0.0, 0.0), (1e-320, 1.0)])
 

@@ -25,7 +25,7 @@ def gaussian(grid, center, b, amplitude=1.0):
     return w.Spectrum(grid=grid, samples=amplitude * np.exp(-((nu - center) ** 2) / b**2))
 
 
-class TestOsaTrace:
+class TestMeasureSamples:
     def test_identity_when_off(self):
         g = w.FrequencyGrid(193.29, 2.0, 1001)
         s = gaussian(g, 193.29, 0.1)

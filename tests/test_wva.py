@@ -292,10 +292,11 @@ class TestEnergyBudget:
 
 @pytest.mark.parametrize("n_points,n_random", [(4001, 1000), (200001, 20)])
 def test_zero_delay_phase_equals_array_formula_bit_for_bit(n_points, n_random):
-    """At tau = 0 two_arm_field puts the scalar exp(i delta) on the y arm; the
-    bytes equal ey_amplitude * exp[i(2 pi nu tau + delta)] over the grid. All
-    1000 random delta run on a 4001-point grid and 20 on a 200001-point one,
-    where each array exp costs about 5 ms."""
+    """At tau = 0 two_arm_field's y arm is ey_amplitude * exp[i(2 pi nu tau +
+    delta)] over the grid, byte for byte, for signed zeros, +-pi and random
+    delta, with exact zeros in the amplitude. All 1000 random delta run on a
+    4001-point grid and 20 on a 200001-point one, where each array exp costs
+    about 5 ms."""
     g = w.FrequencyGrid(193.29, 2.5, n_points)
     nu = g.frequencies()
     rng = np.random.default_rng(n_points)
