@@ -98,7 +98,7 @@ def run_sweep_beta(inputs: dict, out_dir: Path, sc: Scenario) -> list[Path]:
                             "no signal reaches the detector at beta = 0")
     rows = []
     for beta_deg, (_, point) in zip(
-        betas_deg, kernel.rows([math.radians(b) for b in betas_deg], ref)
+        betas_deg, kernel.rows([math.radians(b) for b in betas_deg], ref), strict=True
     ):
         if point is None:
             print(f"skipping beta={beta_deg:.4g} deg: no signal at this angle",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
@@ -202,8 +202,35 @@ def super_gaussian_gain(
     return np.exp(gain, out=gain)
 
 
+# exp(-x) is exactly 0 for x above 745.2, so the gain is exactly 0 where
+# ((nu - center) / half_width)^order exceeds 760: beyond 760^(1/order)
+# half-widths from the center, 5.25 at order 4.
+_GAIN_ZERO_POWER = 760.0
+
+
+def super_gaussian_filter(
+    nu: np.ndarray, samples: np.ndarray, center: float, half_width: float, order: int
+) -> np.ndarray:
+    """samples * super_gaussian_gain(nu, center, half_width, order) bit for bit,
+    for ascending nu, with the gain computed only where it can change a sample.
+
+    Beyond the reach where the gain is 0, a sample becomes samples * 0.0, which
+    keeps the sign of a zero. Right of the center the gain is one slice; left
+    of it, where np.power's negative bases are slow, it is computed only at
+    the non-zero samples.
+    """
+    reach = half_width * _GAIN_ZERO_POWER ** (1.0 / order)
+    lo, mid, hi = np.searchsorted(nu, (center - reach, center, center + reach))
+    out = samples * 0.0
+    out[mid:hi] = samples[mid:hi] * super_gaussian_gain(nu[mid:hi], center, half_width, order)
+    left = lo + np.flatnonzero(samples[lo:mid])
+    out[left] = samples[left] * super_gaussian_gain(nu[left], center, half_width, order)
+    return out
+
+
 _CSV_HEADER = ["frequency_thz", "power"]
 
+_CHUNK_ROWS = 4096  # rows a CSV writer converts and writes at a time
 _VALUE_DIGITS = 12  # significant digits; read_spectrum_csv's tolerance relies on them
 # The one format of every CSV value and every footer number.
 VALUE_FORMAT = f"%.{_VALUE_DIGITS}g"
@@ -212,7 +239,7 @@ VALUE_FORMAT = f"%.{_VALUE_DIGITS}g"
 def write_rows(path, header: Sequence[str], rows, footer: Sequence[str] = (),
                newline: str = "\n") -> None:
     """Write a CSV: header, row tuples with every value as VALUE_FORMAT, footer; each
-    line ends in `newline` on every platform. Rows are written 4096 at a time.
+    line ends in `newline` on every platform. Rows are written _CHUNK_ROWS at a time.
 
     A NaN, or an infinity outside an `snr_db` column (where inf means no
     noise), raises NumericalError naming the file and column, and removes
@@ -223,7 +250,7 @@ def write_rows(path, header: Sequence[str], rows, footer: Sequence[str] = (),
     try:
         with open(path, "w", newline="") as f:
             f.write(",".join(header) + newline)
-            while chunk := "".join(islice(lines, 4096)):
+            while chunk := "".join(islice(lines, _CHUNK_ROWS)):
                 # Finite VALUE_FORMAT text has no "n"; "nan" and "inf" do.
                 if "n" in chunk:
                     _check_finite(path, header, chunk.split(newline))
@@ -242,9 +269,13 @@ def _check_finite(path, header: Sequence[str], lines: Sequence[str]) -> None:
 
 
 def write_spectrum_csv(s: Spectrum, path) -> None:
-    """Write `frequency_thz,power` rows as VALUE_FORMAT, CRLF-ended."""
-    nu = s.grid.frequencies()
-    write_rows(path, _CSV_HEADER, zip(nu.tolist(), s.samples.tolist()), newline="\r\n")
+    """Write `frequency_thz,power` rows as VALUE_FORMAT, CRLF-ended; the arrays
+    become Python floats _CHUNK_ROWS rows at a time."""
+    nu, samples = s.grid.frequencies(), s.samples
+    rows = chain.from_iterable(
+        zip(nu[i:i + _CHUNK_ROWS].tolist(), samples[i:i + _CHUNK_ROWS].tolist())
+        for i in range(0, nu.size, _CHUNK_ROWS))
+    write_rows(path, _CSV_HEADER, rows, newline="\r\n")
 
 
 def read_csv_rows(path, header: Sequence[str]) -> list[tuple[int, float, float]]:
