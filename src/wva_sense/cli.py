@@ -36,8 +36,8 @@ from .errors import (
 from .fbg import centroid_shift_model, fit_sensitivity
 from .osa import best_usable
 from .scenario import Scenario, SweepKernel, sweep_temperature
-from .spectral import (SWEEP_KEYS, VALUE_FORMAT, Spectrum, inclusive_range, read_csv_rows,
-                       trapezoid_power, write_rows, write_spectrum_csv)
+from .spectral import (MAX_RANGE_POINTS, SWEEP_KEYS, VALUE_FORMAT, Spectrum, inclusive_range,
+                       read_csv_rows, trapezoid_power, write_rows, write_spectrum_csv)
 from .wva import amplification_factor
 
 
@@ -340,21 +340,38 @@ _INPUTS: dict[str, dict[str, tuple]] = {
 }
 
 
+# The commands whose rows pair each value of one input with each of another
+# (a list, or the beta sweep under step_deg); the product of the two counts is
+# capped at MAX_RANGE_POINTS rows.
+_TABLES = {"amax-curve": ("g_list", "step_deg"), "theory-lines": ("a_list", "dt_list_c")}
+
+
 def _check(command: str, resolved: dict, name: Callable[[str], str],
            checked: dict) -> tuple[dict, Optional[Scenario]]:
     """The command's checked inputs and its config's scenario, if it reads one,
     with the beta_deg/dt_c overrides applied. Each key it reads must be in
     `resolved` and pass its rule (keys in `checked` passed where they were
-    read), and a beta sweep the sweep rule; a failure raises ConfigError naming
-    the key as `name(key)`, a flag bare (`--step`) in a sweep message."""
+    read), a beta sweep the sweep rule and a _TABLES command's row count the
+    cap; a failure raises ConfigError naming the key as `name(key)`, a flag
+    bare (`--step`) in a sweep or row-cap message."""
     for key, (rule, _, _) in _INPUTS[command].items():
         if key not in checked:
             if key not in resolved:
                 raise ConfigError(f"{name(key)}: missing, {command} reads it")
             checked[key] = rule(resolved[key], name(key))
+
+    def bare(key: str) -> str:
+        return name(key).removeprefix("argument ")
+
+    counts = {key: len(value) for key, value in checked.items() if isinstance(value, list)}
     if "step_deg" in checked:
-        sweep(*(checked[k] for k in SWEEP_KEYS),
-              [name(k).removeprefix("argument ") for k in SWEEP_KEYS])
+        counts["step_deg"] = sweep(*(checked[k] for k in SWEEP_KEYS), [bare(k) for k in SWEEP_KEYS])
+    if command in _TABLES:
+        a, b = _TABLES[command]
+        if counts[a] * counts[b] > MAX_RANGE_POINTS:
+            raise ConfigError(f"{bare(a)} and {bare(b)}: {counts[a]} x {counts[b]} = "
+                              f"{counts[a] * counts[b]} rows exceed the limit of "
+                              f"{MAX_RANGE_POINTS}")
     sc = checked["config"].scenario if "config" in checked else None
     if checked.get("beta_deg") is not None:
         sc = replace(sc, beta_rad=math.radians(checked["beta_deg"]))

@@ -81,10 +81,11 @@ def listed(value: Any, where: str, empty: bool = False) -> list:
     return value
 
 
-def sweep(lo: float, hi: float, step: float, names: Sequence[str]) -> None:
-    """The beta sweep rule, spectral.check_sweep, naming the field that breaks it."""
+def sweep(lo: float, hi: float, step: float, names: Sequence[str]) -> int:
+    """The beta sweep rule, spectral.check_sweep, naming the field that breaks
+    it; returns the sweep's number of points."""
     try:
-        check_sweep(lo, hi, step, names)
+        return check_sweep(lo, hi, step, names)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -3,7 +3,8 @@
 The instrument response is a Gaussian convolution of the incident spectrum
 (resolution bandwidth quoted in nm, converted to THz at the reference
 wavelength) followed by additive noise with per-sample standard deviation
-sqrt(noise_floor^2 + (rel_noise * sample)^2) and clamping at zero.
+hypot(noise_floor, rel_noise * sample), which squares neither term, and clamping
+at zero.
 
 Noise is drawn from numpy's PCG64 generator so traces are reproducible from
 the seed alone; the seed lives in OsaParams, never in ambient state. Sweeps
@@ -47,9 +48,11 @@ class OsaParams:
             raise ValueError(f"rel_noise must lie in [0, 1), got {self.rel_noise}")
 
     def noise_sigma(self, signal: float | np.ndarray) -> float | np.ndarray:
-        """Noise standard deviation at `signal`, a number or an array of
-        samples: the floor and the signal-proportional term in quadrature."""
-        return np.sqrt(self.noise_floor**2 + (self.rel_noise * signal) ** 2)
+        """Noise standard deviation at `signal`, a number or an array of samples:
+        hypot(noise_floor, rel_noise * signal), or the floor at rel_noise = 0."""
+        if self.rel_noise == 0.0:
+            return self.noise_floor
+        return np.hypot(self.noise_floor, self.rel_noise * signal)
 
 
 def sub_seed(seed: int, stream: int) -> int:
@@ -99,8 +102,7 @@ def measure_samples(
     samples = np.convolve(samples, kernel, mode="same")
     if p.noise_floor > 0.0 or p.rel_noise > 0.0:
         noise = stream_normals(p, stream, samples.size)
-        # At rel_noise = 0 the per-sample scale is the floor alone, one scalar.
-        noise *= p.noise_sigma(0.0 if p.rel_noise == 0.0 else samples)
+        noise *= p.noise_sigma(samples)
         noise += samples
         samples = np.clip(noise, 0.0, None, out=noise)
     return samples
@@ -192,8 +194,8 @@ def max_usable_amplification(
     the floor by more than the float rounding of snr_db, the angle is
     screened: it is skipped as unusable, without a measurement. This changes
     nothing. snr_db is non-decreasing in the peak, with rel_noise too (peak /
-    sqrt(floor^2 + (rel_noise * peak)^2) rises with the peak for rel_noise <
-    1), so the measured SNR is at most the bound's and the angle fails the
+    hypot(floor, rel_noise * peak) rises with the peak for rel_noise < 1),
+    so the measured SNR is at most the bound's and the angle fails the
     floor in the full scan too, where best_usable skips it.
 
     When no angle clears the floor every angle is screened or measured, as

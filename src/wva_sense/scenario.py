@@ -317,15 +317,11 @@ class SweepKernel:
         half_width = sc.filter.half_width_thz
         if half_width is None:
             half_width = sc.filter.half_width_factor * self.search_width
-        # The gain raises |nu - center| / half_width, at most span / half_width,
-        # to the order.
-        try:
-            reach = (grid.span / half_width) ** sc.filter.order
-        except OverflowError:
-            reach = math.inf
-        if not math.isfinite(reach):
-            raise ConfigError(f"filter: a half-width of {half_width!r} THz overflows the "
-                              f"order-{sc.filter.order} gain on a {grid.span:.9g} THz grid")
+        # The node nearest the center lies within half a spacing of it, where
+        # the gain is at least exp(-1) at any order.
+        if not half_width >= grid.spacing / 2:
+            raise ConfigError(f"filter: a half-width of {half_width!r} THz is below half "
+                              f"the {grid.spacing:.9g} THz grid spacing")
         self.half_width = half_width
         self.rbw = rbw_kernel(sc.osa, sc.units, grid)
         self._place(*scenario_centers(sc))

@@ -83,15 +83,18 @@ def inclusive_range(start: float, stop: float, step: float) -> list[float]:
     return [start + k * step for k in range(int(count) + 1)]
 
 
-def check_sweep(lo: float, hi: float, step: float, names: Sequence[str] = SWEEP_KEYS) -> None:
+def check_sweep(lo: float, hi: float, step: float, names: Sequence[str] = SWEEP_KEYS) -> int:
     """The sweep rule: ValueError naming the field unless step > 0, hi > lo
-    and inclusive_range(lo, hi, step) has at most MAX_RANGE_POINTS points."""
+    and inclusive_range(lo, hi, step) has at most MAX_RANGE_POINTS points;
+    returns that number of points."""
     if not step > 0:
         raise ValueError(f"{names[2]}: must be > 0, got {step!r}")
     if not hi > lo:
         raise ValueError(f"{names[1]} must exceed {names[0]}")
-    if not (hi - lo) / step + 1e-9 < MAX_RANGE_POINTS:
+    count = (hi - lo) / step + 1e-9
+    if not count < MAX_RANGE_POINTS:
         raise ValueError(f"{names[2]}: range exceeds {MAX_RANGE_POINTS} points")
+    return int(count) + 1
 
 
 def records_equal(self, other) -> bool:
@@ -241,14 +244,17 @@ def write_rows(path, header: Sequence[str], rows, footer: Sequence[str] = (),
     """Write a CSV: header, row tuples with every value as VALUE_FORMAT, footer; each
     line ends in `newline` on every platform. Rows are written _CHUNK_ROWS at a time.
 
+    The lines go to `path` + ".part", which replaces `path` once the footer
+    is written, so a failed write leaves an earlier file at `path` as it was.
     A NaN, or an infinity outside an `snr_db` column (where inf means no
-    noise), raises NumericalError naming the file and column, and removes
-    the partly written file.
+    noise), raises NumericalError naming the file and column, and an OSError
+    names `path`; a partly written file is removed.
     """
     line = ",".join([VALUE_FORMAT] * len(header)) + newline
     lines = map(line.__mod__, rows)
+    part = f"{path}.part"
     try:
-        with open(path, "w", newline="") as f:
+        with open(part, "w", newline="") as f:
             f.write(",".join(header) + newline)
             while chunk := "".join(islice(lines, _CHUNK_ROWS)):
                 # Finite VALUE_FORMAT text has no "n"; "nan" and "inf" do.
@@ -256,9 +262,12 @@ def write_rows(path, header: Sequence[str], rows, footer: Sequence[str] = (),
                     _check_finite(path, header, chunk.split(newline))
                 f.write(chunk)
             f.writelines(text + newline for text in footer)
-    except NumericalError:
-        os.remove(path)
-        raise
+        os.replace(part, path)
+    except OSError as exc:  # named after the file asked for, not the part file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    finally:
+        if os.path.isfile(part):
+            os.remove(part)
 
 
 def _check_finite(path, header: Sequence[str], lines: Sequence[str]) -> None:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from wva_sense.config import load_scenario
 from wva_sense.errors import ConfigError
 from wva_sense.fbg import fit_sensitivity
 from wva_sense.osa import max_usable_amplification
+from wva_sense.scenario import scenario_grid
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -785,7 +787,7 @@ class TestBadInputsExit2:
         ("fbg1", "fwhm_nm", 2e-300, "fbg1: bandwidth_b_thz must have a finite nonzero square"),
         ("fbg2", "fwhm_nm", 2e-300, "fbg2: bandwidth_b_thz must have a finite nonzero square"),
         ("source", "pulse_fwhm_ps", 3.2e-301, "source: b_thz must have a finite nonzero square"),
-        # (span / half-width)^order overflows in the super-Gaussian gain.
+        # A half-width below half the grid spacing: no node is sure to pass the filter.
         ("filter", "half_width_factor", 1.5e-300, "filter: "),
         ("source", "pulse_fwhm_ps", -1, "source.pulse_fwhm_ps: must be > 0"),
         ("source", "pulse_fwhm_ps", 0, "source.pulse_fwhm_ps: must be > 0"),
@@ -1084,3 +1086,122 @@ def test_unwritable_output_file_exits_2(tmp_path, capsys, entry, argv, blocked):
             replay_manifest(tmp_path / "orig" / "manifest.json", out)
     assert [p.name for p in out.iterdir()] == [blocked]
     assert not any((out / blocked).iterdir())
+
+
+@pytest.mark.parametrize("order", [300, 1000])
+def test_steep_filter_orders_run(tmp_path, order):
+    """The gain is computed only where it is not 0, so no order overflows:
+    orders 300 and 1000 on bench.json fit a finite slope within 1% of order
+    200's."""
+    slopes = {}
+    for o in (200, order):
+        cfg = write_config(tmp_path, _bench_with("filter", "order", o), f"order{o}.json")
+        out = tmp_path / f"order{o}"
+        assert main(["sweep-temp", "--config", cfg, "--beta", "-40", "--out", str(out)]) == 0
+        slopes[o] = footer_value(out / "sweep_temp.csv", "fit_slope_nm_per_c")
+    assert math.isfinite(slopes[order])
+    assert slopes[order] == pytest.approx(slopes[200], rel=0.01)
+
+
+def test_order_two_to_the_64_runs(tmp_path):
+    """An order numpy takes as a float runs too (a RuntimeWarning fails the
+    test)."""
+    cfg = write_config(tmp_path, _bench_with("filter", "order", 2**64))
+    out = tmp_path / "out"
+    assert main(["sweep-temp", "--config", cfg, "--beta", "-40", "--out", str(out)]) == 0
+    assert math.isfinite(footer_value(out / "sweep_temp.csv", "fit_slope_nm_per_c"))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_half_width_below_half_the_spacing_exits_2(tmp_path, capsys, enabled):
+    """A half-width of half the grid spacing runs; one an ulp narrower exits 2
+    naming filter, also with the filter disabled, and makes no directory."""
+    spacing = scenario_grid(load_scenario(CONFIGS / "bench.json").scenario).spacing
+    for half_width, code in ((spacing / 2, 0), (math.nextafter(spacing / 2, 0.0), 2)):
+        doc = _bench_with("filter", "half_width_thz", half_width)
+        doc["filter"]["enabled"] = enabled
+        out = tmp_path / f"out{code}"
+        assert main(["dump-spectrum", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+    assert capsys.readouterr().err == (f"error: filter: a half-width of {half_width!r} THz is "
+                                       f"below half the {spacing:.9g} THz grid spacing\n")
+
+
+# Noise with the signal term alone, the floor alone and both.
+_NOISE = {"rel": (0.0, 0.1), "floor": (1e-6, 0.0), "both": (1e-6, 0.005)}
+
+
+@pytest.mark.parametrize("floor,rel_noise", _NOISE.values(), ids=list(_NOISE))
+def test_sweep_beta_does_not_depend_on_the_power_unit(tmp_path, floor, rel_noise):
+    """Powers scale as amplitude^2, and the noise sigma with them: amplitude
+    times 2^-266 and the floor times 2^-532 leave every column within 1e-9
+    relative (snr_db within 1e-9 dB), and --snr-min 20 exits with the same
+    code and footer. The traces scale exactly; the filter center's
+    log-parabolic refinement takes logs that move by 532 ln 2 and round
+    there, so a centroid shift, a difference of two centroids, keeps 1e-9 of
+    the column's largest shift."""
+    tables, snr_min = [], []
+    for scale in (1.0, 2.0**-266):
+        doc = _bench_with("source", "amplitude", scale)
+        doc["osa"].update(noise_floor=floor * scale**2, rel_noise=rel_noise)
+        cfg = write_config(tmp_path, doc, f"{scale}.json")
+        argv = ["sweep-beta", "--config", cfg, "--step", "2"]
+        out = tmp_path / f"{scale}"
+        assert main([*argv, "--out", str(out)]) == 0
+        tables.append(read_rows(out / "sweep_beta.csv"))
+        out = tmp_path / f"{scale}_snr_min"
+        code = main([*argv, "--snr-min", "20", "--out", str(out)])
+        footer = [line for line in (out / "sweep_beta.csv").read_text().splitlines()
+                  if line.startswith("#")] if code == 0 else []
+        snr_min.append((code, footer))
+    (header, rows), (scaled_header, scaled_rows) = tables
+    assert header == scaled_header
+    for name, column, scaled in zip(header, np.array(rows).T, np.array(scaled_rows).T):
+        if name == "snr_db":
+            assert np.all(np.abs(scaled - column) <= 1e-9), name
+        elif name == "centroid_shift_nm":
+            assert np.all(np.abs(scaled - column) <= 1e-9 * np.max(np.abs(column))), name
+        else:
+            assert np.allclose(scaled, column, rtol=1e-9, atol=0.0), name
+    assert snr_min[0] == snr_min[1]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["amax-curve", "--g", "0:0.199:0.001", "--step", "0.01"],
+     "--g and --step: 200 x 9001 = 1800200 rows"),
+    (["theory-lines", "--a", "0:999:1", "--dt", "0:1000:1", "--kappa", "1"],
+     "--a and --dt: 1000 x 1001 = 1001000 rows"),
+], ids=["amax_curve", "theory_lines"])
+def test_table_over_the_row_cap_exits_2(tmp_path, capsys, argv, message):
+    """A table of more than MAX_RANGE_POINTS rows is rejected before a row is
+    built or the output directory made, naming both inputs."""
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert exit_code([*argv, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"error: {message} exceed the limit of 1000000\n"
+    assert not out.exists()
+
+
+def test_replayed_table_over_the_row_cap_names_resolved_keys(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"command": "amax-curve", "seed": None, "resolved": {
+        "g_list": [0.5] * 200, "beta_min_deg": -90.0, "beta_max_deg": 0.0, "step_deg": 0.01}}))
+    with pytest.raises(ConfigError, match=re.escape(
+            "resolved.g_list and resolved.step_deg: 200 x 9001 = 1800200 rows exceed")):
+        replay_manifest(path, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_rerun_keeps_the_earlier_run(tmp_path):
+    """A run that fails into the directory of an earlier one leaves each of
+    its files as it was, so its manifest still replays."""
+    out = tmp_path / "d"
+    assert main(["theory-lines", "--a", "1", "--kappa", "1", "--out", str(out)]) == 0
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert exit_code(["theory-lines", "--a", "1e308", "--kappa", "1e308", "--dt", "0,10",
+                      "--out", str(out)]) == 3
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+    replay_manifest(out / "manifest.json", tmp_path / "replay")
+    assert (tmp_path / "replay" / "theory_lines.csv").read_bytes() == earlier["theory_lines.csv"]

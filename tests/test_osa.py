@@ -181,6 +181,19 @@ class TestSnrEstimate:
         p = w.OsaParams(noise_floor=3.0, rel_noise=0.04)
         assert p.noise_sigma(float(np.max(s.samples))) == pytest.approx(5.0, rel=1e-12)
 
+    @pytest.mark.parametrize("peak", [1e-300, 1e-160, 1.0, 1e150])
+    def test_rel_noise_snr_does_not_depend_on_the_power_unit(self, peak):
+        """sigma squares neither term, so rel_noise = 0.1 reads 10 dB at any
+        peak: its square would underflow below about 1e-154."""
+        p = w.OsaParams(rel_noise=0.1)
+        assert snr_db(peak, p) == pytest.approx(10.0, abs=1e-12)
+        both = w.OsaParams(noise_floor=3.0 * peak, rel_noise=0.04)
+        assert both.noise_sigma(100.0 * peak) == pytest.approx(5.0 * peak, rel=1e-15)
+
+    def test_floor_only_sigma_is_the_floor(self):
+        p = w.OsaParams(noise_floor=0.25)
+        assert p.noise_sigma(np.array([0.0, 1.0, 1e300])) == 0.25
+
     def test_snr_drop_equals_power_attenuation(self):
         # Matched gratings keep the output shape beta-independent, so the
         # peak ratio equals the total-power ratio exactly.
