@@ -18,7 +18,9 @@ import datetime
 import hashlib
 import json
 import math
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -43,10 +45,6 @@ from .wva import amplification_factor
 
 def _fmt(x: float) -> str:
     return VALUE_FORMAT % x
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _number(text: str):
@@ -79,14 +77,15 @@ _dump_name = "spectrum_beta_{:+.2f}.csv".format  # the file of a dumped angle's 
 
 
 # ---------------------------------------------------------------------------
-# Command implementations. Each takes the command's checked inputs, the output
-# directory and the scenario it measures (None without a config; _check has
-# applied --beta/--dt), writes its files and returns their paths, which
-# _execute hashes into the manifest. Its docstring is the command's help.
+# Command implementations. Each takes the command's checked inputs, the
+# directory to write into and the scenario it measures (None without a config;
+# _check has applied --beta/--dt), writes its files and returns their paths,
+# which _execute hashes and moves into --out, and a one-line summary. Its
+# docstring is the command's help.
 # ---------------------------------------------------------------------------
 
 
-def run_sweep_beta(inputs: dict, out_dir: Path, sc: Scenario) -> list[Path]:
+def run_sweep_beta(inputs: dict, out_dir: Path, sc: Scenario) -> tuple[list[Path], str]:
     """centroid shift vs post-selection angle"""
     betas_deg = inclusive_range(inputs["beta_min_deg"], inputs["beta_max_deg"], inputs["step_deg"])
     # Rows stream from one kernel; no angle's spectra outlive its row.
@@ -114,21 +113,19 @@ def run_sweep_beta(inputs: dict, out_dir: Path, sc: Scenario) -> list[Path]:
         )
         footer = [f"# max_usable: beta_deg={_fmt(beta_deg)} a={_fmt(a)} snr_db={_fmt(snr_db)}"]
 
-    csv_path = out_dir / "sweep_beta.csv"
+    written = [out_dir / "sweep_beta.csv"]
     header = ["beta_deg", "centroid_shift_nm", "a_effective", "total_power_rel", "snr_db"]
-    write_rows(csv_path, header, rows, footer)
-    written = [csv_path]
+    write_rows(written[0], header, rows, footer)
 
     for j, beta_deg in enumerate(inputs["dump_spectra_deg"]):
         trace = kernel.measure(kernel.raw(math.radians(beta_deg)), len(betas_deg) + 1 + j)
         written.append(out_dir / _dump_name(beta_deg))
         write_spectrum_csv(Spectrum(kernel.grid, kernel.filtered(trace)), written[-1])
 
-    print(f"sweep-beta: {len(rows)} points -> {csv_path}")
-    return written
+    return written, f"sweep-beta: {len(rows)} points"
 
 
-def run_sweep_temp(inputs: dict, out_dir: Path, sc: Scenario) -> list[Path]:
+def run_sweep_temp(inputs: dict, out_dir: Path, sc: Scenario) -> tuple[list[Path], str]:
     """centroid shift vs temperature difference"""
     dt_list = inputs["dt_list_c"]
     if len(dt_list) < 2 or len(set(dt_list)) < 2:
@@ -148,12 +145,10 @@ def run_sweep_temp(inputs: dict, out_dir: Path, sc: Scenario) -> list[Path]:
     ]
     csv_path = out_dir / "sweep_temp.csv"
     write_rows(csv_path, ["dt_c", "centroid_shift_nm"], rows, footer)
-    print(f"sweep-temp: {len(rows)} points, slope "
-          f"{fit.slope_nm_per_c:.6g} nm/degC -> {csv_path}")
-    return [csv_path]
+    return [csv_path], f"sweep-temp: {len(rows)} points, slope {fit.slope_nm_per_c:.6g} nm/degC"
 
 
-def run_amax_curve(inputs: dict, out_dir: Path, sc: Optional[Scenario]) -> list[Path]:
+def run_amax_curve(inputs: dict, out_dir: Path, sc: Optional[Scenario]) -> tuple[list[Path], str]:
     """amplification factor vs angle for each g"""
     g_list = inputs["g_list"]
     betas_deg = inclusive_range(inputs["beta_min_deg"], inputs["beta_max_deg"], inputs["step_deg"])
@@ -170,19 +165,17 @@ def run_amax_curve(inputs: dict, out_dir: Path, sc: Optional[Scenario]) -> list[
         peaks.append(f"# peak g={_fmt(g)}: a={_fmt(best_a)} at beta_deg={_fmt(best_beta)}")
     csv_path = out_dir / "amax_curve.csv"
     write_rows(csv_path, ["beta_deg", "g", "a"], rows, peaks)
-    print(f"amax-curve: {len(g_list)} curves x {len(betas_deg)} angles -> {csv_path}")
-    return [csv_path]
+    return [csv_path], f"amax-curve: {len(g_list)} curves x {len(betas_deg)} angles"
 
 
-def run_theory_lines(inputs: dict, out_dir: Path, sc: Optional[Scenario]) -> list[Path]:
+def run_theory_lines(inputs: dict, out_dir: Path, sc: Optional[Scenario]) -> tuple[list[Path], str]:
     """first-order shift lines for fixed A"""
     kappa = inputs["kappa_nm_per_c"]
     rows = [(dt, a, centroid_shift_model(dt, kappa, a))
             for a in inputs["a_list"] for dt in inputs["dt_list_c"]]
     csv_path = out_dir / "theory_lines.csv"
     write_rows(csv_path, ["dt_c", "a", "shift_nm"], rows)
-    print(f"theory-lines: {len(rows)} rows -> {csv_path}")
-    return [csv_path]
+    return [csv_path], f"theory-lines: {len(rows)} rows"
 
 
 def parse_calibration_csv(path) -> list[tuple[float, float]]:
@@ -197,7 +190,7 @@ def parse_calibration_csv(path) -> list[tuple[float, float]]:
     return points
 
 
-def run_calibrate(inputs: dict, out_dir: Path, sc: Optional[Scenario]) -> list[Path]:
+def run_calibrate(inputs: dict, out_dir: Path, sc: Optional[Scenario]) -> tuple[list[Path], str]:
     """least-squares fit of a measured CSV"""
     fit = fit_sensitivity(inputs["points"])
     doc = {
@@ -208,15 +201,12 @@ def run_calibrate(inputs: dict, out_dir: Path, sc: Optional[Scenario]) -> list[P
     }
     json_path = out_dir / "calibration.json"
     json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(
-        f"calibrate: slope {fit.slope_nm_per_c:.6g} nm/degC, "
-        f"intercept {fit.intercept_nm:.6g} nm, "
-        f"residual rms {fit.residual_rms_nm:.3g} nm over {fit.n_points} points"
-    )
-    return [json_path]
+    return [json_path], (f"calibrate: slope {fit.slope_nm_per_c:.6g} nm/degC, "
+                         f"intercept {fit.intercept_nm:.6g} nm, "
+                         f"residual rms {fit.residual_rms_nm:.3g} nm over {fit.n_points} points")
 
 
-def run_dump_spectrum(inputs: dict, out_dir: Path, sc: Scenario) -> list[Path]:
+def run_dump_spectrum(inputs: dict, out_dir: Path, sc: Scenario) -> tuple[list[Path], str]:
     """write one simulated spectrum"""
     stage = inputs["stage"]
     kernel = SweepKernel(sc)
@@ -227,11 +217,10 @@ def run_dump_spectrum(inputs: dict, out_dir: Path, sc: Scenario) -> list[Path]:
         samples = kernel.filtered(samples)
     csv_path = out_dir / "spectrum.csv"
     write_spectrum_csv(Spectrum(kernel.grid, samples), csv_path)
-    print(f"dump-spectrum: {stage} spectrum -> {csv_path}")
-    return [csv_path]
+    return [csv_path], f"dump-spectrum: {stage} spectrum"
 
 
-_RUNNERS: dict[str, Callable[[dict, Path, Optional[Scenario]], list[Path]]] = {
+_RUNNERS: dict[str, Callable[[dict, Path, Optional[Scenario]], tuple[list[Path], str]]] = {
     "sweep-beta": run_sweep_beta,
     "sweep-temp": run_sweep_temp,
     "amax-curve": run_amax_curve,
@@ -382,20 +371,19 @@ def _check(command: str, resolved: dict, name: Callable[[str], str],
 
 def _execute(command: str, resolved: dict, checked: dict, sc: Optional[Scenario],
              out_dir: Path, seed: Optional[int]) -> None:
-    """Run the command into out_dir and write its manifest: `resolved` as
-    given, and the SHA-256 of each file the runner wrote. A run that fails
-    removes the files it created, then each directory this call made, out_dir
-    and its new parents, that is empty; a file it cannot write raises
-    ConfigError naming the file."""
+    """Run the command and write its manifest (`resolved` as given, and the
+    SHA-256 of each file the runner wrote) in a stage, a fresh hidden
+    directory inside out_dir; then move each file into out_dir, the manifest
+    last, and print the runner's summary. The stage, and each directory this
+    call made that is left empty, is removed whatever happens, so a failed or
+    interrupted run moves nothing. Errors name a file as it sits in out_dir;
+    an OSError raises ConfigError, naming out_dir if no stage can be made."""
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
+    stage = None
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"{out_dir}: cannot make the output directory: "
-                          f"{exc.strerror}") from None
-    before = set(out_dir.iterdir())
-    try:
-        written = _RUNNERS[command](checked, out_dir, sc)
+        stage = Path(tempfile.mkdtemp(prefix=".wva-sense-", dir=out_dir))
+        written, summary = _RUNNERS[command](checked, stage, sc)
         manifest = {
             "tool": "wva-sense",
             "version": __version__,
@@ -405,22 +393,31 @@ def _execute(command: str, resolved: dict, checked: dict, sc: Optional[Scenario]
             .isoformat(),
             "seed": seed,
             "resolved": resolved,
-            "outputs": {path.name: _sha256(path) for path in written},
+            "outputs": {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in written},
         }
-        (out_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
-    except (WvaSenseError, OSError) as exc:
-        for path in set(out_dir.iterdir()) - before:
-            if path.is_file():
-                path.unlink()
-        for d in made:
-            if not any(d.iterdir()):
-                d.rmdir()
-        if isinstance(exc, OSError):
-            raise ConfigError(f"{exc.filename or out_dir}: cannot write: "
+        (stage / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        names = [*(path.name for path in written), "manifest.json"]
+        if blocked := [name for name in names if (out_dir / name).is_dir()]:
+            raise ConfigError(f"{out_dir / blocked[0]}: cannot write: Is a directory")
+        for name in names:
+            (stage / name).replace(out_dir / name)
+    except WvaSenseError as exc:  # a message names a staged file where it would sit
+        if stage is None or str(stage) not in str(exc):
+            raise
+        raise type(exc)(str(exc).replace(str(stage), str(out_dir))) from None
+    except OSError as exc:
+        if stage is None:
+            raise ConfigError(f"{out_dir}: cannot make the output directory: "
                               f"{exc.strerror}") from None
-        raise
+        where = out_dir / Path(exc.filename).name if exc.filename else out_dir
+        raise ConfigError(f"{where}: cannot write: {exc.strerror}") from None
+    finally:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
+        for d in made:
+            if d.is_dir() and not any(d.iterdir()):
+                d.rmdir()
+    print(f"{summary} -> {out_dir / names[0]}")
 
 
 def replay_manifest(manifest_path, out_dir) -> dict:

@@ -279,6 +279,8 @@ def parse_scenario(doc: Mapping[str, Any]) -> LoadedScenario:
     t2 = _number(temps, "t2_ref_c", "temperatures")
     t1_list = listed(temps.get("t1_list_c"), "temperatures.t1_list_c")
     t1_values = [finite(v, f"temperatures.t1_list_c[{i}]") for i, v in enumerate(t1_list)]
+    dt_list = [finite(t1 - t2, f"temperatures.t1_list_c[{i}] - t2_ref_c")
+               for i, t1 in enumerate(t1_values)]
 
     scenario = Scenario(
         source=source,
@@ -295,11 +297,7 @@ def parse_scenario(doc: Mapping[str, Any]) -> LoadedScenario:
         osa=_parse_settings(OsaParams, _section(doc, "osa", False) or {}, "osa"),
         units=units,
     )
-    return LoadedScenario(
-        scenario=scenario,
-        dt_list_c=[t1 - t2 for t1 in t1_values],
-        beta=beta,
-    )
+    return LoadedScenario(scenario=scenario, dt_list_c=dt_list, beta=beta)
 
 
 def read_config(path) -> Any:

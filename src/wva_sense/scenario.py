@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -84,8 +85,10 @@ class FilterSettings:
     half_width_thz: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.order <= 0 or self.order % 2 != 0:
-            raise ValueError(f"filter order must be positive even, got {self.order}")
+        # super_gaussian_filter takes 1.0 / order, so the order must be a float too.
+        if self.order <= 0 or self.order % 2 != 0 or self.order > sys.float_info.max:
+            raise ValueError("filter order must be positive, even and at most the largest "
+                             f"float, got {self.order!r:.80}")
         if self.half_width_factor <= 0:
             raise ValueError("half_width_factor must be > 0")
         if self.half_width_thz is not None and self.half_width_thz <= 0:
@@ -183,8 +186,12 @@ def _arm(sc: Scenario, f: FbgParams, center: float, g: FrequencyGrid) -> np.ndar
 def scenario_field(sc: Scenario) -> PolarizedFieldSpectrum:
     """Recombined field: each arm is the square root of its grating's
     reflected power spectrum (halved by the 45-degree pre-selection), with
-    the delay/birefringence phase on the y arm."""
+    the delay/birefringence phase on the y arm. A phase that overflows a
+    float at the grid's top node raises ConfigError naming interferometer."""
     g = scenario_grid(sc)
+    if not math.isfinite(2.0 * math.pi * g.hi * abs(sc.tau_ps) + abs(sc.delta_rad)):
+        raise ConfigError(f"interferometer: the y-arm phase 2 pi nu tau + delta overflows on "
+                          f"the grid, tau_ps={sc.tau_ps!r}, delta_rad={sc.delta_rad!r}")
     c1, c2 = scenario_centers(sc)
     _check_on_grid(g, "fbg1", c1, sc.t1_c)
     _check_on_grid(g, "fbg2", c2, sc.t2_c)
@@ -235,17 +242,17 @@ def exact_centroid(sc: Scenario, beta_rad: float) -> float:
 
     The lobes carry power c^2 p1 sqrt(pi) B1 and s^2 p2 sqrt(pi) B2, and the
     cross term 2cs sqrt(p1 p2) G D cos(theta), where theta = 2 pi m tau + delta
-    and D = sqrt(pi W2) exp(-pi^2 tau^2 W2); its first moment has
-    m cos(theta) - pi tau W2 sin(theta) for cos(theta). Moments are taken
-    about c2. Raises NoSignalError where the power cancels to 1e-12 of the
-    lobes' (the dark port).
+    and D = sqrt(pi W2) exp(-pi^2 tau^2 W2), 0 where pi^2 tau^2 overflows; its
+    first moment has m cos(theta) - pi tau W2 sin(theta) for cos(theta).
+    Moments are taken about c2. Raises NoSignalError where the power cancels
+    to 1e-12 of the lobes' (the dark port).
     """
     p1, p2, c1, c2, b1, b2, w2, m, g = _exact_terms(sc)
     c, s, tau = math.cos(beta_rad), math.sin(beta_rad), sc.tau_ps
     lobe1 = c * c * p1 * math.sqrt(math.pi) * b1
     lobe2 = s * s * p2 * math.sqrt(math.pi) * b2
     cross = (2.0 * c * s * math.sqrt(p1 * p2) * g
-             * math.sqrt(math.pi * w2) * math.exp(-((math.pi * tau) ** 2) * w2))
+             * math.sqrt(math.pi * w2) * math.exp(-(math.pi * tau) * (math.pi * tau) * w2))
     theta = 2.0 * math.pi * m * tau + sc.delta_rad
     power = lobe1 + lobe2 + cross * math.cos(theta)
     if abs(power) <= 1e-12 * (lobe1 + lobe2):

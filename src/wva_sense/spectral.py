@@ -244,17 +244,14 @@ def write_rows(path, header: Sequence[str], rows, footer: Sequence[str] = (),
     """Write a CSV: header, row tuples with every value as VALUE_FORMAT, footer; each
     line ends in `newline` on every platform. Rows are written _CHUNK_ROWS at a time.
 
-    The lines go to `path` + ".part", which replaces `path` once the footer
-    is written, so a failed write leaves an earlier file at `path` as it was.
     A NaN, or an infinity outside an `snr_db` column (where inf means no
-    noise), raises NumericalError naming the file and column, and an OSError
-    names `path`; a partly written file is removed.
+    noise), raises NumericalError naming the file and column, and removes
+    the partly written file.
     """
     line = ",".join([VALUE_FORMAT] * len(header)) + newline
     lines = map(line.__mod__, rows)
-    part = f"{path}.part"
     try:
-        with open(part, "w", newline="") as f:
+        with open(path, "w", newline="") as f:
             f.write(",".join(header) + newline)
             while chunk := "".join(islice(lines, _CHUNK_ROWS)):
                 # Finite VALUE_FORMAT text has no "n"; "nan" and "inf" do.
@@ -262,12 +259,9 @@ def write_rows(path, header: Sequence[str], rows, footer: Sequence[str] = (),
                     _check_finite(path, header, chunk.split(newline))
                 f.write(chunk)
             f.writelines(text + newline for text in footer)
-        os.replace(part, path)
-    except OSError as exc:  # named after the file asked for, not the part file
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
-    finally:
-        if os.path.isfile(part):
-            os.remove(part)
+    except NumericalError:
+        os.remove(path)
+        raise
 
 
 def _check_finite(path, header: Sequence[str], lines: Sequence[str]) -> None:

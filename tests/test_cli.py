@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wva_sense.cli import main, parse_calibration_csv, replay_manifest
+from wva_sense import cli
+from wva_sense.cli import main, parse_calibration_csv, replay_manifest, run_theory_lines
 from wva_sense.config import load_scenario
 from wva_sense.errors import ConfigError
 from wva_sense.fbg import fit_sensitivity
@@ -1205,3 +1206,145 @@ def test_failed_rerun_keeps_the_earlier_run(tmp_path):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
     replay_manifest(out / "manifest.json", tmp_path / "replay")
     assert (tmp_path / "replay" / "theory_lines.csv").read_bytes() == earlier["theory_lines.csv"]
+
+
+def _files(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+
+
+@pytest.mark.parametrize("entry", ["main", "replay"])
+def test_rerun_failing_after_its_first_csv_keeps_the_earlier_run(tmp_path, capsys, entry):
+    """A re-run whose sweep_beta.csv is finished before its dump fails (a
+    directory has the dump's name) exits 2, and every file of the earlier
+    run stays as it was, so its manifest still replays to the same bytes."""
+    bench = ["sweep-beta", "--config", str(CONFIGS / "bench.json")]
+    out = tmp_path / "d"
+    assert main([*bench, "--dump-spectra=-40", "--out", str(out)]) == 0
+    (out / "spectrum_beta_-30.00.csv").mkdir()
+    earlier = _files(out)
+    rerun = [*bench, "--seed", "7", "--dump-spectra=-30"]
+    expected = f"{out / 'spectrum_beta_-30.00.csv'}: cannot write: Is a directory"
+    if entry == "main":
+        assert exit_code([*rerun, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(f"error: {expected}\n")
+    else:
+        assert main([*rerun, "--out", str(tmp_path / "seed7")]) == 0
+        with pytest.raises(ConfigError, match=re.escape(expected)):
+            replay_manifest(tmp_path / "seed7" / "manifest.json", out)
+    assert _files(out) == earlier
+    assert sorted(p.name for p in out.iterdir()) == sorted([*earlier, "spectrum_beta_-30.00.csv"])
+    replay_manifest(out / "manifest.json", tmp_path / "replay")
+    for name, sha in json.loads(earlier["manifest.json"])["outputs"].items():
+        assert hashlib.sha256(earlier[name]).hexdigest() == sha
+        assert (tmp_path / "replay" / name).read_bytes() == earlier[name]
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["rerun", "new_out"])
+def test_interrupted_run_moves_nothing(tmp_path, monkeypatch, existing):
+    """A run interrupted after its runner wrote a CSV leaves an earlier run's
+    directory byte for byte as it was, with no stage left, and removes a
+    directory it made."""
+    out = tmp_path / "n1" / "d"
+    if existing:
+        assert main(["theory-lines", "--a", "1", "--kappa", "1", "--out", str(out)]) == 0
+    earlier = _files(out) if existing else None
+
+    def interrupted(inputs, stage, sc):
+        run_theory_lines(inputs, stage, sc)  # writes theory_lines.csv
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._RUNNERS, "theory-lines", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["theory-lines", "--a", "2", "--kappa", "1", "--out", str(out)])
+    if existing:
+        assert sorted(p.name for p in out.iterdir()) == sorted(earlier)
+        assert _files(out) == earlier
+    else:
+        assert not (tmp_path / "n1").exists()
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+def test_run_leaves_its_files_and_manifest_only(tmp_path, capsys, command):
+    """After a run the output directory holds exactly the files the manifest
+    lists and manifest.json, with no stage or other hidden entry, and stdout
+    is one line naming a file there."""
+    args = COMMAND_ARGS[command]
+    if command == "calibrate":
+        data = tmp_path / "cal.csv"
+        data.write_text("dt_c,centroid_shift_nm\n0,0\n1,0.01\n2,0.02\n")
+        args = ["--input", str(data)]
+    elif command not in ("amax-curve", "theory-lines"):
+        args = ["--config", str(CONFIGS / "bench.json"), *args]
+    out = tmp_path / "out"
+    assert main([command, *args, "--out", str(out)]) == 0
+    outputs = list(json.loads((out / "manifest.json").read_text())["outputs"])
+    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{command}: ")
+    assert any(lines[0].endswith(f" -> {out / name}") for name in outputs)
+
+
+@pytest.mark.parametrize("interferometer,code", [
+    ({"tau_ps": 1.5e305}, 2),
+    ({"phi_rad": 1e308, "lcvr_rad": -1e308}, 2),
+    ({"tau_ps": 1e308}, 2),
+    ({"tau_ps": 1.4e305}, 0),
+], ids=["tau", "delta", "tau_1e308", "tau_in_range"])
+def test_overflowing_y_arm_phase_exits_2(tmp_path, capsys, interferometer, code):
+    """A delay or phase whose 2 pi nu tau + delta overflows a float at the
+    grid's top node exits 2 naming interferometer, with no directory left
+    (a RuntimeWarning fails the test); tau_ps 1.4e305 runs."""
+    doc = json.loads((CONFIGS / "bench.json").read_text())
+    doc["interferometer"].update(interferometer)
+    out = tmp_path / "out"
+    assert main(["dump-spectrum", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: interferometer: the y-arm phase ")
+
+
+@pytest.mark.parametrize("exponent,code", [(1024, 2), (1023, 0)])
+def test_filter_order_beyond_the_float_range_exits_2(tmp_path, capsys, exponent, code):
+    """An order above the largest float exits 2 naming filter and leaves no
+    directory; 2**1023 runs."""
+    cfg = write_config(tmp_path, _bench_with("filter", "order", 2**exponent))
+    out = tmp_path / "out"
+    assert main(["dump-spectrum", "--config", cfg, "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code == 2:
+        assert capsys.readouterr().err.startswith(
+            "error: filter: filter order must be positive, even and at most the largest float, "
+            f"got {str(2**1024)[:80]}")
+
+
+@pytest.mark.parametrize("entry", ["main", "replay"])
+def test_temperature_plan_beyond_the_float_range_exits_2(tmp_path, capsys, entry):
+    """A t1 - t2 that is not finite is rejected where the config is parsed,
+    naming the temperature, not a --dt flag that was not given."""
+    doc = _bench_with("temperatures", "t2_ref_c", -1e308)
+    doc["temperatures"]["t1_list_c"] = [1e308, 1e308]
+    message = "temperatures.t1_list_c[0] - t2_ref_c: expected a finite number, got inf"
+    out = tmp_path / "out"
+    if entry == "main":
+        assert main(["sweep-temp", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": "sweep-temp", "seed": None, "resolved": {
+            "config": doc, "dt_list_c": [0.0, 1.0], "beta_deg": None}}))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: resolved.config: {message}")):
+            replay_manifest(path, out)
+    assert not out.exists()
+
+
+def test_failed_write_names_the_file_in_out(tmp_path, capsys):
+    """A CSV value that is not finite names the file as it would sit in the
+    output directory, not in the directory the run writes into first."""
+    out = tmp_path / "out"
+    assert exit_code(["theory-lines", "--a", "1e308", "--kappa", "1e308", "--dt", "0,10",
+                      "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (f"error: {out / 'theory_lines.csv'}: column shift_nm: "
+                                       "value inf is not finite\n")
+    assert not out.exists()

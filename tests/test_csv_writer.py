@@ -90,24 +90,6 @@ def test_non_finite_value_rejected(tmp_path, value, n):
         write_rows(tmp_path / "out.csv", TABLE_HEADER, rows)
 
 
-@pytest.mark.parametrize("n", [1, 4097])
-def test_failed_write_keeps_the_earlier_file(tmp_path, n):
-    """A write that fails leaves the file already at the path as it was and
-    no part file; one that succeeds replaces it and leaves no part file."""
-    path = tmp_path / "out.csv"
-    write_rows(path, TABLE_HEADER, [(-40.0, 0.99, 7.1)], FOOTER)
-    earlier = path.read_bytes()
-    rows = [(-40.0, 0.5, 3.0)] * n
-    rows[-1] = (-40.0, math.nan, 3.0)
-    with pytest.raises(NumericalError, match=r"out\.csv: column g"):
-        write_rows(path, TABLE_HEADER, rows)
-    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
-    assert path.read_bytes() == earlier
-    write_rows(path, TABLE_HEADER, rows[:-1])
-    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
-    assert path.read_bytes() != earlier
-
-
 def test_unwritable_path_is_named(tmp_path):
     """An OSError names the path asked for, not the part file it writes first."""
     (tmp_path / "out.csv").mkdir()

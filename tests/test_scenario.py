@@ -258,3 +258,13 @@ class TestScenarioValidation:
             UNITS.nm_shift_to_frequency(KAPPA) * 11.0, rel=1e-12
         )
         assert sc.beta_rad == pytest.approx(math.radians(-30.0))
+
+
+def test_exact_centroid_damping_underflows_at_huge_tau():
+    """The cross term's damping exp(-pi^2 tau^2 W2) is already 0 at tau = 1e3
+    ps; at 1e200, where (pi tau)^2 overflows a float, it is 0 too, not an
+    OverflowError."""
+    sc = load_scenario(CONFIGS / "bench.json").scenario
+    beta = math.radians(-40.0)
+    assert (exact_centroid(replace(sc, tau_ps=1e200), beta)
+            == exact_centroid(replace(sc, tau_ps=1e3), beta))
