@@ -29,13 +29,7 @@ from .spectral import (
     super_gaussian_filter,
     trapezoid_power,
 )
-from .wva import (
-    PolarizedFieldSpectrum,
-    amplification_factor,
-    overlap_gamma,
-    projected_power,
-    two_arm_field,
-)
+from .wva import PolarizedFieldSpectrum, amplification_factor, projected_power, two_arm_field
 
 REFERENCE_BETA_RAD = -math.pi / 2
 
@@ -61,7 +55,7 @@ class SourceParams:
         if self.nu0_thz <= 0:
             raise ValueError("source nu0_thz must be > 0")
         check_width("b_thz", self.b_thz)
-        # The noise variance of a measured trace scales as amplitude**4.
+        # The documented input range: amplitude**4 is finite.
         squared = self.amplitude * self.amplitude
         if not math.isfinite(squared * squared):
             raise ValueError("amplitude squared overflows a float or its square does, "
@@ -176,6 +170,14 @@ def _check_on_grid(g: FrequencyGrid, name: str, center: float, t_c: float) -> No
         )
 
 
+def _check_phase(sc: Scenario, g: FrequencyGrid) -> None:
+    """Raise ConfigError naming interferometer where the y-arm phase
+    2 pi nu tau + delta overflows a float at the grid's top node."""
+    if not math.isfinite(2.0 * math.pi * g.hi * abs(sc.tau_ps) + abs(sc.delta_rad)):
+        raise ConfigError(f"interferometer: the y-arm phase 2 pi nu tau + delta overflows on "
+                          f"the grid, tau_ps={sc.tau_ps!r}, delta_rad={sc.delta_rad!r}")
+
+
 def _arm(sc: Scenario, f: FbgParams, center: float, g: FrequencyGrid) -> np.ndarray:
     """Real field amplitude of one arm: the square root of the grating's
     reflected power spectrum, halved by the 45-degree pre-selection."""
@@ -186,17 +188,21 @@ def _arm(sc: Scenario, f: FbgParams, center: float, g: FrequencyGrid) -> np.ndar
 def scenario_field(sc: Scenario) -> PolarizedFieldSpectrum:
     """Recombined field: each arm is the square root of its grating's
     reflected power spectrum (halved by the 45-degree pre-selection), with
-    the delay/birefringence phase on the y arm. A phase that overflows a
-    float at the grid's top node raises ConfigError naming interferometer."""
+    the delay/birefringence phase on the y arm; raises _check_phase's
+    ConfigError."""
     g = scenario_grid(sc)
-    if not math.isfinite(2.0 * math.pi * g.hi * abs(sc.tau_ps) + abs(sc.delta_rad)):
-        raise ConfigError(f"interferometer: the y-arm phase 2 pi nu tau + delta overflows on "
-                          f"the grid, tau_ps={sc.tau_ps!r}, delta_rad={sc.delta_rad!r}")
+    _check_phase(sc, g)
     c1, c2 = scenario_centers(sc)
     _check_on_grid(g, "fbg1", c1, sc.t1_c)
     _check_on_grid(g, "fbg2", c2, sc.t2_c)
     return two_arm_field(g, _arm(sc, sc.fbg1, c1, g), _arm(sc, sc.fbg2, c2, g),
                          sc.tau_ps, sc.delta_rad)
+
+
+def _overlap(sc: Scenario, c1: float, c2: float) -> float:
+    """G = exp(-(c1 - c2)^2 / (2 (B1^2 + B2^2))), the lobes' overlap gamma."""
+    s2 = sc.fbg1.bandwidth_b_thz**2 + sc.fbg2.bandwidth_b_thz**2
+    return math.exp(-((c1 - c2) ** 2) / (2.0 * s2))
 
 
 def _exact_terms(sc: Scenario) -> tuple[float, ...]:
@@ -219,15 +225,18 @@ def _exact_terms(sc: Scenario) -> tuple[float, ...]:
     # 1/W2 = 1/(2 B1^2) + 1/(2 B2^2), which is B1^2 bit for bit at equal
     # widths; m relative to c2, as the weighted mean loses ~10 bits at 200 THz.
     return (p1, p2, c1, c2, b1, b2, b1**2 * (2.0 * b2**2 / s2),
-            c2 + (c1 - c2) * b2**2 / s2, math.exp(-((c1 - c2) ** 2) / (2.0 * s2)))
+            c2 + (c1 - c2) * b2**2 / s2, _overlap(sc, c1, c2))
 
 
 def exact_spectrum(sc: Scenario, beta_rad: float) -> np.ndarray:
     """Closed-form ideal post-selected power on scenario_grid(sc), clipped at 0:
     c^2 p1 L1 + s^2 p2 L2 + 2cs sqrt(p1 p2) G exp[-(nu-m)^2/W2] cos(2 pi nu tau + delta),
-    with c = cos(beta), s = sin(beta) and L_k = exp[-(nu - c_k)^2 / B_k^2]."""
+    with c = cos(beta), s = sin(beta) and L_k = exp[-(nu - c_k)^2 / B_k^2];
+    raises scenario_field's ConfigError where the phase overflows."""
     p1, p2, c1, c2, b1, b2, w2, m, g = _exact_terms(sc)
-    nu = scenario_grid(sc).frequencies()
+    grid = scenario_grid(sc)
+    _check_phase(sc, grid)
+    nu = grid.frequencies()
     c, s = math.cos(beta_rad), math.sin(beta_rad)
     samples = (c * c * p1 * np.exp(-((nu - c1) ** 2) / b1**2)
                + s * s * p2 * np.exp(-((nu - c2) ** 2) / b2**2)
@@ -244,6 +253,7 @@ def exact_centroid(sc: Scenario, beta_rad: float) -> float:
     cross term 2cs sqrt(p1 p2) G D cos(theta), where theta = 2 pi m tau + delta
     and D = sqrt(pi W2) exp(-pi^2 tau^2 W2), 0 where pi^2 tau^2 overflows; its
     first moment has m cos(theta) - pi tau W2 sin(theta) for cos(theta).
+    Where the cross term is 0, theta, which may overflow, is not evaluated.
     Moments are taken about c2. Raises NoSignalError where the power cancels
     to 1e-12 of the lobes' (the dark port).
     """
@@ -253,12 +263,13 @@ def exact_centroid(sc: Scenario, beta_rad: float) -> float:
     lobe2 = s * s * p2 * math.sqrt(math.pi) * b2
     cross = (2.0 * c * s * math.sqrt(p1 * p2) * g
              * math.sqrt(math.pi * w2) * math.exp(-(math.pi * tau) * (math.pi * tau) * w2))
-    theta = 2.0 * math.pi * m * tau + sc.delta_rad
-    power = lobe1 + lobe2 + cross * math.cos(theta)
+    power, moment = lobe1 + lobe2, lobe1 * (c1 - c2)
+    if cross != 0.0:
+        theta = 2.0 * math.pi * m * tau + sc.delta_rad
+        power += cross * math.cos(theta)
+        moment += cross * ((m - c2) * math.cos(theta) - math.pi * tau * w2 * math.sin(theta))
     if abs(power) <= 1e-12 * (lobe1 + lobe2):
         raise NoSignalError(f"post-selection at beta={beta_rad} rad extinguishes the power")
-    moment = lobe1 * (c1 - c2) + cross * ((m - c2) * math.cos(theta)
-                                          - math.pi * tau * w2 * math.sin(theta))
     return c2 + moment / power
 
 
@@ -288,7 +299,8 @@ class InterrogationResult:
     power of the ideal post-selected spectrum, before the OSA, and `snr_db`
     the peak SNR of the measured trace (+inf with a noise-free OSA). The
     centroid is that of the filtered trace, and its shift is referenced to
-    `reference_thz`; `a_effective` is the closed-form A at beta_rad."""
+    `reference_thz`; `a_effective` is the closed-form A at beta_rad, whose
+    gamma is the lobes' overlap G of the closed form at any two widths."""
 
     beta_rad: float
     raw_power: float
@@ -334,20 +346,16 @@ class SweepKernel:
         self._place(*scenario_centers(sc))
 
     def _place(self, c1: float, c2: float) -> None:
-        """Set the filter search window and gamma for Bragg centers c1, c2.
-
-        gamma is exp(-(c1 - c2)^2 / (4 b^2)), with b the arithmetic mean of
-        the two widths. The G of _exact_terms has 2 (B1^2 + B2^2) in place of
-        4 b^2: the two agree bit for bit at equal widths and differ at
-        unequal ones.
-        """
-        w, sc = self.search_width, self.sc
+        """Set the filter search window and gamma for Bragg centers c1, c2."""
+        w = self.search_width
         # nu ascends, so the nodes inside the window are one slice.
         start = int(np.searchsorted(self.nu, min(c1, c2) - w, side="left"))
         stop = int(np.searchsorted(self.nu, max(c1, c2) + w, side="right"))
         self.window = slice(start, stop) if start < stop else slice(0, self.nu.size)
-        b_eff = (sc.fbg1.bandwidth_b_thz + sc.fbg2.bandwidth_b_thz) / 2
-        self.gamma = overlap_gamma((c1 - c2) / 2, b_eff)
+        # Floored at the smallest float, so that arms that do not overlap give
+        # A its gamma -> 0 limit, cos(2 beta), bit for bit: below 2^-53 the
+        # denominator 1 + gamma sin(2 beta) cos(delta) rounds to 1.
+        self.gamma = max(_overlap(self.sc, c1, c2), math.ulp(0.0))
 
     def at_temperature(self, t1_c: float) -> SweepKernel:
         """This kernel's scenario at t1 = t1_c, as a new kernel: it shares the

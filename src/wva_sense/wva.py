@@ -81,7 +81,8 @@ def projected_power(f: PolarizedFieldSpectrum, beta_rad: float) -> np.ndarray:
 
 
 def overlap_gamma(nu_minus: float, b_width: float) -> float:
-    """Spectral overlap gamma = exp(-nu_minus^2 / B^2), in (0, 1]."""
+    """Spectral overlap gamma = exp(-nu_minus^2 / B^2), in (0, 1]: scenario's lobe
+    overlap G at equal widths B1 = B2 = B, with nu_minus = (c1 - c2) / 2."""
     if b_width <= 0:
         raise ValueError(f"b_width must be > 0, got {b_width}")
     return math.exp(-(nu_minus**2) / b_width**2)

@@ -91,7 +91,7 @@ def test_non_finite_value_rejected(tmp_path, value, n):
 
 
 def test_unwritable_path_is_named(tmp_path):
-    """An OSError names the path asked for, not the part file it writes first."""
+    """An OSError names the path asked for, and leaves no other file beside it."""
     (tmp_path / "out.csv").mkdir()
     with pytest.raises(IsADirectoryError) as info:
         write_rows(tmp_path / "out.csv", TABLE_HEADER, [(-40.0, 0.99, 7.1)])

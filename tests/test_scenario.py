@@ -268,3 +268,19 @@ def test_exact_centroid_damping_underflows_at_huge_tau():
     beta = math.radians(-40.0)
     assert (exact_centroid(replace(sc, tau_ps=1e200), beta)
             == exact_centroid(replace(sc, tau_ps=1e3), beta))
+
+
+@pytest.mark.parametrize("tau", [1e306, 1e308, -1e306, -1e308])
+def test_closed_forms_at_an_overflowing_delay(tau):
+    """Where 2 pi m tau overflows a float, exact_centroid returns its
+    tau = 1e305 value, the lobes-only centroid, and exact_spectrum raises the
+    ConfigError naming interferometer that scenario_field raises."""
+    sc = load_scenario(CONFIGS / "bench.json").scenario
+    beta = math.radians(-40.0)
+    big = replace(sc, tau_ps=tau)
+    assert exact_centroid(big, beta) == exact_centroid(replace(sc, tau_ps=1e305), beta)
+    with pytest.raises(ConfigError, match="interferometer") as from_field:
+        scenario_field(big)
+    with pytest.raises(ConfigError, match="interferometer") as from_exact:
+        exact_spectrum(big, beta)
+    assert str(from_exact.value) == str(from_field.value)

@@ -11,6 +11,7 @@ what best_usable picks over per-point snr_db values.
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -487,6 +488,47 @@ def test_gamma_is_the_exact_overlap_at_equal_widths():
         assert kernel.gamma == _exact_terms(sc)[-1], sc.t1_c
         t1 = sc.t2_c + rng.uniform(-50.0, 50.0)
         assert kernel.at_temperature(t1).gamma == _exact_terms(replace(sc, t1_c=t1))[-1], t1
+
+
+def test_gamma_is_the_exact_overlap_at_unequal_widths():
+    """At unequal widths too the kernel's gamma is the G of _exact_terms bit
+    for bit, for its own t1 and at_temperature's. 200 bench.json scenarios:
+    B2/B1 in [0.6, 1.4], efficiencies in [0.05, 1] and dt in [-50, 50] degC."""
+    base = load_scenario(CONFIGS / "bench.json").scenario
+    rng = np.random.default_rng(26)
+    b1 = base.fbg1.bandwidth_b_thz
+    for _ in range(200):
+        fbg1 = replace(base.fbg1, reflect_efficiency=rng.uniform(0.05, 1.0))
+        fbg2 = replace(base.fbg2, bandwidth_b_thz=b1 * rng.uniform(0.6, 1.4),
+                       reflect_efficiency=rng.uniform(0.05, 1.0))
+        sc = replace(base, fbg1=fbg1, fbg2=fbg2, t1_c=base.t2_c + rng.uniform(-50.0, 50.0),
+                     grid=GridSettings(n_points=401, span_factor=20.0))
+        kernel = SweepKernel(sc)
+        assert kernel.gamma == _exact_terms(sc)[-1], sc.t1_c
+        t1 = sc.t2_c + rng.uniform(-50.0, 50.0)
+        assert kernel.at_temperature(t1).gamma == _exact_terms(replace(sc, t1_c=t1))[-1], t1
+
+
+def test_arms_that_do_not_overlap_give_a_its_gamma_zero_limit(tmp_path):
+    """With fbg2 at 1650 nm on a 30 THz grid the lobes' overlap underflows to
+    0; sweep-temp and sweep-beta still exit 0 and every a_effective is
+    cos(2 beta), with numpy overflow and invalid operations raised as errors."""
+    doc = _bench_doc()
+    doc["fbg2"]["center_nm"] = 1650.0
+    doc["grid"] = {"span_thz": 30.0}
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps(doc))
+    assert _exact_terms(load_scenario(cfg).scenario)[-1] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep-temp", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+        assert main(["sweep-beta", "--config", str(cfg), "--step", "5",
+                     "--out", str(tmp_path / "b")]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "b" / "sweep_beta.csv").read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == inclusive_range(-90.0, 0.0, 5.0)
+    for beta_deg, _, a, *_ in rows:
+        assert a == _fmt(math.cos(2.0 * math.radians(float(beta_deg)))), beta_deg
 
 
 def test_cli_sweep_temp_equals_sweep_temperature(tmp_path):
