@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from . import __version__
-from .config import angle, count, finite, listed, parse_scenario, read_config, sweep
+from .config import SWEEP_KEYS, angle, count, finite, listed, parse_scenario, read_config, sweep
 from .errors import (
     ConfigError,
     DegenerateFitError,
@@ -38,8 +38,8 @@ from .errors import (
 from .fbg import centroid_shift_model, fit_sensitivity
 from .osa import best_usable
 from .scenario import Scenario, SweepKernel, sweep_temperature
-from .spectral import (MAX_RANGE_POINTS, SWEEP_KEYS, VALUE_FORMAT, Spectrum, inclusive_range,
-                       read_csv_rows, trapezoid_power, write_rows, write_spectrum_csv)
+from .spectral import (MAX_RANGE_POINTS, VALUE_FORMAT, Spectrum, inclusive_range, read_csv_rows,
+                       trapezoid_power, write_rows, write_spectrum_csv)
 from .wva import amplification_factor
 
 

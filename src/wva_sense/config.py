@@ -17,8 +17,8 @@ from .errors import ConfigError
 from .fbg import FbgParams, SideLobe, bandwidth_b_from_fwhm_nm
 from .osa import OsaParams
 from .scenario import FilterSettings, GridSettings, Scenario, SourceParams
-from .spectral import (SPEED_OF_LIGHT_NM_THZ, SWEEP_KEYS, UnitContext, check_sweep,
-                       frequency_to_wavelength, wavelength_to_frequency)
+from .spectral import (SPEED_OF_LIGHT_NM_THZ, UnitContext, frequency_to_wavelength,
+                       inclusive_range, wavelength_to_frequency)
 from .wva import pulse_bandwidth
 
 
@@ -81,13 +81,22 @@ def listed(value: Any, where: str, empty: bool = False) -> list:
     return value
 
 
+SWEEP_KEYS = ("beta_min_deg", "beta_max_deg", "step_deg")  # a beta sweep: first, last, step
+
+
 def sweep(lo: float, hi: float, step: float, names: Sequence[str]) -> int:
-    """The beta sweep rule, spectral.check_sweep, naming the field that breaks
-    it; returns the sweep's number of points."""
+    """The beta sweep rule over finite bounds: step > 0, hi > lo, and at most
+    MAX_RANGE_POINTS points as inclusive_range counts them. Returns the number
+    of points; a ConfigError names the field that breaks the rule by `names`,
+    the SWEEP_KEYS as they entered."""
+    if not step > 0:
+        raise ConfigError(f"{names[2]}: must be > 0, got {step!r}")
+    if not hi > lo:
+        raise ConfigError(f"{names[1]} must exceed {names[0]}")
     try:
-        return check_sweep(lo, hi, step, names)
+        return len(inclusive_range(lo, hi, step))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{names[2]}: {exc}") from None
 
 
 def _number(section: Mapping[str, Any], key: str, path: str, default=None) -> float:

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .errors import ConfigError, DetectionLimitedError, SingularPostSelectionError
-from .spectral import FrequencyGrid, UnitContext, check_sweep, inclusive_range
+from .spectral import FrequencyGrid, UnitContext, inclusive_range
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -89,6 +89,12 @@ def rbw_kernel(p: OsaParams, units: UnitContext, grid: FrequencyGrid) -> np.ndar
     return kernel
 
 
+def _draws_noise(p: OsaParams) -> bool:
+    """True when the OSA adds noise to a trace: measure_samples draws it, and
+    SweepKernel.peak_bound must bound it."""
+    return p.noise_floor > 0.0 or p.rel_noise > 0.0
+
+
 def stream_normals(p: OsaParams, stream: int, n: int) -> np.ndarray:
     """The n standard normals of noise sub-stream `stream` of p.seed."""
     return np.random.Generator(np.random.PCG64(sub_seed(p.seed, stream))).standard_normal(n)
@@ -100,7 +106,7 @@ def measure_samples(
     """Measured samples: convolution with `kernel` (from rbw_kernel), seeded
     noise on sub-stream `stream` of p.seed, clamp at zero."""
     samples = np.convolve(samples, kernel, mode="same")
-    if p.noise_floor > 0.0 or p.rel_noise > 0.0:
+    if _draws_noise(p):
         noise = stream_normals(p, stream, samples.size)
         noise *= p.noise_sigma(samples)
         noise += samples
@@ -110,13 +116,13 @@ def measure_samples(
 
 def snr_db(peak: float, p: OsaParams) -> float:
     """Peak SNR (dB) of a trace whose largest sample is `peak`, against the
-    noise sigma at the peak. Zero noise gives +inf, the distinguished
-    noise-free value, and a zero peak against noise gives -inf."""
+    noise sigma at the peak. A zero peak (no light) gives -inf whatever the
+    noise; otherwise zero noise gives +inf, the distinguished noise-free value."""
+    if peak <= 0.0:
+        return -math.inf
     sigma = p.noise_sigma(peak)
     if sigma == 0.0:
         return math.inf
-    if peak <= 0.0:
-        return -math.inf
     return 10.0 * math.log10(peak / sigma)
 
 
@@ -199,13 +205,14 @@ def max_usable_amplification(
     floor in the full scan too, where best_usable skips it.
 
     When no angle clears the floor every angle is screened or measured, as
-    in a full scan, and DetectionLimitedError is raised.
+    in a full scan, and DetectionLimitedError is raised. The angles are
+    inclusive_range(beta_min_deg, beta_max_deg, step_deg), whose ValueError
+    passes through.
     """
     from .scenario import SweepKernel
 
     if not math.isfinite(snr_min_db):
         raise ValueError("snr_min_db must be finite")
-    check_sweep(beta_min_deg, beta_max_deg, step_deg)
     betas = [math.radians(b) for b in inclusive_range(beta_min_deg, beta_max_deg, step_deg)]
     kernel = SweepKernel(sc)
     candidates = []

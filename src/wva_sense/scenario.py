@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, NoSignalError, SingularPostSelectionError
 from .fbg import FbgParams, bragg_center, check_width, reflect
-from .osa import OsaParams, measure_samples, rbw_kernel, snr_db, stream_normals
+from .osa import OsaParams, _draws_noise, measure_samples, rbw_kernel, snr_db, stream_normals
 from .spectral import (
     MAX_RANGE_POINTS,
     FrequencyGrid,
@@ -399,7 +399,7 @@ class SweepKernel:
 
     def snr_db(self, peak: float) -> float:
         """Peak SNR (dB) of a measured trace whose largest sample is `peak`;
-        +inf with a noise-free OSA."""
+        -inf at a zero peak, else +inf with a noise-free OSA."""
         return snr_db(peak, self.sc.osa)
 
     def peak(self, beta_rad: float, stream: int) -> float:
@@ -418,14 +418,13 @@ class SweepKernel:
         the rounding. The bound holds because sigma is OsaParams.noise_sigma,
         the rule measure_samples draws the noise with.
         """
+        p = self.sc.osa
+        if not _draws_noise(p):
+            return math.inf
         raw = self.raw(beta_rad)
         s = float(np.max(raw)) * (1.0 + 1e-9)
-        p = self.sc.osa
-        sigma = p.noise_sigma(s)
-        if sigma == 0.0:
-            return math.inf
         z = float(np.max(stream_normals(p, stream, raw.size)))
-        return (s + sigma * max(0.0, z)) * (1.0 + 1e-9)
+        return (s + p.noise_sigma(s) * max(0.0, z)) * (1.0 + 1e-9)
 
     def reference(self) -> float:
         """Filtered centroid (THz) at beta = -90 deg on noise stream 0."""

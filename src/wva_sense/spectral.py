@@ -24,8 +24,6 @@ SPEED_OF_LIGHT_NM_THZ = 299792.458
 # Most points a range may expand to; checked before anything is allocated.
 MAX_RANGE_POINTS = 10**6
 
-SWEEP_KEYS = ("beta_min_deg", "beta_max_deg", "step_deg")  # a beta sweep: first, last, step
-
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -81,20 +79,6 @@ def inclusive_range(start: float, stop: float, step: float) -> list[float]:
     if not count < MAX_RANGE_POINTS:
         raise ValueError(f"range exceeds {MAX_RANGE_POINTS} points")
     return [start + k * step for k in range(int(count) + 1)]
-
-
-def check_sweep(lo: float, hi: float, step: float, names: Sequence[str] = SWEEP_KEYS) -> int:
-    """The sweep rule: ValueError naming the field unless step > 0, hi > lo
-    and inclusive_range(lo, hi, step) has at most MAX_RANGE_POINTS points;
-    returns that number of points."""
-    if not step > 0:
-        raise ValueError(f"{names[2]}: must be > 0, got {step!r}")
-    if not hi > lo:
-        raise ValueError(f"{names[1]} must exceed {names[0]}")
-    count = (hi - lo) / step + 1e-9
-    if not count < MAX_RANGE_POINTS:
-        raise ValueError(f"{names[2]}: range exceeds {MAX_RANGE_POINTS} points")
-    return int(count) + 1
 
 
 def records_equal(self, other) -> bool:

@@ -175,6 +175,12 @@ class TestSnrEstimate:
     def test_zero_peak_against_noise_reports_minus_infinite(self):
         assert snr_db(0.0, w.OsaParams(noise_floor=1.0)) == -math.inf
 
+    @pytest.mark.parametrize("osa", [w.OsaParams(), w.OsaParams(rel_noise=0.01)],
+                             ids=["noise_free", "relative_only"])
+    def test_zero_peak_reports_minus_infinite_whatever_the_noise(self, osa):
+        """No light is never usable, also where sigma at the peak is 0."""
+        assert snr_db(0.0, osa) == -math.inf
+
     def test_rel_noise_quadrature(self):
         g = w.FrequencyGrid(193.29, 1.0, 101)
         s = w.Spectrum(grid=g, samples=np.full(101, 100.0))

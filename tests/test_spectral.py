@@ -75,14 +75,14 @@ class TestInclusiveRange:
 
 
 def test_check_sweep_counts_the_points_of_inclusive_range():
-    """check_sweep returns the number of points inclusive_range builds,
+    """config.sweep returns the number of points inclusive_range builds,
     including ranges whose stop lies within the 1e-9-step tolerance."""
     rng = np.random.default_rng(23)
     cases = [(-90.0, 0.0, 0.01), (-1.0, 1.0, 0.1), (0.0, 0.199, 0.001), (-90.0, 0.0, 7.0)]
     cases += [(lo, lo + float(rng.uniform(1e-3, 90.0)), float(rng.choice([0.5, 0.05, 0.3])))
               for lo in rng.uniform(-90.0, 0.0, 200).tolist()]
     for lo, hi, step in cases:
-        assert w.spectral.check_sweep(lo, hi, step) == len(
+        assert w.config.sweep(lo, hi, step, w.config.SWEEP_KEYS) == len(
             w.spectral.inclusive_range(lo, hi, step)), (lo, hi, step)
 
 

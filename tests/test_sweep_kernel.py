@@ -359,6 +359,48 @@ def test_peak_bound_is_at_least_the_measured_peak(monkeypatch):
         assert kernel.peak_bound(math.radians(-40.0), 1) == math.inf
 
 
+def _no_light(osa: dict):
+    """bench.json with source.amplitude 1e-170, whose square underflows, so no
+    light reaches the OSA, read through `osa`."""
+    doc = json.loads((CONFIGS / "bench.json").read_text())
+    doc["source"]["amplitude"] = 1e-170
+    doc["osa"] = osa
+    return parse_scenario(doc).scenario
+
+
+@pytest.mark.parametrize("osa", [{"rbw_nm": 0.01, "noise_floor": 0, "rel_noise": 0.01},
+                                 {"rbw_nm": 0.01}], ids=["relative_noise", "noise_free"])
+def test_max_usable_finds_no_usable_angle_without_light(osa):
+    """No light is never a usable angle: with relative-only noise and with a
+    noise-free OSA the search raises DetectionLimitedError, and no SNR on the
+    way divides 0 by 0."""
+    sc = _no_light(osa)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DetectionLimitedError):
+            max_usable_amplification(sc, 20.0, step_deg=1.0)
+
+
+def test_peak_bound_without_light_under_relative_noise_is_zero():
+    """Relative-only noise on no light draws sigma 0 at every sample: the bound
+    is the dark peak, 0.0, not the noise-free +inf."""
+    kernel = SweepKernel(_no_light({"rbw_nm": 0.01, "noise_floor": 0, "rel_noise": 0.01}))
+    assert kernel.peak_bound(math.radians(-41.0), 1) == 0.0
+    assert kernel.snr_db(0.0) == -math.inf
+
+
+def test_max_usable_over_one_angle_measures_that_angle():
+    """beta_min_deg == beta_max_deg is a one-angle search: its result is that
+    angle's A and the SNR the full scan measures there on stream 1."""
+    sc = replace(load_scenario(CONFIGS / "bench.json").scenario, t1_c=31.0)
+    kernel = SweepKernel(sc)
+    beta = math.radians(-40.0)
+    result = max_usable_amplification(sc, 10.0, beta_min_deg=-40.0, beta_max_deg=-40.0,
+                                      step_deg=1.0)
+    assert result == UsableAmplification(beta, kernel.amplification(beta),
+                                         kernel.snr_db(kernel.peak(beta, 1)))
+
+
 def test_point_matches_the_pipeline_formulas():
     """One angle recomputed step by step, independently of the package's
     array functions: post-select, RBW convolution, seeded noise, windowed
