@@ -115,15 +115,21 @@ def measure_samples(
 
 
 def snr_db(peak: float, p: OsaParams) -> float:
-    """Peak SNR (dB) of a trace whose largest sample is `peak`, against the
-    noise sigma at the peak. A zero peak (no light) gives -inf whatever the
-    noise; otherwise zero noise gives +inf, the distinguished noise-free value."""
+    """Peak SNR (dB) of a trace whose largest sample is `peak`: -inf at a zero
+    peak (no light) whatever the noise, else +inf, the distinguished
+    noise-free value, when the OSA draws no noise. Otherwise it is the noise
+    sigma rule divided by the peak: 10 log10(peak / floor) without relative
+    noise (-inf where that quotient underflows to 0), else -10 log10(hypot(
+    floor / peak, rel_noise)), so that a subnormal peak never meets a sigma
+    of 0. Non-decreasing in the peak."""
     if peak <= 0.0:
         return -math.inf
-    sigma = p.noise_sigma(peak)
-    if sigma == 0.0:
+    if not _draws_noise(p):
         return math.inf
-    return 10.0 * math.log10(peak / sigma)
+    if p.rel_noise == 0.0:
+        ratio = peak / p.noise_floor
+        return 10.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
+    return -10.0 * math.log10(math.hypot(p.noise_floor / peak, p.rel_noise))
 
 
 @dataclass(frozen=True)
@@ -199,8 +205,8 @@ def max_usable_amplification(
     draw, without the RBW convolution. When the SNR of that bound is below
     the floor by more than the float rounding of snr_db, the angle is
     screened: it is skipped as unusable, without a measurement. This changes
-    nothing. snr_db is non-decreasing in the peak, with rel_noise too (peak /
-    hypot(floor, rel_noise * peak) rises with the peak for rel_noise < 1),
+    nothing. snr_db is non-decreasing in the peak, with rel_noise too (floor
+    / peak, and so hypot(floor / peak, rel_noise), falls as the peak rises),
     so the measured SNR is at most the bound's and the angle fails the
     floor in the full scan too, where best_usable skips it.
 

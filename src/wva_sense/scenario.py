@@ -55,7 +55,8 @@ class SourceParams:
         if self.nu0_thz <= 0:
             raise ValueError("source nu0_thz must be > 0")
         check_width("b_thz", self.b_thz)
-        # The documented input range: amplitude**4 is finite.
+        # The documented input range: amplitude**4 is finite, so the closed
+        # forms' sqrt(p1 * p2), with each p_k ~ amplitude**2, is too.
         squared = self.amplitude * self.amplitude
         if not math.isfinite(squared * squared):
             raise ValueError("amplitude squared overflows a float or its square does, "
@@ -162,14 +163,6 @@ def scenario_centers(sc: Scenario) -> tuple[float, float]:
     return c1, c2
 
 
-def _check_on_grid(g: FrequencyGrid, name: str, center: float, t_c: float) -> None:
-    if not g.lo <= center <= g.hi:
-        raise ConfigError(
-            f"{name} Bragg center at {t_c:g} degC ({center:.9g} THz) lies outside "
-            f"the grid [{g.lo:.9g}, {g.hi:.9g}] THz"
-        )
-
-
 def _check_phase(sc: Scenario, g: FrequencyGrid) -> None:
     """Raise ConfigError naming interferometer where the y-arm phase
     2 pi nu tau + delta overflows a float at the grid's top node."""
@@ -178,24 +171,29 @@ def _check_phase(sc: Scenario, g: FrequencyGrid) -> None:
                           f"the grid, tau_ps={sc.tau_ps!r}, delta_rad={sc.delta_rad!r}")
 
 
-def _arm(sc: Scenario, f: FbgParams, center: float, g: FrequencyGrid) -> np.ndarray:
-    """Real field amplitude of one arm: the square root of the grating's
-    reflected power spectrum, halved by the 45-degree pre-selection."""
-    scale = sc.source.amplitude**2 / 2.0
-    return np.sqrt(scale * reflect(f, sc.source.b_thz, sc.source.nu0_thz, center, g).samples)
+def _arm(sc: Scenario, name: str, center: float, g: FrequencyGrid) -> np.ndarray:
+    """Real field amplitude of the arm of grating `name` (fbg1 at t1, fbg2 at
+    t2) centered at `center`: the square root of its reflected power spectrum,
+    halved by the 45-degree pre-selection. Raises ConfigError naming the
+    grating where `reflect` refuses a center off the grid."""
+    f, t_c = (sc.fbg1, sc.t1_c) if name == "fbg1" else (sc.fbg2, sc.t2_c)
+    try:
+        power = reflect(f, sc.source.b_thz, sc.source.nu0_thz, center, g)
+    except ValueError:
+        raise ConfigError(f"{name} Bragg center at {t_c:g} degC ({center:.9g} THz) lies "
+                          f"outside the grid [{g.lo:.9g}, {g.hi:.9g}] THz") from None
+    return np.sqrt(sc.source.amplitude**2 / 2.0 * power.samples)
 
 
 def scenario_field(sc: Scenario) -> PolarizedFieldSpectrum:
     """Recombined field: each arm is the square root of its grating's
     reflected power spectrum (halved by the 45-degree pre-selection), with
     the delay/birefringence phase on the y arm; raises _check_phase's
-    ConfigError."""
+    ConfigError, then _arm's for fbg1 and for fbg2."""
     g = scenario_grid(sc)
     _check_phase(sc, g)
     c1, c2 = scenario_centers(sc)
-    _check_on_grid(g, "fbg1", c1, sc.t1_c)
-    _check_on_grid(g, "fbg2", c2, sc.t2_c)
-    return two_arm_field(g, _arm(sc, sc.fbg1, c1, g), _arm(sc, sc.fbg2, c2, g),
+    return two_arm_field(g, _arm(sc, "fbg1", c1, g), _arm(sc, "fbg2", c2, g),
                          sc.tau_ps, sc.delta_rad)
 
 
@@ -365,8 +363,7 @@ class SweepKernel:
         kernel = copy.copy(self)
         kernel.sc = sc = replace(self.sc, t1_c=t1_c)
         c1, c2 = scenario_centers(sc)
-        _check_on_grid(self.grid, "fbg1", c1, t1_c)
-        kernel.field = replace(self.field, ex=_arm(sc, sc.fbg1, c1, self.grid))
+        kernel.field = replace(self.field, ex=_arm(sc, "fbg1", c1, self.grid))
         kernel._place(c1, c2)
         return kernel
 

@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import math
+import os
 import re
 import time
 from dataclasses import replace
@@ -988,6 +990,27 @@ def test_bragg_center_off_grid_message(tmp_path, capsys, argv, doc, t_c):
     assert not out.exists()
 
 
+def _fbg2_off_grid():
+    # fbg2 at 1560 nm, 2 THz of grid centered on fbg1's 1551 nm at t2 = 20 degC.
+    doc = _bench_with("fbg2", "center_nm", 1560.0)
+    doc["grid"] = {"center_thz": 299792.458 / 1551, "span_thz": 2.0}
+    return doc
+
+
+@pytest.mark.parametrize("command", ["sweep-temp", "sweep-beta", "dump-spectrum"])
+def test_reference_grating_off_grid_message(tmp_path, capsys, command):
+    """With only the reference grating off the grid, each config command exits
+    2 naming fbg2 at t2, its center and the grid, and makes no output
+    directory."""
+    out = tmp_path / "run"
+    assert main([command, "--config", write_config(tmp_path, _fbg2_off_grid()),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: fbg2 Bragg center at 20 degC (192.174653 THz) lies outside the grid "
+        "[192.289786, 194.289786] THz\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,doc,code", [
     # t2_ref_c = 20, so dt = 3000 puts the sensing grating's Bragg center off the grid.
     (["sweep-temp", "--dt", "0,3000"], None, 2),
@@ -1040,6 +1063,23 @@ def test_failed_run_removes_the_parents_it_made(tmp_path, monkeypatch):
     assert exit_code(argv) == 3
     assert [p.name for p in tmp_path.iterdir()] == ["n1"]
     assert not any((tmp_path / "n1").iterdir())
+
+
+@pytest.mark.parametrize("named", [True, False], ids=["file", "no_file"])
+def test_write_error_after_the_stage_exits_2(tmp_path, capsys, monkeypatch, named):
+    """An OSError while a runner writes into its stage exits 2 naming the file
+    where it would sit in --out (or --out itself when the error names no
+    file), and removes the stage and the --out directory the run made."""
+    def no_space(path, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), *([str(path)] if named else []))
+
+    monkeypatch.setattr(cli, "write_rows", no_space)
+    out = tmp_path / "out"
+    assert main(["theory-lines", "--a", "1", "--kappa", "1", "--out", str(out)]) == 2
+    where = out / "theory_lines.csv" if named else out
+    assert capsys.readouterr().err == f"error: {where}: cannot write: No space left on device\n"
+    assert not out.exists()
+    assert not list(tmp_path.rglob(".wva-sense-*"))
 
 
 @pytest.mark.parametrize("entry", ["main", "replay"])

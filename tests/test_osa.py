@@ -196,6 +196,38 @@ class TestSnrEstimate:
         both = w.OsaParams(noise_floor=3.0 * peak, rel_noise=0.04)
         assert both.noise_sigma(100.0 * peak) == pytest.approx(5.0 * peak, rel=1e-15)
 
+    @pytest.mark.parametrize("floor,rel", [(0.0, 0.01), (0.0, 0.3), (1e-300, 0.01),
+                                           (1e-6, 0.05), (1e-6, 0.0)])
+    def test_snr_never_falls_as_the_peak_rises(self, floor, rel):
+        """max_usable_amplification's screen holds only if snr_db is
+        non-decreasing in the peak. Peaks: the first 3000 subnormals, 20001
+        log-spaced from 1e-323 to 1e300, and runs of 2000 consecutive floats
+        from 2^-1000, 2^-20, 1 and 2^20, where rounding steps show."""
+        ulps = np.arange(2000) * 2.0**-52
+        peaks = np.unique(np.concatenate([
+            np.arange(1, 3001) * 5e-324, np.logspace(-323, 300, 20001),
+            *(2.0**k * (1.0 + ulps) for k in (-1000, -20, 0, 20))]))
+        p = w.OsaParams(noise_floor=floor, rel_noise=rel)
+        snr = np.array([snr_db(float(peak), p) for peak in peaks])
+        falls = np.flatnonzero(snr[1:] < snr[:-1])
+        assert falls.size == 0, [(peaks[i], snr[i], peaks[i + 1], snr[i + 1]) for i in falls[:3]]
+
+    @pytest.mark.parametrize("rel", [0.01, 0.1, 0.3])
+    @pytest.mark.parametrize("peak", [5e-324, 2.4e-322, 7.4e-322, 1e-310, 1e-300, 1.0, 1e300])
+    def test_rel_only_snr_is_exact_at_every_positive_peak(self, peak, rel):
+        """Without a floor the SNR is -10 log10(rel_noise) exactly, also where
+        rel_noise * peak underflows to 0."""
+        assert snr_db(peak, w.OsaParams(rel_noise=rel)) == -10.0 * math.log10(rel)
+
+    def test_floor_only_snr_where_the_quotient_underflows_is_minus_infinite(self):
+        """peak / floor underflows to 0 at the smallest subnormal over a floor of
+        10, which reads -inf; elsewhere the floor-only rule is
+        10 log10(peak / floor) bit for bit."""
+        p = w.OsaParams(noise_floor=10.0)
+        assert snr_db(5e-324, p) == -math.inf
+        for peak in (1e-300, 0.5, 1e300):
+            assert snr_db(peak, p) == 10.0 * math.log10(peak / 10.0)
+
     def test_floor_only_sigma_is_the_floor(self):
         p = w.OsaParams(noise_floor=0.25)
         assert p.noise_sigma(np.array([0.0, 1.0, 1e300])) == 0.25

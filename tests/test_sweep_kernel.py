@@ -573,6 +573,28 @@ def test_arms_that_do_not_overlap_give_a_its_gamma_zero_limit(tmp_path):
         assert a == _fmt(math.cos(2.0 * math.radians(float(beta_deg)))), beta_deg
 
 
+def test_coarse_grid_searches_the_whole_grid_for_the_filter_center(tmp_path):
+    """On bench.json with 8 grid points the spacing, 0.356 THz, exceeds the
+    search window around the Bragg centers, so no node lies inside it: the
+    filter center is searched over the whole grid, and sweep-beta, sweep-temp
+    and dump-spectrum exit 0 with numpy overflow and invalid operations
+    raised as errors."""
+    doc = _bench_doc()
+    doc["grid"] = {"n_points": 8}
+    cfg = tmp_path / "coarse.json"
+    cfg.write_text(json.dumps(doc))
+    sc = replace(load_scenario(cfg).scenario, t1_c=31.0)
+    kernel = SweepKernel(sc)
+    assert kernel.grid.spacing > 2 * kernel.search_width
+    assert kernel.window == slice(0, 8)
+    assert kernel.at_temperature(20.0).window == slice(0, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for argv in (["sweep-beta", "--step", "5"], ["sweep-temp"], ["dump-spectrum"]):
+            assert main([argv[0], "--config", str(cfg), *argv[1:],
+                         "--out", str(tmp_path / argv[0])]) == 0, argv
+
+
 def test_cli_sweep_temp_equals_sweep_temperature(tmp_path):
     cfg = CONFIGS / "bench.json"
     run = tmp_path / "run"
