@@ -26,7 +26,8 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from . import __version__
-from .config import SWEEP_KEYS, angle, count, finite, listed, parse_scenario, read_config, sweep
+from .config import (SWEEP_KEYS, _is, angle, count, finite, listed, parse_scenario, read_config,
+                     sweep)
 from .errors import (
     ConfigError,
     DegenerateFitError,
@@ -237,15 +238,6 @@ def _list_of(rule: Callable[[Any, str], Any], empty: bool = False):
 
 def _or_null(rule: Callable[[Any, str], Any]):
     return lambda value, where: None if value is None else rule(value, where)
-
-
-def _is(ok: Callable[[Any], bool], expected: str):
-    """The rule for the values `ok` accepts."""
-    def rule(value, where):
-        if not ok(value):
-            raise ConfigError(f"{where}: expected {expected}, got {value!r:.80}")
-        return value
-    return rule
 
 
 def _config(value, where: str):

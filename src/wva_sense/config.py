@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .errors import ConfigError
 from .fbg import FbgParams, SideLobe, bandwidth_b_from_fwhm_nm
@@ -35,14 +35,25 @@ def _section(doc: Mapping[str, Any], path: str, required: bool = True):
         if required:
             raise ConfigError(f"missing required section {path!r}")
         return None
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{path}: expected an object")
-    return value
+    return _object(value, path)
 
 
 # One rule per kind of input value: each returns the value checked (a number
 # as a float) or raises ConfigError naming `where`. The CLI applies the same
 # rules to its flags and to the `resolved` inputs of a replayed manifest.
+
+
+def _is(ok: Callable[[Any], bool], expected: str):
+    """The rule for the values `ok` accepts, each returned unchanged; any
+    other raises `<where>: expected <expected>, got <value>`."""
+    def rule(value, where):
+        if not ok(value):
+            raise ConfigError(f"{where}: expected {expected}, got {value!r:.80}")
+        return value
+    return rule
+
+
+_object = _is(lambda v: isinstance(v, Mapping), "an object")
 
 
 def finite(value: Any, where: str) -> float:
@@ -68,17 +79,14 @@ def angle(value: Any, where: str) -> float:
 
 def count(value: Any, where: str) -> int:
     """A non-negative integer, not a boolean."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"{where}: expected a non-negative integer, got {value!r:.80}")
-    return value
+    return _is(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+               "a non-negative integer")(value, where)
 
 
 def listed(value: Any, where: str, empty: bool = False) -> list:
     """A list, non-empty unless `empty`; the caller checks its items."""
-    if not isinstance(value, list) or not (value or empty):
-        raise ConfigError(f"{where}: expected a {'' if empty else 'non-empty '}list, "
-                          f"got {value!r:.80}")
-    return value
+    return _is(lambda v: isinstance(v, list) and bool(v or empty),
+               f"a {'' if empty else 'non-empty '}list")(value, where)
 
 
 SWEEP_KEYS = ("beta_min_deg", "beta_max_deg", "step_deg")  # a beta sweep: first, last, step
@@ -213,8 +221,7 @@ def _parse_settings(cls, section: Mapping[str, Any], path: str):
     for key, value in kwargs.items():
         default = defaults[key]
         if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{path}.{key}: expected true/false")
+            _is(lambda v: isinstance(v, bool), "true/false")(value, f"{path}.{key}")
         elif isinstance(default, int):
             count(value, f"{path}.{key}")
         else:
@@ -260,8 +267,7 @@ class LoadedScenario:
 
 def parse_scenario(doc: Mapping[str, Any]) -> LoadedScenario:
     """Validate a scenario document; raises ConfigError with field paths."""
-    if not isinstance(doc, Mapping):
-        raise ConfigError("config root: expected an object")
+    _object(doc, "config root")
     _check_keys(
         doc,
         {"reference_wavelength_nm", "source", "fbg1", "fbg2", "interferometer",

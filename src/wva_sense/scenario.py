@@ -25,6 +25,7 @@ from .spectral import (
     MAX_RANGE_POINTS,
     FrequencyGrid,
     UnitContext,
+    _last_digit,
     power_centroid,
     super_gaussian_filter,
     trapezoid_power,
@@ -140,6 +141,9 @@ class Scenario:
 
 
 def scenario_grid(sc: Scenario) -> FrequencyGrid:
+    """The scenario's grid; ConfigError names `grid` where it is invalid, or
+    its spacing is no wider than the last digit a spectrum CSV writes at its
+    top node, where written nodes would not be distinct and ascending."""
     center = sc.grid.center_thz
     if center is None:
         center = (sc.fbg1.center_ref_thz + sc.fbg2.center_ref_thz) / 2
@@ -147,9 +151,14 @@ def scenario_grid(sc: Scenario) -> FrequencyGrid:
     if span is None:
         span = sc.grid.span_factor * max(sc.fbg1.fwhm_thz, sc.fbg2.fwhm_thz)
     try:
-        return FrequencyGrid(center, span, sc.grid.n_points)
+        g = FrequencyGrid(center, span, sc.grid.n_points)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from None
+    unit = _last_digit(g.hi)
+    if not g.spacing > unit:
+        raise ConfigError(f"grid: a spacing of {g.spacing!r} THz is not above {unit:g} THz, "
+                          f"the last digit a spectrum CSV writes at {g.hi:.9g} THz")
+    return g
 
 
 def scenario_centers(sc: Scenario) -> tuple[float, float]:
@@ -467,13 +476,17 @@ def sweep_temperature(
     """(dt, result) at t1 = t2 + dt for each dt in order, sharing one
     reference; point i draws OSA noise stream i+1.
 
-    One SweepKernel serves the sweep: the reference is measured at the
-    scenario's own t1 on stream 0, and each dt runs on that kernel's
-    at_temperature kernel, built by the process that measures the point
-    (see _fan_out) and dropped after it. Entry i equals
+    One SweepKernel serves the sweep: it is built at t2 + dt_list[0], the
+    first temperature the sweep measures, and measures the reference on
+    stream 0, so no temperature outside dt_list is read; each dt runs on its
+    at_temperature kernel, built by the process that measures the point (see
+    _fan_out) and dropped after it. Entry i equals
     SweepKernel(replace(sc, t1_c=t2 + dt)).point(sc.beta_rad, i + 1, reference).
+    An empty dt_list yields nothing and builds no kernel.
     """
-    base = SweepKernel(sc)
+    if len(dt_list) == 0:
+        return
+    base = SweepKernel(replace(sc, t1_c=sc.t2_c + dt_list[0]))
     ref = base.reference()
 
     def measure(i: int) -> InterrogationResult:

@@ -223,6 +223,12 @@ _VALUE_DIGITS = 12  # significant digits; read_spectrum_csv's tolerance relies o
 VALUE_FORMAT = f"%.{_VALUE_DIGITS}g"
 
 
+def _last_digit(x: float) -> float:
+    """One unit in the last digit VALUE_FORMAT writes of x, nonzero and
+    finite; no value of smaller magnitude is written more coarsely."""
+    return 10.0 ** (math.floor(math.log10(abs(x))) + 1 - _VALUE_DIGITS)
+
+
 def write_rows(path, header: Sequence[str], rows, footer: Sequence[str] = (),
                newline: str = "\n") -> None:
     """Write a CSV: header, row tuples with every value as VALUE_FORMAT, footer; each
@@ -329,8 +335,8 @@ def read_spectrum_csv(path) -> Spectrum:
     # Uniform to two units in the last written digit of the largest frequency:
     # rounding both ends moves a spacing by at most one unit, and the mean,
     # (last - first) / (n - 1), by at most 1/(n - 1) of a unit more.
-    digit = math.floor(math.log10(max(abs(freqs[0]), abs(freqs[-1])))) + 1 - _VALUE_DIGITS
-    if abs(spacings[worst] - mean_spacing) > 2.0 * 10.0**digit:
+    unit = _last_digit(max(abs(freqs[0]), abs(freqs[-1])))
+    if abs(spacings[worst] - mean_spacing) > 2.0 * unit:
         raise SpectrumFormatError(
             f"{path}: line {lines[worst + 1]}: non-uniform frequency spacing "
             f"({spacings[worst]:.12g} vs mean {mean_spacing:.12g})"

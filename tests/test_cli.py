@@ -1388,3 +1388,65 @@ def test_failed_write_names_the_file_in_out(tmp_path, capsys):
     assert capsys.readouterr().err == (f"error: {out / 'theory_lines.csv'}: column shift_nm: "
                                        "value inf is not finite\n")
     assert not out.exists()
+
+
+_GRID_CASES = [  # (span_thz, rbw_nm) on bench.json's 4001 points
+    (5e-324, 0.01),  # the spacing is 0
+    (1e-320, 0.01), (1e-15, 0.01), (1e-11, 0.01), (1e-6, 0.01),
+    (1e-6, 0.0),  # wrote 4001 equal frequencies
+    (4e-6, 0.0),  # a spacing just below 1e-9 THz
+]
+
+
+@pytest.mark.parametrize("argv", [["dump-spectrum"], ["sweep-temp"],
+                                  ["sweep-beta", "--step", "5"]], ids=lambda a: a[0])
+@pytest.mark.parametrize("span,rbw", _GRID_CASES)
+def test_grid_finer_than_the_csv_exits_2(tmp_path, capsys, argv, span, rbw):
+    """A spacing no wider than the last digit a spectrum CSV writes at the top
+    node (1e-9 THz near 193 THz) exits 2 naming grid, before the RBW kernel."""
+    doc = _bench_with("osa", "rbw_nm", rbw)
+    doc["grid"] = {"span_thz": span}
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", write_config(tmp_path, doc), *argv[1:],
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid: a spacing of ") and "1e-09 THz" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_finest_accepted_grid_dumps_a_readable_spectrum(tmp_path):
+    """The next span above the refused 4e-6 THz gives 4001 distinct written
+    frequencies, which read_spectrum_csv reads back as the grid."""
+    from wva_sense import read_spectrum_csv
+    doc = _bench_with("osa", "rbw_nm", 0.0)
+    doc["grid"] = {"span_thz": math.nextafter(4e-6, 1.0)}
+    out = tmp_path / "out"
+    assert main(["dump-spectrum", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    grid = read_spectrum_csv(out / "spectrum.csv").grid
+    assert grid.n_points == 4001
+    assert grid.spacing == pytest.approx(1e-9, rel=1e-3)
+
+
+@pytest.mark.parametrize("entry", ["main", "replay"])
+def test_sweep_temp_reads_no_temperature_outside_its_plan(tmp_path, capsys, entry):
+    """A config temperature that --dt (or resolved.dt_list_c) replaces is never
+    measured, so one off the grid does not stop the sweep."""
+    doc = _bench_with("temperatures", "t1_list_c", [3000, 20])
+    out = tmp_path / "out"
+    if entry == "main":
+        assert main(["sweep-temp", "--config", write_config(tmp_path, doc), "--dt", "0,1",
+                     "--out", str(out)]) == 0
+    else:
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": "sweep-temp", "seed": None, "resolved": {
+            "config": doc, "dt_list_c": [0.0, 1.0], "beta_deg": None}}))
+        replay_manifest(path, out)
+    _, rows = read_rows(out / "sweep_temp.csv")
+    assert [r[0] for r in rows] == [0.0, 1.0]
+    # The plan's own first temperature is 20 degC: the same rows.
+    same = tmp_path / "same"
+    assert main(["sweep-temp", "--config", write_config(tmp_path, _bench_with(
+        "temperatures", "t1_list_c", [20, 21])), "--dt", "0,1", "--out", str(same)]) == 0
+    assert (out / "sweep_temp.csv").read_bytes() == (same / "sweep_temp.csv").read_bytes()

@@ -249,3 +249,35 @@ class TestLoadScenario:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_scenario(tmp_path / "nope.json")
+
+
+class TestOneMessageRule:
+    """Every rule that returns its value unchanged raises through config._is:
+    `<where>: expected <what>, got <value>`, the value's repr cut at 80."""
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d.update(source=[1549.0]), "source: expected an object, got [1549.0]"),
+        (lambda d: d["fbg1"].update(side_lobe="wide"),
+         "fbg1.side_lobe: expected an object, got 'wide'"),
+        (lambda d: d["filter"].update(enabled=1), "filter.enabled: expected true/false, got 1"),
+        (lambda d: d["filter"].update(enabled="yes"),
+         "filter.enabled: expected true/false, got 'yes'"),
+    ], ids=["section", "side_lobe", "bool_int", "bool_text"])
+    def test_field_message_names_the_value(self, edit, message):
+        doc = base_doc()
+        edit(doc)
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("doc,got", [
+        ([1, 2], "[1, 2]"), ("x" * 200, repr("x" * 200)[:80]), (None, "None"),
+    ], ids=["list", "long_text", "null"])
+    def test_root_message_names_the_value(self, doc, got):
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(doc)
+        assert str(info.value) == f"config root: expected an object, got {got}"
+
+    def test_the_cli_uses_the_config_rule_builder(self):
+        from wva_sense import cli, config
+        assert cli._is is config._is

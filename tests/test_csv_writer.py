@@ -135,3 +135,15 @@ def test_finite_arrays_match_references(tmp_path, table):
         reference_spectrum(tmp_path / "ref.csv", header, rows)
         write_rows(tmp_path / "out.csv", header, zip(*table.T), newline="\r\n")
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_non_finite_value_in_a_later_chunk_removes_the_file(tmp_path):
+    """write_rows' own cleanup: a NaN in row 4097, the first of the second
+    chunk, raises after the first chunk is written, and no file is left."""
+    rows = [(-40.0, 0.99, 7.1)] * 4097
+    rows[4096] = (-40.0, math.nan, 7.1)
+    path = tmp_path / "out.csv"
+    with pytest.raises(NumericalError, match=r"out\.csv: column g: value nan "):
+        write_rows(path, TABLE_HEADER, rows)
+    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []
