@@ -87,6 +87,11 @@ def bragg_center(
     return f.center_ref_thz + units.nm_shift_to_frequency(f.kappa_nm_per_c) * (t_c - t_ref_c)
 
 
+def _lobe_peak(f: FbgParams, source_b_thz: float, source_nu0_thz: float, c: float) -> float:
+    """Main-lobe peak at center c: the efficiency times the source power envelope at c."""
+    return f.reflect_efficiency * math.exp(-((c - source_nu0_thz) ** 2) / source_b_thz**2)
+
+
 def reflect(
     f: FbgParams,
     source_b_thz: float,
@@ -94,21 +99,16 @@ def reflect(
     center_thz: float,
     g: FrequencyGrid,
 ) -> Spectrum:
-    """Reflected power spectrum of the grating on the grid.
-
-    Main lobe: Gaussian with power 1/e half-width bandwidth_b, peak scaled by
-    reflect_efficiency and by the source power envelope evaluated at the lobe
-    center. The optional side lobe adds a satellite Gaussian at
-    center + offset with the given peak amplitude relative to the main lobe.
-    """
+    """Reflected power spectrum on the grid: a Gaussian main lobe of power 1/e
+    half-width bandwidth_b and peak _lobe_peak, plus the optional side lobe, a
+    satellite Gaussian at center + offset with a peak relative to the main's."""
     if not g.lo <= center_thz <= g.hi:
         raise ValueError(
             f"Bragg center {center_thz} THz lies outside grid "
             f"[{g.lo}, {g.hi}] THz"
         )
     nu = g.frequencies()
-    source_weight = math.exp(-((center_thz - source_nu0_thz) ** 2) / source_b_thz**2)
-    peak = f.reflect_efficiency * source_weight
+    peak = _lobe_peak(f, source_b_thz, source_nu0_thz, center_thz)
     # At ~1e154 widths from a lobe its exponent overflows to -inf; exp gives the exact 0.
     with np.errstate(over="ignore"):
         samples = peak * np.exp(-((nu - center_thz) ** 2) / f.bandwidth_b_thz**2)

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, NoSignalError, SingularPostSelectionError
-from .fbg import FbgParams, bragg_center, check_width, reflect
+from .fbg import FbgParams, _lobe_peak, bragg_center, check_width, reflect
 from .osa import OsaParams, _draws_noise, measure_samples, rbw_kernel, snr_db, stream_normals
 from .spectral import (
     MAX_RANGE_POINTS,
@@ -57,7 +57,7 @@ class SourceParams:
             raise ValueError("source nu0_thz must be > 0")
         check_width("b_thz", self.b_thz)
         # The documented input range: amplitude**4 is finite, so the closed
-        # forms' sqrt(p1 * p2), with each p_k ~ amplitude**2, is too.
+        # forms' sqrt(p1 * p2) is too: each p_k of _lobes is at most amplitude**2 / 2.
         squared = self.amplitude * self.amplitude
         if not math.isfinite(squared * squared):
             raise ValueError("amplitude squared overflows a float or its square does, "
@@ -182,9 +182,9 @@ def _check_phase(sc: Scenario, g: FrequencyGrid) -> None:
 
 def _arm(sc: Scenario, name: str, center: float, g: FrequencyGrid) -> np.ndarray:
     """Real field amplitude of the arm of grating `name` (fbg1 at t1, fbg2 at
-    t2) centered at `center`: the square root of its reflected power spectrum,
-    halved by the 45-degree pre-selection. Raises ConfigError naming the
-    grating where `reflect` refuses a center off the grid."""
+    t2) centered at `center`: sqrt(E0^2/2 times `reflect`'s spectrum), the /2
+    for the 45-degree pre-selection, so the main-lobe peak power is _lobes' p_k.
+    Raises ConfigError naming the grating where `reflect` refuses a center off the grid."""
     f, t_c = (sc.fbg1, sc.t1_c) if name == "fbg1" else (sc.fbg2, sc.t2_c)
     try:
         power = reflect(f, sc.source.b_thz, sc.source.nu0_thz, center, g)
@@ -212,22 +212,24 @@ def _overlap(sc: Scenario, c1: float, c2: float) -> float:
     return math.exp(-((c1 - c2) ** 2) / (2.0 * s2))
 
 
+def _lobes(sc: Scenario) -> tuple[tuple[float, float, float], ...]:
+    """((p1, c1, B1), (p2, c2, B2)): each main lobe's power, E0^2/2 times the
+    peak `reflect` gives it (fbg._lobe_peak), its Bragg center and 1/e half-width."""
+    s = sc.source
+    return tuple((s.amplitude**2 / 2.0 * _lobe_peak(f, s.b_thz, s.nu0_thz, c), c, f.bandwidth_b_thz)
+                 for f, c in zip((sc.fbg1, sc.fbg2), scenario_centers(sc)))
+
+
 def _exact_terms(sc: Scenario) -> tuple[float, ...]:
     """(p1, p2, c1, c2, B1, B2, W2, m, G) of the closed form: lobe k is
-    p_k exp[-(nu - c_k)^2 / B_k^2], with p_k = E0^2/2 times the efficiency
-    and source weight, as in `reflect`, and the cross lobe sqrt(lobe1 lobe2)
-    is G exp[-(nu - m)^2 / W2]. Raises ValueError for a side lobe: its arm
-    sqrt(main + side) has no Gaussian cross term."""
+    p_k exp[-(nu - c_k)^2 / B_k^2] with _lobes' (p_k, c_k, B_k), and the cross
+    lobe sqrt(lobe1 lobe2) is G exp[-(nu - m)^2 / W2]. Raises ValueError for
+    a side lobe: its arm sqrt(main + side) has no Gaussian cross term."""
     for name, f in (("fbg1", sc.fbg1), ("fbg2", sc.fbg2)):
         if f.side_lobe is not None:
             raise ValueError(f"{name} has a side lobe: the exact closed form "
                              "covers Gaussian lobes only")
-    src = sc.source
-    c1, c2 = scenario_centers(sc)
-    p1, p2 = (src.amplitude**2 / 2.0 * f.reflect_efficiency
-              * math.exp(-((c - src.nu0_thz) ** 2) / src.b_thz**2)
-              for f, c in ((sc.fbg1, c1), (sc.fbg2, c2)))
-    b1, b2 = sc.fbg1.bandwidth_b_thz, sc.fbg2.bandwidth_b_thz
+    (p1, c1, b1), (p2, c2, b2) = _lobes(sc)
     s2 = b1**2 + b2**2
     # 1/W2 = 1/(2 B1^2) + 1/(2 B2^2), which is B1^2 bit for bit at equal
     # widths; m relative to c2, as the weighted mean loses ~10 bits at 200 THz.
@@ -306,8 +308,10 @@ class InterrogationResult:
     power of the ideal post-selected spectrum, before the OSA, and `snr_db`
     the peak SNR of the measured trace (+inf with a noise-free OSA). The
     centroid is that of the filtered trace, and its shift is referenced to
-    `reference_thz`; `a_effective` is the closed-form A at beta_rad, whose
-    gamma is the lobes' overlap G of the closed form at any two widths."""
+    `reference_thz`. `a_effective` is the matched-lobe A at beta_rad,
+    cos 2beta / (1 + gamma sin 2beta cos delta), evaluated with the kernel's
+    gamma, the lobes' overlap G of the closed form at any two widths. (A+1)/2
+    is the small-signal slope only for identical gratings."""
 
     beta_rad: float
     raw_power: float

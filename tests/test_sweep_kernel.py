@@ -38,7 +38,14 @@ from wva_sense.scenario import (
     scenario_field,
     sweep_temperature,
 )
-from wva_sense.spectral import Spectrum, inclusive_range, trapezoid_power, write_spectrum_csv
+from wva_sense.fbg import reflect
+from wva_sense.spectral import (
+    FrequencyGrid,
+    Spectrum,
+    inclusive_range,
+    trapezoid_power,
+    write_spectrum_csv,
+)
 from wva_sense.wva import amplification_factor, overlap_gamma, projected_power
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -549,6 +556,29 @@ def test_gamma_is_the_exact_overlap_at_unequal_widths():
         assert kernel.gamma == _exact_terms(sc)[-1], sc.t1_c
         t1 = sc.t2_c + rng.uniform(-50.0, 50.0)
         assert kernel.at_temperature(t1).gamma == _exact_terms(replace(sc, t1_c=t1))[-1], t1
+
+
+def test_closed_form_lobe_power_is_the_measured_arms():
+    """Each closed-form p_k is E0^2/2 times the sample `reflect` gives at a
+    grid node on that grating's Bragg center, where the lobe's Gaussian factor
+    is exactly 1, bit for bit. 200 bench.json scenarios: amplitude in [0.5, 2],
+    efficiencies in [0.05, 1] and dt in [-50, 50] degC."""
+    base = load_scenario(CONFIGS / "bench.json").scenario
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        fbg1, fbg2 = (replace(f, reflect_efficiency=rng.uniform(0.05, 1.0))
+                      for f in (base.fbg1, base.fbg2))
+        src = replace(base.source, amplitude=rng.uniform(0.5, 2.0))
+        sc = replace(base, source=src, fbg1=fbg1, fbg2=fbg2,
+                     t1_c=base.t2_c + rng.uniform(-50.0, 50.0))
+        p1, p2 = _exact_terms(sc)[:2]
+        for p, f, c in zip((p1, p2), (fbg1, fbg2), scenario_centers(sc)):
+            # c + 0.5 and its difference with 0.5 are exact near 193 THz, so the
+            # grid's first node is c itself.
+            grid = FrequencyGrid(c + 0.5, 1.0, 11)
+            assert grid.frequencies()[0] == c
+            peak = reflect(f, src.b_thz, src.nu0_thz, c, grid).samples[0]
+            assert p == src.amplitude**2 / 2.0 * peak, (src.amplitude, f, sc.t1_c)
 
 
 def test_arms_that_do_not_overlap_give_a_its_gamma_zero_limit(tmp_path):
