@@ -90,8 +90,7 @@ def rbw_kernel(p: OsaParams, units: UnitContext, grid: FrequencyGrid) -> np.ndar
 
 
 def _draws_noise(p: OsaParams) -> bool:
-    """True when the OSA adds noise to a trace: measure_samples draws it, and
-    SweepKernel.peak_bound must bound it."""
+    """True when measure_samples draws noise, which peak_bound must bound."""
     return p.noise_floor > 0.0 or p.rel_noise > 0.0
 
 
@@ -112,6 +111,24 @@ def measure_samples(
         noise += samples
         samples = np.clip(noise, 0.0, None, out=noise)
     return samples
+
+
+def peak_bound(samples: np.ndarray, p: OsaParams, stream: int) -> float:
+    """Upper bound, without the convolution, on the largest sample of
+    measure_samples(samples, kernel, p, stream) for any rbw_kernel; +inf,
+    drawing nothing, when noise-free. With m = max(samples), no convolved
+    sample exceeds S = m * (1 + 1e-9) + min(m, n * ulp(0)): the taps, at most
+    the n <= 1e6 grid points, are non-negative and sum to 1 within n * eps,
+    and under 2 * m / ulp(0) of them round an underflowing product up, each
+    by at most ulp(0) / 2. noise_sigma, measure_samples' rule, rises with the
+    sample, so sigma(S) and the stream's own normals bound the draw; the clip
+    at zero raises no value, and a final 1e-9 covers the rounding."""
+    if not _draws_noise(p):
+        return math.inf
+    m = float(np.max(samples))
+    s = m * (1.0 + 1e-9) + min(m, samples.size * math.ulp(0.0))
+    z = float(np.max(stream_normals(p, stream, samples.size)))
+    return (s + p.noise_sigma(s) * max(0.0, z)) * (1.0 + 1e-9)
 
 
 def snr_db(peak: float, p: OsaParams) -> float:
@@ -200,9 +217,9 @@ def max_usable_amplification(
     noise stream i+1 from its sweep index, so every SNR measured is the full
     scan's value, bit for bit.
 
-    Before an angle is measured, SweepKernel.peak_bound gives an upper bound
-    on its measured peak from the ideal samples and the angle's own noise
-    draw, without the RBW convolution. When the SNR of that bound is below
+    Before an angle is measured, peak_bound gives an upper bound on its
+    measured peak from the ideal samples and the angle's own noise draw,
+    without the RBW convolution. When the SNR of that bound is below
     the floor by more than the float rounding of snr_db, the angle is
     screened: it is skipped as unusable, without a measurement. This changes
     nothing. snr_db is non-decreasing in the peak, with rel_noise too (floor
@@ -213,7 +230,8 @@ def max_usable_amplification(
     When no angle clears the floor every angle is screened or measured, as
     in a full scan, and DetectionLimitedError is raised. The angles are
     inclusive_range(beta_min_deg, beta_max_deg, step_deg), whose ValueError
-    passes through.
+    passes through. Under a noise floor a trace with no light reads the
+    floor's own maximum, so noise alone can meet an snr_min_db below about 8 dB.
     """
     from .scenario import SweepKernel
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, NoSignalError, SingularPostSelectionError
 from .fbg import FbgParams, _lobe_peak, bragg_center, check_width, reflect
-from .osa import OsaParams, _draws_noise, measure_samples, rbw_kernel, snr_db, stream_normals
+from .osa import OsaParams, measure_samples, peak_bound, rbw_kernel, snr_db
 from .spectral import (
     MAX_RANGE_POINTS,
     FrequencyGrid,
@@ -417,24 +417,8 @@ class SweepKernel:
         return float(np.max(self.measure(self.raw(beta_rad), stream)))
 
     def peak_bound(self, beta_rad: float, stream: int) -> float:
-        """An upper bound on peak(beta_rad, stream) without the convolution;
-        +inf, drawing nothing, when the OSA adds no noise.
-
-        The RBW taps are non-negative and sum to 1 within n * eps, so no
-        convolved sample exceeds S = max(raw) * (1 + 1e-9): a kernel has at
-        most the grid's 1e6 taps. The noise scale rises with the sample, so
-        sigma at S bounds every sample's, and the stream's own normals bound
-        the draw; the clip at zero never raises a value. A final 1e-9 covers
-        the rounding. The bound holds because sigma is OsaParams.noise_sigma,
-        the rule measure_samples draws the noise with.
-        """
-        p = self.sc.osa
-        if not _draws_noise(p):
-            return math.inf
-        raw = self.raw(beta_rad)
-        s = float(np.max(raw)) * (1.0 + 1e-9)
-        z = float(np.max(stream_normals(p, stream, raw.size)))
-        return (s + p.noise_sigma(s) * max(0.0, z)) * (1.0 + 1e-9)
+        """osa.peak_bound of raw(beta_rad): at least peak(beta_rad, stream)."""
+        return peak_bound(self.raw(beta_rad), self.sc.osa, stream)
 
     def reference(self) -> float:
         """Filtered centroid (THz) at beta = -90 deg on noise stream 0."""

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,8 +14,8 @@ import pytest
 
 from wva_sense import cli
 from wva_sense.cli import main, parse_calibration_csv, replay_manifest, run_theory_lines
-from wva_sense.config import load_scenario
-from wva_sense.errors import ConfigError
+from wva_sense.config import load_scenario, parse_scenario
+from wva_sense.errors import ConfigError, WvaSenseError
 from wva_sense.fbg import fit_sensitivity
 from wva_sense.osa import max_usable_amplification
 from wva_sense.scenario import scenario_grid
@@ -928,6 +929,49 @@ def test_every_numeric_config_leaf_scaled(tmp_path, capsys):
                     samples = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
                     if not np.all(np.isfinite(samples)):
                         failures.append(f"{where}: non-finite spectrum")
+    assert failures == []
+
+
+def test_every_numeric_config_leaf_scaled_through_the_sweeps_and_the_search(tmp_path, capsys):
+    # The leaves of test_every_numeric_config_leaf_scaled, scaled the same way,
+    # through sweep-beta with an SNR floor, sweep-temp and, where the document
+    # parses, max_usable_amplification: each run exits 0, 2, 3 or 4, or the
+    # search raises a WvaSenseError, never with a traceback or a numpy warning.
+    out = tmp_path / "out"
+    sweep_beta = ["sweep-beta", "--step", "45", "--snr-min", "5"]
+    sweep_temp = ["sweep-temp", "--dt", "0,1"]
+    runs = {
+        "bench.json": [sweep_beta, sweep_temp],
+        "bench_sidelobe.json": [[*sweep_beta, "--beta-min", "-90", "--beta-max", "0"], sweep_temp],
+    }
+    failures = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name, argvs in runs.items():
+            bench = json.loads((CONFIGS / name).read_text())
+            for path, value in _numeric_leaves(bench):
+                for factor in (1e160, 1e300, 1e-300):
+                    doc = json.loads(json.dumps(bench))
+                    node = doc
+                    for key in path[:-1]:
+                        node = node[key]
+                    node[path[-1]] = value * factor
+                    cfg = write_config(tmp_path, doc)
+                    where = f"{name}: " + ".".join(map(str, path)) + f" x{factor:g}"
+                    for argv in argvs:
+                        try:
+                            code = exit_code([*argv, "--config", cfg, "--out", str(out)])
+                        except Exception as exc:  # reported below with the leaf that raised it
+                            code = f"{type(exc).__name__}: {exc}"
+                        err = capsys.readouterr().err
+                        if code not in (0, 2, 3, 4) or "Traceback" in err:
+                            failures.append(f"{where}: {argv[0]}: {code} {err.strip()}")
+                    try:
+                        max_usable_amplification(parse_scenario(doc).scenario, 5.0, step_deg=1.0)
+                    except WvaSenseError:
+                        pass
+                    except Exception as exc:  # reported below with the leaf that raised it
+                        failures.append(f"{where}: max_usable: {type(exc).__name__}: {exc}")
     assert failures == []
 
 

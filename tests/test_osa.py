@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import wva_sense as w
 from wva_sense.errors import ConfigError, DetectionLimitedError
-from wva_sense.osa import measure_samples, rbw_kernel, snr_db, sub_seed
+from wva_sense.osa import measure_samples, peak_bound, rbw_kernel, snr_db, sub_seed
 from wva_sense.scenario import SweepKernel
 from wva_sense.spectral import trapezoid_power
 
@@ -151,6 +152,50 @@ class TestMeasureSamples:
             w.OsaParams(rel_noise=1.0)
         with pytest.raises(ValueError):
             w.OsaParams(noise_floor=-1.0)
+
+
+class TestPeakBound:
+    def test_bounds_the_measured_peak_of_any_non_negative_samples(self):
+        """Seeded draws of grid size, span, RBW, sample shape and scale (1e-320
+        to 1e300), floor and relative noise: peak_bound is never below the
+        measured peak, and numpy does not warn. Flat subnormal samples under
+        a wide kernel are where underflowing products round the convolution
+        above max(samples)."""
+        rng = np.random.default_rng(32)
+        shapes = {
+            "uniform": lambda n: rng.random(n),
+            "spike": lambda n: np.eye(1, n, int(rng.integers(n)))[0],
+            "zeros": np.zeros,
+            "flat": np.ones,
+            "sparse": lambda n: np.where(rng.random(n) < 0.05, rng.random(n), 0.0),
+        }
+        violations, draws = [], 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for _ in range(3000):
+                n = int(rng.choice([3, 5, 11, 101, 401, 4001]))
+                grid = w.FrequencyGrid(193.29, float(10.0 ** rng.uniform(-3.0, 1.0)), n)
+                p = w.OsaParams(
+                    rbw_nm=float(rng.choice([0.0, 0.001, 0.01, 0.05, 0.3])),
+                    noise_floor=(0.0 if rng.random() < 0.3
+                                 else float(10.0 ** rng.uniform(-300.0, 150.0))),
+                    rel_noise=0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 0.99)),
+                    seed=int(rng.integers(2**32)),
+                )
+                try:
+                    taps = rbw_kernel(p, w.UnitContext(), grid)
+                except w.ConfigError:
+                    continue
+                scale = float(rng.choice([1e-320, 1e300, 10.0 ** rng.uniform(-320.0, 300.0)]))
+                shape = str(rng.choice(list(shapes)))
+                samples = shapes[shape](n) * scale
+                stream = int(rng.integers(2**31))
+                draws += 1
+                peak = float(np.max(measure_samples(samples, taps, p, stream)))
+                if not peak_bound(samples, p, stream) >= peak:
+                    violations.append((shape, scale, n, taps.size, p, stream))
+        assert draws >= 2000
+        assert violations == []
 
 
 class TestSnrEstimate:

@@ -360,7 +360,7 @@ def test_peak_bound_is_at_least_the_measured_peak(monkeypatch):
     def no_draw(p, stream, n):
         raise AssertionError("a noise-free bound drew noise")
 
-    monkeypatch.setattr(scenario, "stream_normals", no_draw)
+    monkeypatch.setattr("wva_sense.osa.stream_normals", no_draw)
     for osa in (OsaParams(), OsaParams(rbw_nm=0.05, seed=3)):
         kernel = SweepKernel(replace(base, osa=osa))
         assert kernel.peak_bound(math.radians(-40.0), 1) == math.inf
