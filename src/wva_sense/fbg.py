@@ -89,7 +89,10 @@ def bragg_center(
 
 def _lobe_peak(f: FbgParams, source_b_thz: float, source_nu0_thz: float, c: float) -> float:
     """Main-lobe peak at center c: the efficiency times the source power envelope at c."""
-    return f.reflect_efficiency * math.exp(-((c - source_nu0_thz) ** 2) / source_b_thz**2)
+    try:
+        return f.reflect_efficiency * math.exp(-((c - source_nu0_thz) ** 2) / source_b_thz**2)
+    except OverflowError:  # the square overflows: the envelope's exact limit, exp(-inf)
+        return 0.0
 
 
 def reflect(

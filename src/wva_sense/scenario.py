@@ -206,18 +206,15 @@ def scenario_field(sc: Scenario) -> PolarizedFieldSpectrum:
                          sc.tau_ps, sc.delta_rad)
 
 
-def _overlap(sc: Scenario, c1: float, c2: float) -> float:
-    """G = exp(-(c1 - c2)^2 / (2 (B1^2 + B2^2))), the lobes' overlap gamma."""
-    s2 = sc.fbg1.bandwidth_b_thz**2 + sc.fbg2.bandwidth_b_thz**2
-    return math.exp(-((c1 - c2) ** 2) / (2.0 * s2))
-
-
-def _lobes(sc: Scenario) -> tuple[tuple[float, float, float], ...]:
-    """((p1, c1, B1), (p2, c2, B2)): each main lobe's power, E0^2/2 times the
-    peak `reflect` gives it (fbg._lobe_peak), its Bragg center and 1/e half-width."""
+def _lobes(sc: Scenario) -> tuple[tuple[float, float, float], tuple[float, float, float], float]:
+    """((p1, c1, B1), (p2, c2, B2), G): each main lobe's power, E0^2/2 times the
+    peak `reflect` gives it (fbg._lobe_peak), its Bragg center and 1/e half-width,
+    and their overlap G = exp(-(c1 - c2)^2 / (2 (B1^2 + B2^2))), the kernel's gamma."""
     s = sc.source
-    return tuple((s.amplitude**2 / 2.0 * _lobe_peak(f, s.b_thz, s.nu0_thz, c), c, f.bandwidth_b_thz)
-                 for f, c in zip((sc.fbg1, sc.fbg2), scenario_centers(sc)))
+    lobe1, lobe2 = ((s.amplitude**2 / 2.0 * _lobe_peak(f, s.b_thz, s.nu0_thz, c), c,
+                     f.bandwidth_b_thz) for f, c in zip((sc.fbg1, sc.fbg2), scenario_centers(sc)))
+    (_, c1, b1), (_, c2, b2) = lobe1, lobe2
+    return lobe1, lobe2, math.exp(-((c1 - c2) ** 2) / (2.0 * (b1**2 + b2**2)))
 
 
 def _exact_terms(sc: Scenario) -> tuple[float, ...]:
@@ -229,12 +226,11 @@ def _exact_terms(sc: Scenario) -> tuple[float, ...]:
         if f.side_lobe is not None:
             raise ValueError(f"{name} has a side lobe: the exact closed form "
                              "covers Gaussian lobes only")
-    (p1, c1, b1), (p2, c2, b2) = _lobes(sc)
+    (p1, c1, b1), (p2, c2, b2), g = _lobes(sc)
     s2 = b1**2 + b2**2
     # 1/W2 = 1/(2 B1^2) + 1/(2 B2^2), which is B1^2 bit for bit at equal
     # widths; m relative to c2, as the weighted mean loses ~10 bits at 200 THz.
-    return (p1, p2, c1, c2, b1, b2, b1**2 * (2.0 * b2**2 / s2),
-            c2 + (c1 - c2) * b2**2 / s2, _overlap(sc, c1, c2))
+    return p1, p2, c1, c2, b1, b2, b1**2 * (2.0 * b2**2 / s2), c2 + (c1 - c2) * b2**2 / s2, g
 
 
 def exact_spectrum(sc: Scenario, beta_rad: float) -> np.ndarray:
@@ -333,7 +329,7 @@ class SweepKernel:
     of a sweep on stream i+1. `at_temperature` gives the kernel at another
     t1, sharing every part that does not depend on t1.
 
-    Filter search window: the predicted Bragg centers widened by search_width,
+    Filter search window: _lobes' Bragg centers widened by search_width,
     the wider grating's bandwidth, or the whole grid if no node falls inside.
     Half-width: half_width_thz, or half_width_factor times that bandwidth.
     """
@@ -354,10 +350,12 @@ class SweepKernel:
                               f"the {grid.spacing:.9g} THz grid spacing")
         self.half_width = half_width
         self.rbw = rbw_kernel(sc.osa, sc.units, grid)
-        self._place(*scenario_centers(sc))
+        self._place()
 
-    def _place(self, c1: float, c2: float) -> None:
-        """Set the filter search window and gamma for Bragg centers c1, c2."""
+    def _place(self) -> None:
+        """Set gamma, the overlap G of _lobes(self.sc), and the filter search
+        window, the nodes between its lobes' centers widened by search_width."""
+        (_, c1, _), (_, c2, _), overlap = _lobes(self.sc)
         w = self.search_width
         # nu ascends, so the nodes inside the window are one slice.
         start = int(np.searchsorted(self.nu, min(c1, c2) - w, side="left"))
@@ -366,7 +364,7 @@ class SweepKernel:
         # Floored at the smallest float, so that arms that do not overlap give
         # A its gamma -> 0 limit, cos(2 beta), bit for bit: below 2^-53 the
         # denominator 1 + gamma sin(2 beta) cos(delta) rounds to 1.
-        self.gamma = max(_overlap(self.sc, c1, c2), math.ulp(0.0))
+        self.gamma = max(overlap, math.ulp(0.0))
 
     def at_temperature(self, t1_c: float) -> SweepKernel:
         """This kernel's scenario at t1 = t1_c, as a new kernel: it shares the
@@ -375,9 +373,8 @@ class SweepKernel:
         Bragg center leaves the grid."""
         kernel = copy.copy(self)
         kernel.sc = sc = replace(self.sc, t1_c=t1_c)
-        c1, c2 = scenario_centers(sc)
-        kernel.field = replace(self.field, ex=_arm(sc, "fbg1", c1, self.grid))
-        kernel._place(c1, c2)
+        kernel.field = replace(self.field, ex=_arm(sc, "fbg1", scenario_centers(sc)[0], self.grid))
+        kernel._place()
         return kernel
 
     def raw(self, beta_rad: float) -> np.ndarray:

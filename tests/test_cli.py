@@ -1055,6 +1055,30 @@ def test_reference_grating_off_grid_message(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def _huge_grid():
+    # fbg1 at t1 = -9e162 degC lies near 1e160 THz, on a grid around it; its
+    # source weight's (c - nu0) ** 2 overflows, and fbg2 at t2 is off the grid.
+    doc = _bench_with("grid", "center_thz", 1e160)
+    doc["grid"]["span_thz"] = 1e159
+    doc["temperatures"] = {"t2_ref_c": 20.0, "t1_list_c": [-9e162, -8.9e162]}
+    return doc
+
+
+@pytest.mark.parametrize("argv", [["sweep-temp"], ["sweep-beta", "--step", "45"],
+                                  ["dump-spectrum"]], ids=["sweep_temp", "sweep_beta", "dump"])
+def test_bragg_center_on_a_huge_grid_exits_2(tmp_path, capsys, argv):
+    """A Bragg center near 1e160 THz on a grid around it exits 2 naming the
+    grating off the grid, not 1 with a traceback, and makes no output
+    directory."""
+    out = tmp_path / "run"
+    assert main([argv[0], "--config", write_config(tmp_path, _huge_grid()), *argv[1:],
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: fbg2 Bragg center at 20 degC (193.289786 THz) lies outside the grid "
+        "[9.5e+159, 1.05e+160] THz\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,doc,code", [
     # t2_ref_c = 20, so dt = 3000 puts the sensing grating's Bragg center off the grid.
     (["sweep-temp", "--dt", "0,3000"], None, 2),

@@ -5,7 +5,7 @@ import pytest
 
 import wva_sense as w
 from wva_sense.errors import DegenerateFitError
-from wva_sense.fbg import bandwidth_b_from_fwhm_nm
+from wva_sense.fbg import _lobe_peak, bandwidth_b_from_fwhm_nm
 
 UNITS = w.UnitContext(reference_wavelength_nm=1551.0)
 NU_1551 = w.wavelength_to_frequency(1551.0)
@@ -70,6 +70,10 @@ class TestReflect:
     def test_center_outside_grid_rejected(self):
         with pytest.raises(ValueError, match="outside grid"):
             w.reflect(fbg(), 0.83, NU_1551, NU_1551 + 100.0, self.GRID)
+
+    def test_lobe_peak_is_zero_where_the_envelope_square_overflows(self):
+        # (c - nu0) ** 2 overflows a float at c - nu0 = 1e160; exp(-inf) is exactly 0.
+        assert _lobe_peak(fbg(), 0.83, NU_1551, NU_1551 + 1e160) == 0.0
 
 
 class TestCentroidShiftModel:

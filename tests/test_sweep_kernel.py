@@ -558,6 +558,29 @@ def test_gamma_is_the_exact_overlap_at_unequal_widths():
         assert kernel.at_temperature(t1).gamma == _exact_terms(replace(sc, t1_c=t1))[-1], t1
 
 
+def test_closed_forms_and_kernel_read_one_overlap(monkeypatch):
+    """_lobes is the one description of the lobe pair: with it patched to
+    report another overlap G, the closed forms' G, the kernel's gamma and
+    at_temperature's gamma are all that G."""
+    lobes = scenario._lobes
+    monkeypatch.setattr(scenario, "_lobes", lambda sc: (*lobes(sc)[:2], 0.25))
+    sc = replace(load_scenario(CONFIGS / "bench.json").scenario, t1_c=31.0)
+    assert lobes(sc)[2] != 0.25
+    assert _exact_terms(sc)[-1] == 0.25
+    kernel = SweepKernel(sc)
+    assert kernel.gamma == 0.25
+    assert kernel.at_temperature(25.0).gamma == 0.25
+
+
+def test_empty_temperature_sweep_builds_no_kernel(monkeypatch):
+    """sweep_temperature over no dt yields nothing and builds no kernel."""
+    def refuse(self, sc):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(SweepKernel, "__init__", refuse)
+    assert list(sweep_temperature(load_scenario(CONFIGS / "bench.json").scenario, [])) == []
+
+
 def test_closed_form_lobe_power_is_the_measured_arms():
     """Each closed-form p_k is E0^2/2 times the sample `reflect` gives at a
     grid node on that grating's Bragg center, where the lobe's Gaussian factor
