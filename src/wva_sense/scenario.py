@@ -25,7 +25,7 @@ from .spectral import (
     MAX_RANGE_POINTS,
     FrequencyGrid,
     UnitContext,
-    _last_digit,
+    last_digit,
     power_centroid,
     super_gaussian_filter,
     trapezoid_power,
@@ -154,7 +154,7 @@ def scenario_grid(sc: Scenario) -> FrequencyGrid:
         g = FrequencyGrid(center, span, sc.grid.n_points)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from None
-    unit = _last_digit(g.hi)
+    unit = last_digit(g.hi)
     if not g.spacing > unit:
         raise ConfigError(f"grid: a spacing of {g.spacing!r} THz is not above {unit:g} THz, "
                           f"the last digit a spectrum CSV writes at {g.hi:.9g} THz")
@@ -172,12 +172,23 @@ def scenario_centers(sc: Scenario) -> tuple[float, float]:
     return c1, c2
 
 
-def _check_phase(sc: Scenario, g: FrequencyGrid) -> None:
-    """Raise ConfigError naming interferometer where the y-arm phase
-    2 pi nu tau + delta overflows a float at the grid's top node."""
-    if not math.isfinite(2.0 * math.pi * g.hi * abs(sc.tau_ps) + abs(sc.delta_rad)):
+def _phase(sc: Scenario) -> tuple[float, float]:
+    """(tau_ps, delta_rad), the y arm's delay and phase relative to x, which the field,
+    the closed forms and A read; ConfigError names interferometer where delta is not finite."""
+    if not math.isfinite(sc.delta_rad):
+        raise ConfigError(f"interferometer: the y-arm phase delta = phi_rad - lcvr_rad is not "
+                          f"finite, phi_rad={sc.phi_rad!r}, lcvr_rad={sc.gamma_lcvr_rad!r}")
+    return sc.tau_ps, sc.delta_rad
+
+
+def _check_phase(sc: Scenario, g: FrequencyGrid) -> tuple[float, float]:
+    """_phase(sc), checked: raise ConfigError naming interferometer where the
+    y-arm phase 2 pi nu tau + delta overflows a float at the grid's top node."""
+    tau, delta = _phase(sc)
+    if not math.isfinite(2.0 * math.pi * g.hi * abs(tau) + abs(delta)):
         raise ConfigError(f"interferometer: the y-arm phase 2 pi nu tau + delta overflows on "
-                          f"the grid, tau_ps={sc.tau_ps!r}, delta_rad={sc.delta_rad!r}")
+                          f"the grid, tau_ps={tau!r}, delta_rad={delta!r}")
+    return tau, delta
 
 
 def _arm(sc: Scenario, name: str, center: float, g: FrequencyGrid) -> np.ndarray:
@@ -200,10 +211,9 @@ def scenario_field(sc: Scenario) -> PolarizedFieldSpectrum:
     the delay/birefringence phase on the y arm; raises _check_phase's
     ConfigError, then _arm's for fbg1 and for fbg2."""
     g = scenario_grid(sc)
-    _check_phase(sc, g)
+    tau, delta = _check_phase(sc, g)
     c1, c2 = scenario_centers(sc)
-    return two_arm_field(g, _arm(sc, "fbg1", c1, g), _arm(sc, "fbg2", c2, g),
-                         sc.tau_ps, sc.delta_rad)
+    return two_arm_field(g, _arm(sc, "fbg1", c1, g), _arm(sc, "fbg2", c2, g), tau, delta)
 
 
 def _lobes(sc: Scenario) -> tuple[tuple[float, float, float], tuple[float, float, float], float]:
@@ -240,13 +250,13 @@ def exact_spectrum(sc: Scenario, beta_rad: float) -> np.ndarray:
     raises scenario_field's ConfigError where the phase overflows."""
     p1, p2, c1, c2, b1, b2, w2, m, g = _exact_terms(sc)
     grid = scenario_grid(sc)
-    _check_phase(sc, grid)
+    tau, delta = _check_phase(sc, grid)
     nu = grid.frequencies()
     c, s = math.cos(beta_rad), math.sin(beta_rad)
     samples = (c * c * p1 * np.exp(-((nu - c1) ** 2) / b1**2)
                + s * s * p2 * np.exp(-((nu - c2) ** 2) / b2**2)
                + 2.0 * c * s * math.sqrt(p1 * p2) * g * np.exp(-((nu - m) ** 2) / w2)
-               * np.cos(2.0 * math.pi * nu * sc.tau_ps + sc.delta_rad))
+               * np.cos(2.0 * math.pi * nu * tau + delta))
     return np.clip(samples, 0.0, None)
 
 
@@ -263,14 +273,14 @@ def exact_centroid(sc: Scenario, beta_rad: float) -> float:
     to 1e-12 of the lobes' (the dark port).
     """
     p1, p2, c1, c2, b1, b2, w2, m, g = _exact_terms(sc)
-    c, s, tau = math.cos(beta_rad), math.sin(beta_rad), sc.tau_ps
+    (tau, delta), c, s = _phase(sc), math.cos(beta_rad), math.sin(beta_rad)
     lobe1 = c * c * p1 * math.sqrt(math.pi) * b1
     lobe2 = s * s * p2 * math.sqrt(math.pi) * b2
     cross = (2.0 * c * s * math.sqrt(p1 * p2) * g
              * math.sqrt(math.pi * w2) * math.exp(-(math.pi * tau) * (math.pi * tau) * w2))
     power, moment = lobe1 + lobe2, lobe1 * (c1 - c2)
     if cross != 0.0:
-        theta = 2.0 * math.pi * m * tau + sc.delta_rad
+        theta = 2.0 * math.pi * m * tau + delta
         power += cross * math.cos(theta)
         moment += cross * ((m - c2) * math.cos(theta) - math.pi * tau * w2 * math.sin(theta))
     if abs(power) <= 1e-12 * (lobe1 + lobe2):
@@ -367,13 +377,17 @@ class SweepKernel:
         self.gamma = max(overlap, math.ulp(0.0))
 
     def at_temperature(self, t1_c: float) -> SweepKernel:
-        """This kernel's scenario at t1 = t1_c, as a new kernel: it shares the
-        grid, RBW kernel, filter half-width and the phased y arm, and rebuilds
-        the x arm, the filter window and gamma. Raises ConfigError when fbg1's
-        Bragg center leaves the grid."""
+        """This kernel's scenario at t1 = t1_c, as a new kernel: it shares the grid,
+        RBW kernel, filter half-width and, while _phase does not move, the phased y
+        arm (else scenario_field builds the field); it rebuilds the x arm, the filter
+        window and gamma. Raises ConfigError when fbg1's Bragg center leaves the grid."""
         kernel = copy.copy(self)
         kernel.sc = sc = replace(self.sc, t1_c=t1_c)
-        kernel.field = replace(self.field, ex=_arm(sc, "fbg1", scenario_centers(sc)[0], self.grid))
+        if _phase(sc) != _phase(self.sc):
+            kernel.field = scenario_field(sc)
+        else:
+            ex = _arm(sc, "fbg1", scenario_centers(sc)[0], self.grid)
+            kernel.field = replace(self.field, ex=ex)
         kernel._place()
         return kernel
 
@@ -402,7 +416,7 @@ class SweepKernel:
         return power_centroid(self.nu, samples, self.grid.spacing)
 
     def amplification(self, beta_rad: float) -> float:
-        return amplification_factor(beta_rad, self.gamma, self.sc.delta_rad)
+        return amplification_factor(beta_rad, self.gamma, _phase(self.sc)[1])
 
     def snr_db(self, peak: float) -> float:
         """Peak SNR (dB) of a measured trace whose largest sample is `peak`;

@@ -1412,6 +1412,29 @@ def test_overflowing_y_arm_phase_exits_2(tmp_path, capsys, interferometer, code)
         assert capsys.readouterr().err.startswith("error: interferometer: the y-arm phase ")
 
 
+def test_overflowing_delta_names_phi_and_lcvr_everywhere(tmp_path, capsys):
+    """phi_rad 1e308 with lcvr_rad -1e308 overflows delta = phi - lcvr to inf:
+    exact_centroid, exact_spectrum, scenario_field and dump-spectrum (exit 2)
+    all give one message, which names the config's keys with their values."""
+    from wva_sense.scenario import exact_centroid, exact_spectrum, scenario_field
+
+    doc = json.loads((CONFIGS / "bench.json").read_text())
+    doc["interferometer"].update({"phi_rad": 1e308, "lcvr_rad": -1e308})
+    cfg = write_config(tmp_path, doc)
+    sc = load_scenario(cfg).scenario
+    message = ("interferometer: the y-arm phase delta = phi_rad - lcvr_rad is not finite, "
+               "phi_rad=1e+308, lcvr_rad=-1e+308")
+    for call in (lambda: exact_centroid(sc, math.radians(-40.0)),
+                 lambda: exact_spectrum(sc, math.radians(-40.0)), lambda: scenario_field(sc)):
+        with pytest.raises(ConfigError) as err:
+            call()
+        assert str(err.value) == message
+    out = tmp_path / "out"
+    assert main(["dump-spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("exponent,code", [(1024, 2), (1023, 0)])
 def test_filter_order_beyond_the_float_range_exits_2(tmp_path, capsys, exponent, code):
     """An order above the largest float exits 2 naming filter and leaves no

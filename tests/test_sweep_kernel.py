@@ -38,7 +38,7 @@ from wva_sense.scenario import (
     scenario_field,
     sweep_temperature,
 )
-from wva_sense.fbg import reflect
+from wva_sense.fbg import fit_sensitivity, reflect
 from wva_sense.spectral import (
     FrequencyGrid,
     Spectrum,
@@ -570,6 +570,82 @@ def test_closed_forms_and_kernel_read_one_overlap(monkeypatch):
     kernel = SweepKernel(sc)
     assert kernel.gamma == 0.25
     assert kernel.at_temperature(25.0).gamma == 0.25
+
+
+def test_closed_forms_and_kernel_read_one_phase(monkeypatch):
+    """_phase is the one owner of the arms' relative phase: with it patched to
+    return (0.2 ps, 0.5 rad), the closed forms, the kernel's field and A, and
+    at_temperature's field equal, bit for bit, those of the scenario that
+    configures that pair."""
+    beta = math.radians(-40.0)
+    sc = load_scenario(CONFIGS / "bench.json").scenario
+    paired = replace(sc, tau_ps=0.2, phi_rad=0.5, gamma_lcvr_rad=0.0)
+
+    def values(s):
+        kernel = SweepKernel(s)
+        return (scenario.exact_spectrum(s, beta), scenario.exact_centroid(s, beta),
+                kernel.raw(beta), kernel.amplification(beta),
+                kernel.at_temperature(31.0).raw(beta))
+
+    expected, unpatched = values(paired), values(sc)
+    monkeypatch.setattr(scenario, "_phase", lambda s: (0.2, 0.5))
+    for got, want, before in zip(values(sc), expected, unpatched, strict=True):
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, before)
+
+
+def _drift(k):
+    """A lead-fibre thermal drift: _phase with k rad/degC of t1 - t2 added to delta."""
+    phase = scenario._phase
+    return lambda s: (phase(s)[0], phase(s)[1] + k * (s.t1_c - s.t2_c))
+
+
+def _group_delay(tau_g):
+    """Equal gratings' reflection group delay tau_g (ps) folded into _phase:
+    delta - 2 pi tau_g (c2 - c1), at the Bragg centers of scenario_centers."""
+    phase = scenario._phase
+
+    def folded(s):
+        c1, c2 = scenario_centers(s)
+        return phase(s)[0], phase(s)[1] - 2.0 * math.pi * tau_g * (c2 - c1)
+
+    return folded
+
+
+def test_at_temperature_rephases_a_pair_that_moves_with_t1(monkeypatch):
+    """With _phase moving with t1, at_temperature builds the y arm anew: its
+    field equals a kernel built at that t1, bit for bit, at every angle."""
+    monkeypatch.setattr(scenario, "_phase", _drift(0.01))
+    sc = load_scenario(CONFIGS / "bench.json").scenario
+    kernel = SweepKernel(sc)
+    for t1 in (17.0, 20.0, 25.5, 31.0):
+        moved = kernel.at_temperature(t1)
+        built = SweepKernel(replace(sc, t1_c=t1))
+        assert moved.amplification(-0.7) == built.amplification(-0.7)
+        for beta_deg in (-90.0, -40.0, -20.0, 0.0):
+            beta = math.radians(beta_deg)
+            assert np.array_equal(moved.raw(beta), built.raw(beta)), (t1, beta_deg)
+
+
+@pytest.mark.parametrize("pair,size,slope,residual_pm", [
+    (_drift, 0.003, 0.029227, 6.6467),
+    (_group_delay, 1.777, 0.051649, 8.9098),
+    (_group_delay, -1.777, 0.017532, 14.049),
+], ids=["drift_3mrad", "group_delay_plus", "group_delay_minus"])
+def test_the_phase_seam_carries_the_drift_tables(monkeypatch, pair, size, slope, residual_pm):
+    """A pair that moves with t1, patched into _phase alone, reaches the fitted
+    noise-free sweep-temp at -40 deg on bench.json over its plan, fitted at
+    0.03439 nm/degC (2.30 pm residual) with the pair fixed: a lead-fibre drift
+    of 3 mrad/degC gives 0.02923 (6.65 pm), and the gratings' group delay of
+    +-1.777 ps gives 0.05165 (8.91 pm) and 0.01753 (14.05 pm)."""
+    loaded = load_scenario(CONFIGS / "bench.json")
+    sc = replace(loaded.scenario, osa=replace(loaded.scenario.osa, noise_floor=0.0),
+                 beta_rad=math.radians(-40.0))
+    monkeypatch.setattr(scenario, "_phase", pair(size))
+    fit = fit_sensitivity([(dt, point.centroid_nm_shift)
+                           for dt, point in sweep_temperature(sc, loaded.dt_list_c)])
+    assert fit.slope_nm_per_c == pytest.approx(slope, rel=1e-4)
+    assert fit.residual_rms_nm * 1e3 == pytest.approx(residual_pm, rel=1e-4)
 
 
 def test_empty_temperature_sweep_builds_no_kernel(monkeypatch):
