@@ -18,6 +18,10 @@ points.
 
 Order: with no noise a point does not depend on its noise stream, so
 permuting the dt list of sweep-temp permutes its rows and changes no byte.
+
+Phase immunity at beta = 0: the projection onto x drops the y arm, so no
+relative phase of the arms, even one that moves with t1, reaches a beta = 0
+reading.
 """
 
 import json
@@ -25,11 +29,14 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from wva_sense import scenario
 from wva_sense.cli import main
 from wva_sense.config import parse_scenario
-from wva_sense.scenario import sweep_temperature
+from wva_sense.fbg import fit_sensitivity
+from wva_sense.scenario import SweepKernel, scenario_centers, sweep_temperature
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SWEEP = ["--beta-min", "-90", "--beta-max", "0", "--step", "2.5"]
@@ -125,3 +132,46 @@ def test_permuting_the_dt_list_permutes_the_sweep_temp_rows(tmp_path):
         rows[dts] = [line for line in lines[1:] if not line.startswith("#")]
     first = rows["0,2,5,11"]
     assert rows["11,5,0,2"] == [first[3], first[2], first[0], first[1]]
+
+
+def _moving_phase(kind, size):
+    """scenario._phase with a relative phase that moves with t1 added to delta:
+    a lead-fibre drift of `size` rad/degC of t1 - t2, or equal gratings' group
+    delay of `size` ps folded in as -2 pi tau_g (c2 - c1)."""
+    phase = scenario._phase
+
+    def moved(s):
+        tau, delta = phase(s)
+        if kind == "drift":
+            return tau, delta + size * (s.t1_c - s.t2_c)
+        c1, c2 = scenario_centers(s)
+        return tau, delta - 2.0 * math.pi * size * (c2 - c1)
+
+    return moved
+
+
+@pytest.mark.parametrize("kind,size", [("drift", 0.001), ("drift", 0.01), ("group_delay", 1.777)])
+def test_beta_zero_is_immune_to_the_arms_phase(monkeypatch, kind, size):
+    """With _phase patched to move with t1, sweep_temperature at beta = 0 on
+    bench.json returns the unpatched run's shifts, raw powers, SNRs and A bit
+    for bit, with the config's noise and with it off. So the noise-off fit
+    reads 0.00900 nm/degC at every k and tau_g, as docs/paper.md says; at
+    -40 deg the patched phase does reach the projected power."""
+    loaded = parse_scenario(json.loads((CONFIGS / "bench.json").read_text()))
+    noisy = replace(loaded.scenario, beta_rad=0.0)
+    quiet = replace(noisy, osa=replace(noisy.osa, noise_floor=0.0))
+
+    def run(sc):
+        return [(dt, p.centroid_nm_shift, p.raw_power, p.snr_db, p.a_effective)
+                for dt, p in sweep_temperature(sc, loaded.dt_list_c)]
+
+    def raw_at_40(sc):
+        return SweepKernel(replace(sc, t1_c=32.0)).raw(math.radians(-40.0))
+
+    before = {"noisy": run(noisy), "quiet": run(quiet), "-40": raw_at_40(quiet)}
+    monkeypatch.setattr(scenario, "_phase", _moving_phase(kind, size))
+    assert run(noisy) == before["noisy"]
+    assert run(quiet) == before["quiet"]
+    assert not np.array_equal(raw_at_40(quiet), before["-40"])
+    fit = fit_sensitivity([(dt, shift) for dt, shift, *_ in before["quiet"]])
+    assert f"{fit.slope_nm_per_c:.5f}" == "0.00900"
