@@ -327,7 +327,10 @@ class TestAmaxCurve:
     # The config's postselect gives beta_deg alone, no sweep spec.
     (["sweep-beta", "--config", str(CONFIGS / "bench_sidelobe.json")],
      "sweep-beta needs --beta-min/--beta-max/--step or a config sweep spec"),
-], ids=["g", "dump_spectra", "no_sweep"])
+    # The sweep rule needs max > min: one angle is no sweep.
+    (["sweep-beta", "--config", str(CONFIGS / "bench.json"), "--beta-min", "-40",
+      "--beta-max", "-40", "--step", "1"], "--beta-max must exceed --beta-min"),
+], ids=["g", "dump_spectra", "no_sweep", "one_angle"])
 def test_input_rule_fails_before_the_run(tmp_path, capsys, argv, named):
     """|g| < 1 and distinct dump file names are input rules: main returns 2
     naming the flag, and no output directory is made."""
@@ -379,6 +382,15 @@ class TestManifestReplay:
         assert (run / "sweep_temp.csv").read_bytes() == (
             replay / "sweep_temp.csv"
         ).read_bytes()
+
+    def test_side_lobe_sweep_temp_replays_byte_identical(self, tmp_path):
+        # The side lobe is the one part of the reflection the closed forms
+        # cannot check.
+        run, replay = tmp_path / "run", tmp_path / "replay"
+        assert main(["sweep-temp", "--config", str(CONFIGS / "bench_sidelobe.json"),
+                     "--out", str(run)]) == 0
+        replay_manifest(run / "manifest.json", replay)
+        assert (run / "sweep_temp.csv").read_bytes() == (replay / "sweep_temp.csv").read_bytes()
 
     def test_seed_override_recorded_and_replayed(self, tmp_path):
         osa = {"rbw_nm": 0.0, "noise_floor": 1e-4, "rel_noise": 0.0, "seed": 1}
@@ -1079,7 +1091,7 @@ def test_bragg_center_on_a_huge_grid_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv,doc,code", [
+FAILED_RUNS = pytest.mark.parametrize("argv,doc,code", [
     # t2_ref_c = 20, so dt = 3000 puts the sensing grating's Bragg center off the grid.
     (["sweep-temp", "--dt", "0,3000"], None, 2),
     (["dump-spectrum", "--dt", "3000"], None, 2),
@@ -1092,6 +1104,9 @@ def test_bragg_center_on_a_huge_grid_exits_2(tmp_path, capsys, argv):
     (["sweep-beta", "--snr-min", "500"], None, 4),
 ], ids=["sweep_temp_off_grid", "dump_off_grid", "rbw", "half_width", "span", "one_dt",
         "inf_shift", "snr_min"])
+
+
+@FAILED_RUNS
 def test_failed_run_leaves_no_directory_it_made(tmp_path, argv, doc, code):
     """A run that fails after its inputs passed removes the output directory
     it made, and leaves one that already existed."""
@@ -1104,6 +1119,21 @@ def test_failed_run_leaves_no_directory_it_made(tmp_path, argv, doc, code):
     out.mkdir()
     assert exit_code([*argv, "--out", str(out)]) == code
     assert out.is_dir() and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+@FAILED_RUNS
+def test_failed_run_leaves_no_stage(tmp_path, argv, doc, code, existing):
+    """No `.wva-sense-*` staging directory survives a failed run, into a
+    fresh --out or an existing one."""
+    if argv[0] != "theory-lines":
+        cfg = write_config(tmp_path, doc) if doc else str(CONFIGS / "bench.json")
+        argv = [*argv, "--config", cfg]
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+    assert exit_code([*argv, "--out", str(out)]) == code
+    assert not list(tmp_path.rglob(".wva-sense-*"))
 
 
 def test_sweep_temp_unfittable_dt_exit_3_silently(tmp_path, capfd):

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wva_sense"
+import wva_sense
+
+PACKAGE = Path(wva_sense.__file__).resolve().parent  # the copy the suite imports
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import wva_sense
 from wva_sense.cli import main, replay_manifest
 from wva_sense.config import load_scenario
 from wva_sense.errors import ConfigError
@@ -27,7 +28,7 @@ from wva_sense.scenario import SweepKernel, _fan_out, _workers
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = str(ROOT / "configs" / "bench.json")
-SRC = str(ROOT / "src")
+SRC = str(Path(wva_sense.__file__).resolve().parent.parent)  # subprocesses import the same copy
 
 pytestmark = pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
                                 reason="sweeps fan out only where fork and sched_getaffinity exist")
