@@ -1091,7 +1091,7 @@ def test_bragg_center_on_a_huge_grid_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-FAILED_RUNS = pytest.mark.parametrize("argv,doc,code", [
+@pytest.mark.parametrize("argv,doc,code", [
     # t2_ref_c = 20, so dt = 3000 puts the sensing grating's Bragg center off the grid.
     (["sweep-temp", "--dt", "0,3000"], None, 2),
     (["dump-spectrum", "--dt", "3000"], None, 2),
@@ -1104,35 +1104,20 @@ FAILED_RUNS = pytest.mark.parametrize("argv,doc,code", [
     (["sweep-beta", "--snr-min", "500"], None, 4),
 ], ids=["sweep_temp_off_grid", "dump_off_grid", "rbw", "half_width", "span", "one_dt",
         "inf_shift", "snr_min"])
-
-
-@FAILED_RUNS
 def test_failed_run_leaves_no_directory_it_made(tmp_path, argv, doc, code):
     """A run that fails after its inputs passed removes the output directory
-    it made, and leaves one that already existed."""
+    it made, and leaves one that already existed; no `.wva-sense-*` stage
+    survives either run."""
     if argv[0] != "theory-lines":
         cfg = write_config(tmp_path, doc) if doc else str(CONFIGS / "bench.json")
         argv = [*argv, "--config", cfg]
     out = tmp_path / "out"
     assert exit_code([*argv, "--out", str(out)]) == code
     assert not out.exists()
+    assert not list(tmp_path.rglob(".wva-sense-*"))
     out.mkdir()
     assert exit_code([*argv, "--out", str(out)]) == code
     assert out.is_dir() and not any(out.iterdir())
-
-
-@pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
-@FAILED_RUNS
-def test_failed_run_leaves_no_stage(tmp_path, argv, doc, code, existing):
-    """No `.wva-sense-*` staging directory survives a failed run, into a
-    fresh --out or an existing one."""
-    if argv[0] != "theory-lines":
-        cfg = write_config(tmp_path, doc) if doc else str(CONFIGS / "bench.json")
-        argv = [*argv, "--config", cfg]
-    out = tmp_path / "out"
-    if existing:
-        out.mkdir()
-    assert exit_code([*argv, "--out", str(out)]) == code
     assert not list(tmp_path.rglob(".wva-sense-*"))
 
 
